@@ -62,7 +62,7 @@ class DropTailQueue {
 
  private:
   void grow() {
-    std::vector<Packet> bigger(ring_.empty() ? 8 : ring_.size() * 2);
+    std::vector<Packet> bigger(ring_.empty() ? 2 : ring_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
       bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
     }

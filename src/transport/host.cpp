@@ -2,6 +2,8 @@
 // be amortized and allowlisted in tools/lint_allowlist.txt)
 #include "transport/host.hpp"
 
+#include <algorithm>
+
 #include "util/log.hpp"
 
 namespace speakup::transport {
@@ -35,13 +37,19 @@ std::uint32_t Host::acquire_slot() {
   const auto slot = static_cast<std::uint32_t>(states_.size());
   if (slot % kChunk == 0) {
     chunks_.push_back(std::make_unique<RawSlot[]>(kChunk));
-    // Reserve the whole chunk's metadata now: the slot high-water mark can
-    // rise mid-run (a deferred release overlapping an immediate reconnect),
-    // and that moment must not touch the allocator — only chunk boundaries
-    // may (the pooled engine's steady state stays allocation-free).
-    states_.reserve(chunks_.size() * kChunk);
-    release_ev_.reserve(chunks_.size() * kChunk);
-    free_.reserve(chunks_.size() * kChunk);
+    // Reserve at least the whole chunk's metadata now: the slot high-water
+    // mark can rise mid-run (a deferred release overlapping an immediate
+    // reconnect), and that moment must not touch the allocator — only chunk
+    // boundaries may (the pooled engine's steady state stays
+    // allocation-free). Growth is geometric, so a host holding thousands of
+    // connections does not recopy its metadata every kChunk slots.
+    const std::size_t need = chunks_.size() * kChunk;
+    const auto reserve = [need](auto& v) {
+      if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
+    };
+    reserve(states_);
+    reserve(release_ev_);
+    reserve(free_);
   }
   states_.push_back(SlotState::kEmpty);
   release_ev_.emplace_back();
@@ -65,7 +73,7 @@ std::size_t Host::find_index(std::uint32_t local_port, net::NodeId remote,
 void Host::table_grow() {
   std::vector<TableEntry> old;
   old.swap(table_);
-  table_.resize(old.empty() ? 16 : old.size() * 2);
+  table_.resize(old.empty() ? 4 : old.size() * 2);
   for (const TableEntry& e : old) {
     if (e.slot == kNilSlot) continue;
     std::size_t i = probe_of(e);

@@ -76,10 +76,12 @@ class Host : public net::Node {
  private:
   enum class SlotState : std::uint8_t { kEmpty, kLive, kReleasing };
 
-  /// Slab chunk size: client hosts hold a handful of live connections
-  /// (window + one payment channel), so chunks stay small to keep 10^5
-  /// hosts cheap; server-side hosts just grow more chunks.
-  static constexpr std::size_t kChunk = 8;
+  /// Slab chunk size. A window-1 client's steady state is one live
+  /// connection plus one still waiting for its deferred release (the
+  /// overlap acquire_slot describes), so two slots carry it allocation-free
+  /// while every client host pays for two connections, not eight. Hosts
+  /// holding more (attackers, the thinner) just grow more chunks.
+  static constexpr std::size_t kChunk = 2;
   static constexpr std::uint32_t kNilSlot = UINT32_MAX;
 
   struct alignas(TcpConnection) RawSlot {

@@ -7,9 +7,10 @@
 //
 // Two pieces:
 //   - util::AllocGuard — an RAII scope that snapshots the global allocation
-//     counter; delta() is the number of operator-new calls since
-//     construction. Only deltas are meaningful (gtest, warm-up phases and
-//     the harness allocate freely outside measured regions).
+//     counters; delta() is the number of operator-new calls since
+//     construction and bytes_delta() the bytes they requested. Only deltas
+//     are meaningful (gtest, warm-up phases and the harness allocate
+//     freely outside measured regions).
 //   - src/util/counted_new.cpp — the replacement global operator new /
 //     delete that actually bumps the counter. It is a SEPARATE translation
 //     unit built as the `speakup_counted_new` static library and linked
@@ -39,16 +40,21 @@ namespace alloc_detail {
 // Relaxed atomics: the counter is also bumped from Runner worker threads,
 // and a plain int64 here would be a genuine data race under TSan.
 inline std::atomic<std::int64_t> g_allocations{0};
+inline std::atomic<std::int64_t> g_allocated_bytes{0};
 inline std::atomic<bool> g_counting_linked{false};
 inline std::atomic<bool> g_trap_armed{false};
 }  // namespace alloc_detail
 
 class AllocGuard {
  public:
-  AllocGuard() : start_(count()) {}
+  AllocGuard() : start_(count()), start_bytes_(bytes()) {}
 
   /// operator-new calls since this guard was constructed.
   [[nodiscard]] std::int64_t delta() const { return count() - start_; }
+
+  /// Bytes requested from operator new since this guard was constructed
+  /// (allocated, not net of frees: a memory budget, not a leak check).
+  [[nodiscard]] std::int64_t bytes_delta() const { return bytes() - start_bytes_; }
 
   /// Whether the counting operator new (speakup_counted_new) is linked into
   /// this binary. When false, delta() is always 0 and proves nothing.
@@ -70,8 +76,13 @@ class AllocGuard {
     return alloc_detail::g_allocations.load(std::memory_order_relaxed);
   }
 
+  [[nodiscard]] static std::int64_t bytes() {
+    return alloc_detail::g_allocated_bytes.load(std::memory_order_relaxed);
+  }
+
  private:
   std::int64_t start_;
+  std::int64_t start_bytes_;
 };
 
 }  // namespace speakup::util

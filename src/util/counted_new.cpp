@@ -34,6 +34,7 @@ CountingMarker g_marker;
 void* counted_alloc_nothrow(std::size_t size) noexcept {
   using namespace speakup::util::alloc_detail;
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
   if (g_trap_armed.load(std::memory_order_relaxed) &&
       std::getenv("SPEAKUP_TRAP_ALLOC") != nullptr) {
     // Opt-in debugging: dump the offending stack — resolve the +0x offsets

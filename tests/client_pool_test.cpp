@@ -1,8 +1,8 @@
 // Unit tests for the struct-of-arrays client engine (client::ClientPool):
 // member-for-member equivalence with WorkloadClient, dense request-slot
 // reuse and generation safety in the pool-wide request slab, pause
-// semantics, and the zero-steady-state-allocation guarantee at 10^5
-// clients.
+// semantics, the zero-steady-state-allocation guarantee at 10^5 clients,
+// and the per-client byte budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -182,6 +182,48 @@ TEST(ClientPool, SteadyStateZeroAllocationsAt100kClients) {
   for (std::uint32_t i = 0; i < kClients; ++i) arrivals += pool.stats(i).arrivals;
   ASSERT_GT(arrivals - before_arr, 10'000);  // the measured window did real work
   EXPECT_EQ(guard.delta(), 0) << "steady-state request cycle allocated";
+}
+
+// The per-client memory budget: every byte a window-1 client's requests
+// make its host stack allocate (connection slab chunk, slot metadata, demux
+// table, link-queue rings), averaged over 10^4 clients, must stay under a
+// bound set from measurement — so transport state that outgrows what a
+// client actually holds fails here, not only as peak RSS at 10^5 clients.
+TEST(ClientPool, PerHostBytesStayWithinBudget) {
+  constexpr int kClients = 10'000;
+  Rig rig;
+  // The thinner accepts and resets each connection once its request
+  // arrives. A SYN refused outright would leave the client's link queue
+  // unused: the handshake's final ACK and the request leave back to back,
+  // and the second of them is what waits in that queue.
+  const WorkloadParams p = good_client_params();
+  rig.thinner_host->listen(p.request_port, [](transport::TcpConnection& c) {
+    transport::TcpConnection::Callbacks cbs;
+    cbs.on_data = [&c](Bytes) { c.abort(); };
+    c.set_callbacks(std::move(cbs));
+  });
+  ClientPool pool(rig.loop, rig.thinner_host->id(), p, 0);
+  for (int i = 0; i < kClients; ++i) {
+    pool.add_member(rig.add_host("c" + std::to_string(i)),
+                    util::RngStream(5, "client." + std::to_string(i)));
+  }
+#if SPEAKUP_AUDIT_ENABLED
+  // Audit checkpoints allocate scratch inside the measured region.
+  GTEST_SKIP() << "allocation budgets are not measured in SPEAKUP_AUDIT builds";
+#endif
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  pool.start_all();
+  rig.run_for(8.0);
+  std::int64_t cold = 0;
+  for (std::uint32_t i = 0; i < kClients; ++i) cold += pool.stats(i).started == 0;
+  ASSERT_EQ(cold, 0) << "every host must have opened a connection";
+  const double per_host = static_cast<double>(guard.bytes_delta()) / kClients;
+  // Measured 2,084 B per host: a two-slot connection chunk (2 x 624 B), a
+  // 4-entry demux table, two link-queue rings, slot metadata, and a share
+  // of the pool-wide and thinner-side growth. Eight-slot chunks (5,954 B)
+  // or eight-packet rings (2,660 B) break the bound.
+  EXPECT_LT(per_host, 2'300.0) << "bytes allocated per client host";
 }
 
 }  // namespace

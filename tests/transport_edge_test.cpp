@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
@@ -237,6 +238,74 @@ TEST(TcpEdge, SteadyStateLossPathIsAllocationFree) {
   EXPECT_EQ(guard.delta(), 0) << "TCP loss path allocated in steady state";
   EXPECT_GT(delivered, delivered_before);  // the region really moved data
   EXPECT_GT(c.retransmits(), 0);
+}
+
+// The connection slab at server scale. One host grows to 40 and then 4,096
+// live connections: every earlier TcpConnection& must stay valid (chunks
+// never move), slot metadata must grow geometrically (O(log n)
+// reallocations, not one per chunk), and once warm the host must reopen a
+// full house on recycled slots without touching the allocator.
+TEST(TcpEdge, HostSlabKeepsReferencesAndRecyclesSlots) {
+  constexpr std::size_t kFew = 40;
+  constexpr std::size_t kMany = 4096;
+  // Nothing listens on b, so each SYN draws an RST that closes and releases
+  // its connection; the deep queue keeps every SYN of a burst.
+  Pair p(net::LinkSpec{Bandwidth::gbps(1.0), Duration::micros(10), 4'000'000});
+  std::vector<TcpConnection*> conns;
+  std::vector<std::uint32_t> ports;
+  conns.reserve(kMany);
+  ports.reserve(kMany);
+  const auto open_until = [&](std::size_t n) {
+    while (conns.size() < n) {
+      conns.push_back(&p.a->connect(p.b->id(), 80));
+      ports.push_back(conns.back()->local_port());
+    }
+  };
+  const auto all_valid = [&] {
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      if (p.a->find_connection(ports[i], p.b->id(), 80) != conns[i]) return false;
+      if (conns[i]->local_port() != ports[i] || conns[i]->closed()) return false;
+    }
+    return true;
+  };
+
+  open_until(kFew);
+  ASSERT_TRUE(all_valid());
+  const util::AllocGuard growth;
+  open_until(kMany);
+  const std::int64_t growth_allocs = growth.delta();
+  EXPECT_EQ(p.a->live_connections(), kMany);
+  EXPECT_TRUE(all_valid()) << "growing the slab moved a live connection";
+
+  p.run_for(1.0);  // every SYN is answered by an RST
+  EXPECT_EQ(p.a->live_connections(), 0u);
+#if SPEAKUP_AUDIT_ENABLED
+  // Audit checkpoints allocate scratch inside the measured regions.
+  GTEST_SKIP() << "allocation counts are not measured in SPEAKUP_AUDIT builds";
+#endif
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  // Two slots per chunk make (kMany - kFew) / 2 chunk allocations. Every
+  // other growing vector on the path (slot metadata, demux table, event
+  // slab, timer pool, queue ring) doubles, so all of them together add a
+  // few dozen; per-chunk metadata growth would add three per chunk.
+  EXPECT_LT(growth_allocs, static_cast<std::int64_t>((kMany - kFew) / 2 + 128))
+      << "slot metadata must grow geometrically";
+
+  // One more full cycle brings the event loop's own pools to their
+  // high-water mark; the cycle after it is the steady state.
+  const auto reopen_all = [&] {
+    conns.clear();
+    ports.clear();
+    open_until(kMany);
+  };
+  reopen_all();
+  p.run_for(1.0);
+  ASSERT_EQ(p.a->live_connections(), 0u);
+  const util::AllocGuard reuse;
+  reopen_all();
+  EXPECT_EQ(reuse.delta(), 0) << "reopening on released slots allocated";
+  EXPECT_EQ(p.a->live_connections(), kMany);
+  EXPECT_TRUE(all_valid());
 }
 
 TEST(TcpEdge, ZeroByteWriteIsNoop) {

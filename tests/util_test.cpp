@@ -174,6 +174,7 @@ TEST(AllocGuard, CountsNothrowNew) {
   ASSERT_NE(q, nullptr);
   ::operator delete[](q, std::nothrow);
   EXPECT_EQ(guard.delta(), 2) << "nothrow operator new must be counted";
+  EXPECT_EQ(guard.bytes_delta(), 128) << "and so must the bytes it requested";
 }
 
 }  // namespace

@@ -29,11 +29,13 @@ that promise:
 Known-good sites live in tools/lint_allowlist.txt as
 `path|rule|content-substring` lines; the substring is matched against the
 offending line's text, so entries survive unrelated line renumbering.
-Stale entries (matching nothing) are reported as warnings.
+Stale entries (matching nothing) are errors, so rewriting an allowlisted
+line cannot leave its dead entry behind.
 
-Exit status: 0 clean, 1 violations found, 2 usage/config error.
---self-test seeds one violation per rule into a synthetic file and exits
-0 only if the scanner flags all of them (the CI negative self-test).
+Exit status: 0 clean, 1 violations or stale entries found, 2 usage/config
+error. --self-test seeds one violation per rule into a synthetic file and
+exits 0 only if the scanner flags all of them and reports a seeded stale
+allowlist entry (the CI negative self-test).
 """
 
 from __future__ import annotations
@@ -123,17 +125,10 @@ def load_allowlist(path: Path) -> list[tuple[str, str, str]]:
     return entries
 
 
-def run_lint(root: Path) -> int:
-    src = root / "src"
-    files = [
-        (str(p.relative_to(root)), p.read_text())
-        for p in sorted(src.rglob("*"))
-        if p.suffix in (".cpp", ".hpp", ".h", ".cc")
-    ]
-    violations = scan(files)
-    allowlist = load_allowlist(root / "tools" / "lint_allowlist.txt")
+def apply_allowlist(violations, allowlist):
+    """Splits violations against the allowlist: returns (reported, stale),
+    the violations no entry covers and the entries that cover nothing."""
     used = [False] * len(allowlist)
-
     reported = []
     for path, line_no, rule, text in violations:
         allowed = False
@@ -143,18 +138,30 @@ def run_lint(root: Path) -> int:
                 allowed = True
         if not allowed:
             reported.append((path, line_no, rule, text))
+    stale = [entry for entry, u in zip(allowlist, used) if not u]
+    return reported, stale
 
-    for (a_path, a_rule, a_sub), u in zip(allowlist, used):
-        if not u:
-            print(f"warning: stale allowlist entry: {a_path}|{a_rule}|{a_sub}")
 
+def run_lint(root: Path) -> int:
+    src = root / "src"
+    files = [
+        (str(p.relative_to(root)), p.read_text())
+        for p in sorted(src.rglob("*"))
+        if p.suffix in (".cpp", ".hpp", ".h", ".cc")
+    ]
+    reported, stale = apply_allowlist(
+        scan(files), load_allowlist(root / "tools" / "lint_allowlist.txt"))
+
+    for a_path, a_rule, a_sub in stale:
+        print(f"stale allowlist entry: {a_path}|{a_rule}|{a_sub}")
     for path, line_no, rule, text in reported:
         print(f"{path}:{line_no}: [{rule}] {text}")
-    if reported:
+    if reported or stale:
         print(
-            f"determinism lint: {len(reported)} violation(s). Either make the "
-            "code deterministic or add a justified entry to "
-            "tools/lint_allowlist.txt (see docs/correctness.md)."
+            f"determinism lint: {len(reported)} violation(s), {len(stale)} stale "
+            "allowlist entry(ies). Either make the code deterministic or add a "
+            "justified entry to tools/lint_allowlist.txt, and delete entries "
+            "that no longer match a line (see docs/correctness.md)."
         )
         return 1
     print(f"determinism lint: clean ({len(files)} files scanned).")
@@ -184,7 +191,21 @@ def run_self_test() -> int:
     if missing:
         print(f"self-test FAILED: rules not detected: {sorted(missing)}")
         return 1
-    print("self-test passed: all banned patterns detected on seeded input.")
+    # One entry covering the seeded allocation, one left behind by a rewrite
+    # of a growth site: the first must silence its line, the second must be
+    # reported stale.
+    path = SELF_TEST_FILE[0]
+    live = (path, "hot-path-alloc", "new int(7)")
+    dead = (path, "hot-path-alloc", "pool_.reserve(old_size * 2)")
+    reported, stale = apply_allowlist(violations, [live, dead])
+    if any(rule == "hot-path-alloc" for _, _, rule, _ in reported):
+        print("self-test FAILED: allowlisted violation still reported")
+        return 1
+    if stale != [dead]:
+        print(f"self-test FAILED: stale entries {stale}, expected [{dead}]")
+        return 1
+    print("self-test passed: all banned patterns and the stale allowlist "
+          "entry detected on seeded input.")
     return 0
 
 
