@@ -12,14 +12,14 @@
 //     and queues have reached their steady-state size.
 //   - The callback type is sim::EventFn — a 64-byte in-place closure that
 //     refuses oversized captures at compile time (see event_fn.hpp).
-//   - Pending events live in one of two stores. Deadlines between ~1 ms
-//     (the wheel's deliberate level-0 cutoff — see TimerWheel::insert) and
-//     ~275 s out sit in a hierarchical timer wheel (timer_wheel.hpp): O(1)
-//     schedule, O(1) eager cancel — the protocol-timeout pattern (every
-//     TCP ack re-arms the RTO) never touches the heap. Everything else
-//     (imminent or far-future) sits in a 4-ary implicit heap of 24-byte
-//     POD entries — shallower and more cache-friendly than the binary
-//     heap it replaced. The wheel never fires
+//   - Pending events live in one of two stores. Deadlines from the next
+//     wheel tick (~16 µs) out to ~4.9 h sit in a hierarchical timer wheel
+//     (timer_wheel.hpp): O(1) schedule, O(1) eager cancel — the protocol-
+//     timeout pattern (every TCP ack re-arms the RTO, every request arms a
+//     300 s timeout) never touches the heap. Everything else (within the
+//     current tick, or beyond the span) sits in a 4-ary implicit heap of
+//     24-byte POD entries — shallower and more cache-friendly than the
+//     binary heap it replaced. The wheel never fires
 //     anything: due slots are drained into the heap, where entries re-sort
 //     by their original (time, seq) key, so firing order is bit-identical
 //     to a single-heap loop by construction.
@@ -322,7 +322,8 @@ class EventLoop {
     bool armed = false;
     std::uint32_t next_free = kNilSlot;
     /// Wheel node handle while the event waits in the wheel; kNil once it
-    /// is heap-resident (imminent, far-future, or drained).
+    /// is heap-resident (within the current tick, beyond the span, or
+    /// drained).
     std::uint32_t wheel_node = TimerWheel::kNil;
   };
 

@@ -10,13 +10,14 @@
 //
 // Structure: kLevels levels of 64 slots. A level-0 slot covers one tick
 // (2^kTickBits ns ≈ 16.4 µs); each higher level covers 64× the span of the
-// one below, so the whole wheel spans 64^4 ticks ≈ 275 s. Deadlines past
-// the span — and deadlines below tick resolution — stay in the caller's
-// overflow heap, which also remains the final ordering stage: the wheel
-// never fires anything itself. The EventLoop *drains* due slots into its
-// heap, where entries re-sort by their original (time, sequence) key, so
-// the wheel is invisible to firing order — runs are bit-identical to a
-// pure-heap loop by construction.
+// one below, so the whole wheel spans 64^5 ticks ≈ 4.9 h — past the 300 s
+// default request timeout, so every protocol timer is wheel-resident.
+// Deadlines within the current tick and deadlines past the span stay in
+// the caller's overflow heap, which also remains the final ordering stage:
+// the wheel never fires anything itself. The EventLoop *drains* due slots
+// into its heap, where entries re-sort by their original (time, sequence)
+// key, so the wheel is invisible to firing order — runs are bit-identical
+// to a pure-heap loop by construction.
 //
 // The level of an entry is the bit-group of the highest bit in which its
 // deadline tick differs from the wheel clock (`cur_tick_`), tokio-style.
@@ -49,7 +50,7 @@ class TimerWheel {
       for (auto& head : level) head = kNil;
     }
   }
-  static constexpr int kLevels = 4;
+  static constexpr int kLevels = 5;
   static constexpr int kSlotBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 64
   static constexpr int kTickBits = 14;                   // 16.384 µs per tick
@@ -64,24 +65,23 @@ class TimerWheel {
 
   /// Files `e` under the slot covering its deadline. Returns a node handle
   /// for remove(), or kNil when the deadline is out of the wheel's range —
-  /// already inside the drained-past prefix, too near, or beyond the span —
-  /// in which case the caller keeps the entry in its overflow heap.
+  /// within the current (drained-past) tick or beyond the span — in which
+  /// case the caller keeps the entry in its overflow heap.
   ///
-  /// Deadlines that would land in level 0 (within ~1 ms) are deliberately
-  /// rejected too: they are almost always packet-pipeline events that fire
-  /// unconditionally in a moment, and routing them through the wheel would
-  /// cost an insert + drain round-trip on top of the heap push they need
-  /// anyway. Level 0 only receives entries cascading down from coarser
-  /// levels. The wheel therefore holds exactly the protocol-timer
-  /// population — RTOs, request timeouts, payment windows — which is the
-  /// population that gets cancelled and re-armed constantly.
+  /// Level 0 (the next ~1 ms) is admitted like every other level. Packet-
+  /// pipeline events landing there pay an insert + drain round-trip, but
+  /// that costs less than it saves once the 300 s request timeouts are
+  /// wheel-resident too: the heap then holds only the current tick, so
+  /// each pop sifts through one or two entries instead of hundreds.
+  /// Measured on the fig2 workload: level-0 admission alone +7% events/s,
+  /// the fifth level alone +20%, both +39% (docs/performance.md, round 4).
   std::uint32_t insert(const Entry& e) {
     const std::int64_t when_tick = e.when_ns >> kTickBits;
     if (when_tick <= cur_tick_) return kNil;
     const auto diff =
         static_cast<std::uint64_t>(when_tick) ^ static_cast<std::uint64_t>(cur_tick_);
     const int level = (63 - std::countl_zero(diff)) / kSlotBits;
-    if (level == 0 || level >= kLevels) return kNil;  // too near / beyond the span
+    if (level >= kLevels) return kNil;  // beyond the span
     const auto slot = static_cast<std::uint32_t>(
         (when_tick >> (level * kSlotBits)) & (kSlotsPerLevel - 1));
     const std::uint32_t node = acquire_node();

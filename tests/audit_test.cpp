@@ -67,12 +67,14 @@ struct Rig {
 
 TEST(Audit, EventLoopCleanUnderChurn) {
   sim::EventLoop loop;
-  // Mix of heap-resident (imminent / far-future) and wheel-resident
-  // deadlines, with cancellations to exercise tombstones + free list.
+  // Mix of heap-resident (within the current tick / beyond the wheel's
+  // ~4.9 h span) and wheel-resident deadlines, with cancellations to
+  // exercise tombstones + free list.
   std::vector<sim::EventId> ids;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 20; ++i) {
-      const auto d = Duration::micros(1 + 7919 * i % 3'000'000);  // ns..seconds
+      const auto d = i % 5 == 4 ? Duration::seconds(6.0 * 3600 + i)           // beyond the span
+                                : Duration::micros(1 + 7919 * i % 3'000'000);  // ns..seconds
       ids.push_back(loop.schedule(d, [] {}));
     }
     for (std::size_t i = 0; i < ids.size(); i += 3) loop.cancel(ids[i]);
@@ -85,6 +87,29 @@ TEST(Audit, EventLoopCleanUnderChurn) {
   loop.audit();
 }
 
+TEST(Audit, EventLoopCleanWithEveryWheelLevelPopulated) {
+  sim::EventLoop loop;
+  // From time 0: one deadline inside the first tick (heap), one per wheel
+  // level L0…L4 (L4 holds the 300 s request timeout), and one beyond the
+  // ~4.9 h span (heap). Each checkpoint drains one level's slot down
+  // through the finer levels, so the audit sees every cascade.
+  for (const Duration d :
+       {Duration::nanos(5'000), Duration::micros(100), Duration::millis(5),
+        Duration::millis(300), Duration::seconds(20), Duration::seconds(300),
+        Duration::seconds(6.0 * 3600)}) {
+    loop.schedule(d, [] {});
+  }
+  EXPECT_EQ(loop.wheel_size(), 5u);
+  EXPECT_EQ(loop.heap_size(), 2u);
+  loop.audit();
+  for (const double t : {50e-6, 1e-3, 0.1, 10.0, 100.0, 400.0, 7.0 * 3600}) {
+    loop.run_until(SimTime::zero() + Duration::seconds(t));
+    loop.audit();
+  }
+  EXPECT_EQ(loop.executed_events(), 7u);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
 // Regression: reschedule() of a heap-resident event tombstones the old
 // entry before re-filing the record, and used to run maybe_compact() — and
 // with it the compaction-time audit — in that window, when the armed record
@@ -94,15 +119,19 @@ TEST(Audit, EventLoopCleanUnderChurn) {
 // auction scenario in the CI audit job; pinned here at microscope size.
 TEST(Audit, RescheduleCompactionAuditsConsistentState) {
   sim::EventLoop loop;
-  // Sub-tick delays (< ~1 ms wheel tick span) keep every entry in the
-  // 4-ary heap, so each reschedule leaves a heap tombstone behind.
+  // Deadlines inside the first wheel tick (< 16.384 µs from time 0) keep
+  // every entry in the 4-ary heap, so each reschedule leaves a heap
+  // tombstone behind.
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 200; ++i) {
-    ids.push_back(loop.schedule(Duration::micros(500 + i), [] {}));
+    ids.push_back(loop.schedule(Duration::nanos(1'000 + 50 * i), [] {}));
   }
+  // Fails loudly if a change to the store-choice policy moves these
+  // entries out of the heap, which would silently retire this regression.
+  ASSERT_GE(loop.heap_size(), 200u);
   for (int round = 0; round < 5; ++round) {
     for (auto& id : ids) {
-      id = loop.reschedule(id, Duration::micros(700 + round));
+      id = loop.reschedule(id, Duration::nanos(12'000 + 500 * round));
     }
     loop.audit();
   }

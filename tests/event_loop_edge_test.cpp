@@ -266,6 +266,64 @@ TEST(EventLoopEdge, MassCancellationLeavesNoResidue) {
   EXPECT_EQ(loop.executed_events(), 0u);
 }
 
+// --- store residency ---------------------------------------------------------
+// The wheel spans from the next tick (~16 µs) to ~4.9 h, so every protocol
+// timer — RTOs, payment windows, the 300 s request timeout — is filed there
+// and cancelled eagerly. Only deadlines inside the current tick and beyond
+// the span are heap-resident.
+
+TEST(EventLoopEdge, ProtocolTimerDeadlinesAreWheelResident) {
+  for (const Duration d : {Duration::seconds(300), Duration::micros(500)}) {
+    EventLoop loop;
+    EventId id = loop.schedule(d, [] {});
+    EXPECT_EQ(loop.wheel_size(), 1u) << d.ns() << " ns";
+    EXPECT_EQ(loop.heap_size(), 0u) << d.ns() << " ns";
+    loop.cancel(id);
+    EXPECT_EQ(loop.wheel_size(), 0u) << d.ns() << " ns";
+    EXPECT_EQ(loop.heap_size(), 0u) << d.ns() << " ns";
+  }
+}
+
+TEST(EventLoopEdge, SubTickAndBeyondSpanDeadlinesAreHeapResident) {
+  for (const Duration d : {Duration::micros(10), Duration::seconds(6.0 * 3600)}) {
+    EventLoop loop;
+    loop.schedule(d, [] {});
+    EXPECT_EQ(loop.heap_size(), 1u) << d.ns() << " ns";
+    EXPECT_EQ(loop.wheel_size(), 0u) << d.ns() << " ns";
+    loop.run();
+    EXPECT_EQ(loop.executed_events(), 1u);
+    EXPECT_EQ(loop.now().ns(), d.ns());
+  }
+}
+
+TEST(EventLoopEdge, RequestTimeoutPatternLeavesNoHeapTombstones) {
+  // Every request arms a 300 s timeout that the response almost always
+  // beats. With those timeouts wheel-resident the heap holds only the
+  // ticker; were they heap-resident, each cancel would leave a tombstone
+  // and the heap would fill up to the 64-entry compaction floor.
+  EventLoop loop;
+  EventId timeout;
+  int ticks = 0;
+  std::size_t max_heap = 0;
+  struct Ticker {
+    EventLoop* loop;
+    EventId* timeout;
+    int* ticks;
+    std::size_t* max_heap;
+    void operator()() const {
+      loop->cancel(*timeout);
+      *timeout = loop->schedule(Duration::seconds(300), [] {});
+      if (++*ticks < 10'000) loop->schedule(Duration::micros(1), Ticker{*this});
+      *max_heap = std::max(*max_heap, loop->heap_size());
+    }
+  };
+  loop.schedule(Duration::micros(1), Ticker{&loop, &timeout, &ticks, &max_heap});
+  loop.run();
+  EXPECT_EQ(ticks, 10'000);
+  EXPECT_LE(max_heap, 2u);
+  EXPECT_EQ(loop.executed_events(), 10'001u);  // the ticks + the last timeout
+}
+
 TEST(EventLoopEdge, MassCancellationCompactsTheHeap) {
   // Sub-tick deadlines stay heap-resident, so this is the compaction path:
   // everything is dead after the cancels, and the heap must have shrunk

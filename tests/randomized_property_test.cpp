@@ -58,7 +58,8 @@ TEST(RandomizedProperty, EventLoopTimeIsMonotoneUnderRandomSchedules) {
 TEST(RandomizedProperty, WheelAndHeapFireInGlobalTimeAndInsertionOrder) {
   // The EventLoop splits pending events between a hierarchical timer wheel
   // and a 4-ary heap purely by deadline distance. This trace — random
-  // delays spanning every wheel level plus the overflow heap, random
+  // delays spanning every wheel level, the span edge, and the overflow
+  // heap on both sides (within the current tick and beyond ~4.9 h), random
   // cancellation, and random in-place re-arming — checks the split is
   // invisible: every firing must be the global minimum of (deadline,
   // insertion order) among live events, exactly as a single ordered queue
@@ -78,21 +79,47 @@ TEST(RandomizedProperty, WheelAndHeapFireInGlobalTimeAndInsertionOrder) {
   int checked = 0;
   constexpr int kBudget = 4000;
 
-  auto random_delay = [&rng]() -> Duration {
-    switch (rng.uniform_int(0, 5)) {
-      case 0: return Duration::nanos(rng.uniform_int(0, 2'000));         // sub-tick
-      case 1: return Duration::micros(rng.uniform_int(1, 900));          // heap range
+  // The wheel spans 2^kSpanBits ns (~4.9 h). While the clock is below
+  // that, the top level's last slot ends exactly at absolute time
+  // 2^kSpanBits ns: a deadline a few ticks before it is wheel-resident
+  // (and cascades down from L4), one at or after it is overflow-heap.
+  constexpr int kSpanBits = sim::TimerWheel::kLevels * sim::TimerWheel::kSlotBits +
+                            sim::TimerWheel::kTickBits;
+  constexpr std::int64_t kTickNs = std::int64_t{1} << sim::TimerWheel::kTickBits;
+  auto random_delay = [&rng, &loop]() -> Duration {
+    switch (rng.uniform_int(0, 7)) {
+      case 0: return Duration::nanos(rng.uniform_int(0, 2'000));         // sub-tick: heap
+      case 1: return Duration::micros(rng.uniform_int(17, 1'000));       // wheel L0 (or L1)
       case 2: return Duration::millis(rng.uniform_int(1, 60));           // wheel L1/L2
       case 3: return Duration::millis(rng.uniform_int(60, 4'000));       // wheel L2
       case 4: return Duration::seconds(static_cast<double>(rng.uniform_int(4, 250)));  // L3
-      default: return Duration::seconds(static_cast<double>(rng.uniform_int(300, 600)));  // overflow
+      case 5: return Duration::seconds(static_cast<double>(rng.uniform_int(300, 600)));  // L4
+      case 6: {  // straddles the span edge: last L4 slots or overflow heap
+        const std::int64_t at = (std::int64_t{1} << kSpanBits) +
+                                rng.uniform_int(-4, 4) * kTickNs +
+                                rng.uniform_int(0, kTickNs - 1);
+        return Duration::nanos(std::max<std::int64_t>(0, at - loop.now().ns()));
+      }
+      default:  // beyond the span (5–10 h): overflow heap
+        return Duration::seconds(static_cast<double>(rng.uniform_int(5 * 3600, 10 * 3600)));
     }
   };
+  // The O(n) scan below is capped; this O(1) check covers every firing,
+  // including the final drain of the far-future classes: since each
+  // (re)insertion takes a fresh order and no deadline lies in the past,
+  // a correct loop fires in strictly increasing (when, order).
+  std::int64_t last_when = -1;
+  std::uint64_t last_order = 0;
 
   std::function<void(std::size_t)> on_fire = [&](std::size_t me) {
     Slot& self = slots[me];
     // Property 1: the clock stands exactly at this event's deadline.
     EXPECT_EQ(loop.now().ns(), self.when_ns);
+    EXPECT_TRUE(self.when_ns > last_when ||
+                (self.when_ns == last_when && self.order > last_order))
+        << "firing sequence not increasing in (when, order)";
+    last_when = self.when_ns;
+    last_order = self.order;
     // Property 2: nothing live fires late — this event is the minimum of
     // (when, order) among all still-live events.
     if (++checked <= 1500) {  // O(n) scan; cap to keep the test quick
