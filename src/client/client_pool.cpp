@@ -1,9 +1,7 @@
-// Transliteration of WorkloadClient / PaymentChannelClient control flow
-// onto the pool's dense arrays. Every statement here mirrors a statement in
-// workload_client.cpp in the same order — in particular every schedule(),
-// reserve_seq(), Timer::restart() and SessionPool::retire() call happens at
-// the same point in execution, which is what keeps the two engines'
-// event sequences (and result fingerprints) bit-identical.
+// Client control flow over the pool's dense arrays. Every schedule(),
+// reserve_seq(), Timer::restart() and SessionPool::retire() call below sits
+// at a fixed point in a member's request cycle: moving one reorders events
+// and changes every result fingerprint.
 #include "client/client_pool.hpp"
 
 #include <algorithm>
@@ -37,6 +35,21 @@ ClientPool::~ClientPool() {
   for (std::uint32_t slot = 0; slot < slot_live_.size(); ++slot) {
     if (slot_live_[slot]) request_at(slot)->~Request();
   }
+}
+
+void ClientPool::reserve(std::size_t n) {
+  hosts_.reserve(n);
+  rngs_.reserve(n);
+  strategies_.reserve(n);
+  stats_.reserve(n);
+  next_seq_.reserve(n);
+  paused_.reserve(n);
+  backlogs_.reserve(n);
+  outstanding_.reserve(n);
+  arr_when_.reserve(n);
+  arr_seq_.reserve(n);
+  heap_.reserve(n);
+  heap_pos_.reserve(n);
 }
 
 void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
@@ -176,7 +189,7 @@ void ClientPool::fire() {
 }
 
 void ClientPool::on_arrival(std::uint32_t m) {
-  if (paused_[m]) return;  // chain stops, like the object engine's early return
+  if (paused_[m]) return;  // the member's arrival chain stops here
   ++stats_[m].arrivals;
   purge_backlog(m);
   if (outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {

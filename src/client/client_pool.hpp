@@ -1,35 +1,49 @@
-// The million-client engine: a struct-of-arrays WorkloadClient cohort.
+// The request-generating client of §7.1, used for every population:
+//
+//   - requests arrive by the workload strategy's arrival process (the
+//     default "poisson" strategy is §7.1's Poisson process of rate lambda);
+//   - at most `window` requests are outstanding (the strategy may vary the
+//     window over time); excess arrivals wait in a backlog queue and become
+//     service denials after 10 s;
+//   - an outstanding request that gets no response within its request
+//     timeout (300 s by default) is a denial.
+//
+// Good clients run lambda = 2, window = 1; bad clients lambda = 40,
+// window = 20 (requests sent concurrently) — §7.1. The client is purely
+// reactive to the thinner: kPleasePay consults the strategy and (normally)
+// starts a payment channel (§3.3 mode), kRetry starts an aggressive
+// congestion-controlled retry stream (§3.2 mode), kBusy is an immediate
+// failure (no-defense baseline). Hence the same client code runs under
+// every defense mode, like the paper's single custom client — and every
+// behavioral decision (arrival timing, window, paying, defecting) is
+// delegated to a pluggable client::Strategy from the adversary library
+// (strategy.hpp), so new attacker behaviors need no client edits.
 //
 // One ClientPool runs an entire client group (one WorkloadParams, N
-// members) with the per-member state the object engine scatters across N
-// WorkloadClient allocations laid out in dense parallel arrays indexed by
-// member id: stats, strategy, RNG stream, request-id counter, backlog ring.
-// Outstanding requests live in a pool-wide chunked slab (stable addresses,
-// generation-counted slots) instead of N unordered_maps of unique_ptrs, and
+// members; a lone client is a one-member pool). Per-member state lives in
+// dense parallel arrays indexed by member id: stats, strategy, RNG stream,
+// request-id counter, backlog ring. Outstanding requests live in a
+// pool-wide chunked slab (stable addresses, generation-counted slots), and
 // all members share one http::SessionPool.
 //
-// Arrival batching is the interesting part. The object engine keeps one
-// pending event-loop entry per client; at 10^5-10^6 clients that is 10^5+
-// live slab records just for arrival timers. The pool keeps ONE armed
-// event per cohort and an indexed min-heap of per-member (when, seq) keys.
-// Bit-exactness with the object engine falls out of the reserve_seq /
-// schedule_keyed split in sim::EventLoop:
+// Arrival batching keeps 10^5-10^6-client groups cheap: instead of one
+// pending event-loop entry per member, the pool keeps ONE armed event per
+// cohort and an indexed min-heap of per-member (when, seq) keys. Each
+// member still takes its place in the loop's (when, seq) total order
+// through the reserve_seq / schedule_keyed split in sim::EventLoop:
 //
-//   - wherever a WorkloadClient would call loop.schedule() for an arrival,
-//     the pool calls loop.reserve_seq() — consuming the SAME sequence
-//     number at the same point in execution — and parks (when, seq) in the
-//     cohort heap;
+//   - drawing a member's next arrival calls loop.reserve_seq(), consuming
+//     the sequence number a per-member schedule() would have taken at that
+//     point in execution, and parks (when, seq) in the cohort heap;
 //   - the cohort's single armed event is filed with schedule_keyed() under
 //     the heap minimum's reserved key, so it occupies exactly the slot in
-//     the (when, seq) total order that the per-client event would have;
-//   - each fire handles exactly one member's arrival (one executed event,
-//     matching the object engine's count) and re-arms at the new minimum.
+//     the (when, seq) order that the member's own event would have;
+//   - each fire handles exactly one member's arrival (one executed event)
+//     and re-arms at the new minimum.
 //
-// Every other code path — timers, TCP, streams, payments, deferred
-// retirement — is shared with the object engine verbatim, so the whole
-// simulation replays the identical event sequence and every
-// ExperimentResult fingerprint matches byte for byte (enforced by
-// tests/engine_differential_test.cpp on every checked-in scenario).
+// So how members are grouped into pools never changes the event sequence;
+// tests/hotpath_fingerprint_test.cpp pins the resulting fingerprints on
+// every checked-in scenario file but the 10^5-client million_clients.json.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +57,7 @@
 #include "client/client_stats.hpp"
 #include "client/payment_channel.hpp"
 #include "client/strategy.hpp"
-#include "client/workload_client.hpp"
+#include "client/workload_params.hpp"
 #include "http/message.hpp"
 #include "http/message_stream.hpp"
 #include "http/session_pool.hpp"
@@ -59,7 +73,7 @@ class ClientPool {
  public:
   /// `base_index` is the global client index of member 0; members are
   /// globally indexed base_index, base_index+1, ... (trace track ids and
-  /// request-id namespaces, identical to the object engine's client_index).
+  /// request-id namespaces).
   ClientPool(sim::EventLoop& loop, net::NodeId thinner, const WorkloadParams& params,
              std::uint32_t base_index);
 
@@ -67,16 +81,20 @@ class ClientPool {
   ClientPool& operator=(const ClientPool&) = delete;
   ~ClientPool();
 
-  /// Adds one member. Must mirror the object engine's construction order:
-  /// hosts in global client order, each with its own seeded RNG stream.
+  /// Sizes the per-member arrays for `n` members, so the add_member calls
+  /// that follow never regrow them (a regrowth recopies every member's RNG
+  /// state).
+  void reserve(std::size_t n);
+
+  /// Adds one member: hosts in global client order, each with its own
+  /// seeded RNG stream.
   void add_member(transport::Host& host, util::RngStream rng);
 
-  /// Starts every member's arrival process, in member order — the seq
-  /// reservations here line up with the object engine's start() loop.
+  /// Starts every member's arrival process, in member order.
   void start_all();
 
   /// Stops issuing new requests for one member (outstanding ones keep
-  /// running); mirrors WorkloadClient::pause().
+  /// running).
   void pause(std::uint32_t member) { paused_[member] = 1; }
 
   [[nodiscard]] std::size_t size() const { return hosts_.size(); }
@@ -130,8 +148,7 @@ class ClientPool {
 
   enum class Disposition { kServed, kDenied, kBusyRejected };
 
-  /// Growable FIFO ring of backlogged arrival timestamps (the object
-  /// engine's std::deque<SimTime>, minus the deque's chunk allocator).
+  /// Growable FIFO ring of backlogged arrival timestamps.
   struct BacklogRing {
     std::vector<SimTime> buf;
     std::size_t head = 0;
@@ -163,7 +180,7 @@ class ClientPool {
     std::byte bytes[sizeof(Request)];
   };
 
-  // --- transliterated WorkloadClient logic (one member at a time) --------
+  // --- client logic (one member at a time) --------------------------------
   [[nodiscard]] StrategyView view(std::uint32_t m) const;
   [[nodiscard]] int current_window(std::uint32_t m);
   void on_arrival(std::uint32_t m);
@@ -194,8 +211,8 @@ class ClientPool {
   [[nodiscard]] Request* find_request(std::uint64_t id, std::uint32_t* out_slot);
 
   // --- cohort arrival heap ------------------------------------------------
-  /// Draws the member's next arrival gap, reserves the seq the object
-  /// engine's schedule() would have consumed, and inserts into the heap.
+  /// Draws the member's next arrival gap, reserves the seq a per-member
+  /// schedule() would have consumed, and inserts into the heap.
   void draw_next_arrival(std::uint32_t m);
   void heap_insert(std::uint32_t m);
   void heap_pop_min();

@@ -47,7 +47,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // "poisson" — the §7.1 baseline both presets used before strategies existed.
 // Draws exactly one exponential per arrival, so a scenario that never names
-// a strategy is bit-identical to the pre-strategy WorkloadClient.
+// a strategy is bit-identical to the pre-strategy client.
 // ---------------------------------------------------------------------------
 
 class PoissonStrategy final : public Strategy {

@@ -1,6 +1,6 @@
 // The adversary library: pluggable client behavior strategies.
 //
-// A Strategy is to WorkloadClient what a core::FrontEnd is to the thinner
+// A Strategy is to a client what a core::FrontEnd is to the thinner
 // host: a polymorphic behavior behind a name-keyed registry, so new attacker
 // (or flash-crowd) behaviors plug in without touching the harness. The
 // client delegates every behavioral decision to its strategy —
@@ -21,7 +21,7 @@
 // Built-ins (registered in StrategyFactory's constructor, strategy.cpp):
 //   "poisson"         §7.1 baseline: Poisson(lambda) arrivals, fixed
 //                     window, always pays. The default; byte-identical to
-//                     the pre-strategy WorkloadClient.
+//                     the pre-strategy client.
 //   "onoff"           shrew-style pulsing: Poisson arrivals only during the
 //                     on-phase of a duty cycle.
 //   "defector"        §7.4 gaming: pays until admitted, then stops paying.

@@ -1,7 +1,7 @@
 // The speak-up thinner with an explicit payment channel and virtual auction
 // (§3.3 of the paper — the variant the authors implemented and evaluated).
 //
-// Protocol (client side is client/workload_client.hpp):
+// Protocol (client side is client/client_pool.hpp):
 //   - A client sends its request (kRequest) on a "request channel".
 //   - If the server is free and nobody is contending, the request is
 //     admitted immediately (price zero).

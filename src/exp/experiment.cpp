@@ -44,45 +44,28 @@ void Experiment::build() {
                   net::LinkSpec{cfg_.proxy->uplink, cfg_.proxy->delay, cfg_.proxy->queue});
   }
 
-  // Client populations. Each group runs on one of two behavior-equivalent
-  // engines: one WorkloadClient object per member, or a struct-of-arrays
-  // ClientPool for the whole group. Hosts, links, RNG streams, and global
-  // client indices are constructed identically either way.
+  // Client populations: one ClientPool per group, members in global client
+  // order, each with its own seeded RNG stream.
   std::uint32_t client_index = 0;
-  for (std::size_t gi = 0; gi < cfg_.groups.size(); ++gi) {
-    const ClientGroupSpec& g = cfg_.groups[gi];
+  for (const ClientGroupSpec& g : cfg_.groups) {
     util::require(!g.behind_bottleneck || bn_switch != nullptr,
                   "group '" + g.label + "' is behind a bottleneck but none is configured");
     util::require(!g.via_proxy || proxy_host != nullptr,
                   "group '" + g.label + "' uses the proxy but none is configured");
     const net::NodeId front_end =
         g.via_proxy ? proxy_host->id() : thinner_host_->id();
-    GroupRuntime rt;
-    client::ClientPool* pool = nullptr;
-    if (g.engine == "pooled") {
-      pools_.push_back(std::make_unique<client::ClientPool>(loop_, front_end, g.workload,
-                                                            client_index));
-      pool = pools_.back().get();
-      rt.pool = pool;
-    } else {
-      rt.first_client = clients_.size();
-    }
-    rt.n_clients = static_cast<std::size_t>(g.count);
+    auto& pool = *pools_.emplace_back(
+        std::make_unique<client::ClientPool>(loop_, front_end, g.workload, client_index));
+    pool.reserve(static_cast<std::size_t>(g.count));
     for (int i = 0; i < g.count; ++i) {
       auto& host = net_->add_node<transport::Host>(g.label + "-" + std::to_string(i));
       net_->connect(host, g.behind_bottleneck ? static_cast<net::Node&>(*bn_switch)
                                               : static_cast<net::Node&>(core),
                     net::LinkSpec{g.access_bw, g.access_delay, g.access_queue});
-      util::RngStream rng(cfg_.seed, "client." + std::to_string(client_index));
-      if (pool != nullptr) {
-        pool->add_member(host, std::move(rng));
-      } else {
-        clients_.push_back(std::make_unique<client::WorkloadClient>(
-            host, front_end, g.workload, client_index, std::move(rng)));
-      }
+      pool.add_member(host,
+                      util::RngStream(cfg_.seed, "client." + std::to_string(client_index)));
       ++client_index;
     }
-    group_rt_.push_back(rt);
   }
 
   // §7.7 bystander: web server S on the fast side, downloader H wherever
@@ -135,15 +118,7 @@ ExperimentResult Experiment::run() {
 
   const auto wall_start = std::chrono::steady_clock::now();
   front_end_->on_run_start();
-  // Group order == global client order, so mixed-engine scenarios start
-  // (and reserve arrival seqs) in exactly the object engine's order.
-  for (const GroupRuntime& rt : group_rt_) {
-    if (rt.pool != nullptr) {
-      rt.pool->start_all();
-    } else {
-      for (std::size_t i = 0; i < rt.n_clients; ++i) clients_[rt.first_client + i]->start();
-    }
-  }
+  for (const auto& pool : pools_) pool->start_all();
   if (downloader_ != nullptr) {
     loop_.schedule(cfg_.collateral->start_delay, [this] { downloader_->start(); });
   }
@@ -181,15 +156,12 @@ ExperimentResult Experiment::run() {
     r.groups[gi].cls = cfg_.groups[gi].workload.cls;
     r.groups[gi].strategy = cfg_.groups[gi].workload.strategy;
   }
-  for (std::size_t gi = 0; gi < group_rt_.size(); ++gi) {
+  for (std::size_t gi = 0; gi < pools_.size(); ++gi) {
     GroupResult& g = r.groups[gi];
-    const GroupRuntime& rt = group_rt_[gi];
-    for (std::size_t i = 0; i < rt.n_clients; ++i) {
-      const client::ClientStats& s =
-          rt.pool != nullptr ? rt.pool->stats(static_cast<std::uint32_t>(i))
-                             : clients_[rt.first_client + i]->stats();
-      g.totals.merge(s);
-      g.served_per_client.push_back(s.served);
+    const client::ClientPool& pool = *pools_[gi];
+    for (std::uint32_t i = 0; i < pool.size(); ++i) {
+      g.totals.merge(pool.stats(i));
+      g.served_per_client.push_back(pool.stats(i).served);
     }
   }
   client::ClientStats good_totals;

@@ -11,7 +11,6 @@
 #include "client/client_stats.hpp"
 #include "client/file_transfer.hpp"
 #include "client/payment_proxy.hpp"
-#include "client/workload_client.hpp"
 #include "core/auction_thinner.hpp"
 #include "core/front_end.hpp"
 #include "core/no_defense.hpp"
@@ -127,26 +126,9 @@ class Experiment {
     return dynamic_cast<core::QuantumAuctionThinner*>(front_end_.get());
   }
 
-  /// Object-engine clients only (pooled groups have no per-client objects).
-  [[nodiscard]] const std::vector<std::unique_ptr<client::WorkloadClient>>& clients() const {
-    return clients_;
-  }
-  /// ClientPools of the pooled-engine groups, in group order.
-  [[nodiscard]] const std::vector<std::unique_ptr<client::ClientPool>>& client_pools() const {
-    return pools_;
-  }
   [[nodiscard]] client::PaymentProxy* payment_proxy() { return proxy_.get(); }
 
  private:
-  /// How one client group runs: either a ClientPool or a contiguous range
-  /// of clients_. Start order and harvest order walk these in group order,
-  /// which is exactly the object engine's global client order.
-  struct GroupRuntime {
-    client::ClientPool* pool = nullptr;
-    std::size_t first_client = 0;  // index into clients_ (object engine)
-    std::size_t n_clients = 0;
-  };
-
   void build();
 
   ScenarioConfig cfg_;
@@ -154,9 +136,7 @@ class Experiment {
   std::unique_ptr<net::Network> net_;
   transport::Host* thinner_host_ = nullptr;
   std::unique_ptr<core::FrontEnd> front_end_;
-  std::vector<std::unique_ptr<client::WorkloadClient>> clients_;
-  std::vector<std::unique_ptr<client::ClientPool>> pools_;
-  std::vector<GroupRuntime> group_rt_;  // parallel to cfg_.groups
+  std::vector<std::unique_ptr<client::ClientPool>> pools_;  // parallel to cfg_.groups
   std::unique_ptr<client::PaymentProxy> proxy_;
   std::unique_ptr<client::StaticFileServer> file_server_;
   std::unique_ptr<client::FileTransferClient> downloader_;

@@ -10,7 +10,7 @@
 #include <string_view>
 #include <vector>
 
-#include "client/workload_client.hpp"
+#include "client/workload_params.hpp"
 #include "util/units.hpp"
 
 namespace speakup::exp {
@@ -69,11 +69,6 @@ struct ClientGroupSpec {
   /// proxy (which pays the thinner on their behalf). Requires
   /// ScenarioConfig::proxy.
   bool via_proxy = false;
-  /// Client engine: "object" (one WorkloadClient per member) or "pooled"
-  /// (the struct-of-arrays client::ClientPool). Behavior-equivalent by
-  /// construction — pooled runs replay the object engine's event sequence
-  /// bit for bit — so this is purely a memory/speed knob for huge groups.
-  std::string engine = "object";
 };
 
 /// §9: a high-bandwidth payment proxy fronting low-bandwidth customers.

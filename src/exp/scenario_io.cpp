@@ -1,6 +1,7 @@
 #include "exp/scenario_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -59,6 +60,16 @@ std::int64_t positive_int(const json::Value& v, const std::string& ctx) {
   const std::int64_t i = int_of(v, ctx);
   if (i <= 0) fail(ctx, "must be > 0 (got " + std::to_string(i) + ")");
   return i;
+}
+
+/// An integer bound for an `int` field: values past INT_MAX fail naming the
+/// key instead of wrapping.
+int narrow(std::int64_t i, const std::string& ctx) {
+  if (i > std::numeric_limits<int>::max()) {
+    fail(ctx, "must be <= " + std::to_string(std::numeric_limits<int>::max()) + " (got " +
+                  std::to_string(i) + ")");
+  }
+  return static_cast<int>(i);
 }
 
 const std::string& str_of(const json::Value& v, const std::string& ctx) {
@@ -217,11 +228,11 @@ client::WorkloadParams workload_from_json(const json::Value& v, const std::strin
     } else if (key == "lambda") {
       p.lambda = positive_num(val, kctx);
     } else if (key == "window") {
-      p.window = static_cast<int>(positive_int(val, kctx));
+      p.window = narrow(positive_int(val, kctx), kctx);
     } else if (key == "class") {
       p.cls = client_class(str_of(val, kctx), kctx);
     } else if (key == "difficulty") {
-      p.difficulty = static_cast<int>(positive_int(val, kctx));
+      p.difficulty = narrow(positive_int(val, kctx), kctx);
     } else if (key == "post_size_bytes") {
       p.post_size = nonneg_int(val, kctx);
     } else if (key == "request_timeout_s") {
@@ -229,7 +240,7 @@ client::WorkloadParams workload_from_json(const json::Value& v, const std::strin
     } else if (key == "backlog_timeout_s") {
       p.backlog_timeout = Duration::seconds(positive_num(val, kctx));
     } else if (key == "retry_pipeline") {
-      p.retry_pipeline = static_cast<int>(positive_int(val, kctx));
+      p.retry_pipeline = narrow(positive_int(val, kctx), kctx);
     } else if (key == "strategy") {
       const std::string& name = str_of(val, kctx);
       try {
@@ -267,7 +278,7 @@ ClientGroupSpec group_from_json(const json::Value& v, const std::string& ctx) {
     if (key == "label") {
       g.label = str_of(val, kctx);
     } else if (key == "count") {
-      g.count = static_cast<int>(nonneg_int(val, kctx));
+      g.count = narrow(nonneg_int(val, kctx), kctx);
       have_count = true;
     } else if (key == "workload") {
       g.workload = workload_from_json(val, kctx);
@@ -282,9 +293,11 @@ ClientGroupSpec group_from_json(const json::Value& v, const std::string& ctx) {
     } else if (key == "via_proxy") {
       g.via_proxy = bool_of(val, kctx);
     } else if (key == "engine") {
-      g.engine = str_of(val, kctx);
-      if (g.engine != "object" && g.engine != "pooled") {
-        fail(kctx, "engine must be \"object\" or \"pooled\", got \"" + g.engine + "\"");
+      // Retired: every group runs on client::ClientPool. Files written for
+      // the former "object" / "pooled" engine choice still load.
+      const std::string& engine = str_of(val, kctx);
+      if (engine != "object" && engine != "pooled") {
+        fail(kctx, "engine must be \"object\" or \"pooled\", got \"" + engine + "\"");
       }
     } else {
       fail(ctx, "unknown key \"" + key + "\"");
@@ -302,12 +315,12 @@ void lan_from_json(ScenarioConfig& cfg, const json::Value& v, const std::string&
   for (const auto& [key, val] : v.as_object()) {
     const std::string kctx = ctx + "." + key;
     if (key == "good") {
-      good = nonneg_int(val, kctx);
+      good = narrow(nonneg_int(val, kctx), kctx);
     } else if (key == "bad") {
-      bad = nonneg_int(val, kctx);
+      bad = narrow(nonneg_int(val, kctx), kctx);
       have_bad = true;
     } else if (key == "total") {
-      total = positive_int(val, kctx);
+      total = narrow(positive_int(val, kctx), kctx);
     } else {
       fail(ctx, "unknown key \"" + key + "\"");
     }
@@ -351,7 +364,7 @@ void collateral_from_json(CollateralSpec& c, const json::Value& v, const std::st
     if (key == "file_size_bytes") {
       c.file_size = positive_int(val, kctx);
     } else if (key == "downloads") {
-      c.downloads = static_cast<int>(positive_int(val, kctx));
+      c.downloads = narrow(positive_int(val, kctx), kctx);
     } else if (key == "access_bw_mbps") {
       c.access_bw = Bandwidth::mbps(positive_num(val, kctx));
     } else if (key == "access_delay_us") {

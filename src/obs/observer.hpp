@@ -157,7 +157,7 @@ class Observer {
     if (opts_.metrics) metrics_.inc(c_puzzles_solved_);
   }
 
-  // client::WorkloadClient / client::Strategy
+  // client::ClientPool / client::Strategy
   void on_payment_started(std::uint32_t client) {
     if (opts_.metrics) metrics_.inc(c_payments_started_);
     if (opts_.trace) {

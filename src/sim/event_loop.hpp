@@ -111,8 +111,8 @@ class EventLoop {
   /// — but wants to coalesce many logical deadlines into one armed event
   /// (client::ClientPool batches one arrival deadline per cohort) — takes a
   /// seq now and later files it with schedule_keyed. Seq consumption is
-  /// therefore identical to the unbatched code, which is what keeps batched
-  /// runs bit-identical to per-object runs.
+  /// therefore identical to scheduling one event per deadline, so batching
+  /// never changes the event order.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedules `fn` at an absolute time under a previously reserved seq

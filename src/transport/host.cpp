@@ -40,7 +40,7 @@ std::uint32_t Host::acquire_slot() {
     // Reserve at least the whole chunk's metadata now: the slot high-water
     // mark can rise mid-run (a deferred release overlapping an immediate
     // reconnect), and that moment must not touch the allocator — only chunk
-    // boundaries may (the pooled engine's steady state stays
+    // boundaries may (the client pool's steady state stays
     // allocation-free). Growth is geometric, so a host holding thousands of
     // connections does not recopy its metadata every kChunk slots.
     const std::size_t need = chunks_.size() * kChunk;

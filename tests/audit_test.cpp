@@ -1,8 +1,8 @@
 // SPEAKUP_AUDIT structural self-checks (src/util/audit.hpp).
 //
 // Two halves:
-//   - clean runs: real traffic (TCP handshakes, RTO timers, the pooled
-//     client engine) with explicit audit() calls sprinkled in — the
+//   - clean runs: real traffic (TCP handshakes, RTO timers, the client
+//     pool) with explicit audit() calls sprinkled in — the
 //     invariants must hold on live structures, not just empty ones;
 //   - death tests: each structure's corrupt_*_for_test() hook plants the
 //     signature of a real bug class (missed sift swap, lost table erase,
@@ -18,7 +18,7 @@
 #include <string>
 
 #include "client/client_pool.hpp"
-#include "client/workload_client.hpp"
+#include "client/workload_params.hpp"
 #include "core/auction_thinner.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"

@@ -1,11 +1,11 @@
-// Tests for the workload clients (Poisson arrivals, windowing, backlog,
-// timeouts), the payment-channel client (POST churn) and the file-transfer
-// pair.
+// Tests for the workload client (Poisson arrivals, windowing, backlog,
+// timeouts) run as a one-member ClientPool, the payment-channel client
+// (POST churn) and the file-transfer pair.
 #include <gtest/gtest.h>
 
 #include "client/file_transfer.hpp"
 #include "client/payment_channel.hpp"
-#include "client/workload_client.hpp"
+#include "client/client_pool.hpp"
 #include "core/auction_thinner.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
@@ -38,7 +38,7 @@ struct Rig {
   transport::Host* thinner_host = nullptr;
 };
 
-TEST(WorkloadClient, ParamFactoriesMatchPaper) {
+TEST(Client, ParamFactoriesMatchPaper) {
   const WorkloadParams g = good_client_params();
   EXPECT_DOUBLE_EQ(g.lambda, 2.0);
   EXPECT_EQ(g.window, 1);
@@ -49,38 +49,35 @@ TEST(WorkloadClient, ParamFactoriesMatchPaper) {
   EXPECT_EQ(b.cls, http::ClientClass::kBad);
 }
 
-TEST(WorkloadClient, RejectsBadParameters) {
+TEST(Client, RejectsBadParameters) {
   Rig rig;
-  auto& h = rig.add_client_host("c");
   WorkloadParams p = good_client_params();
   p.lambda = 0.0;
-  EXPECT_THROW(WorkloadClient(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c")),
-               std::invalid_argument);
+  EXPECT_THROW(ClientPool(rig.loop, rig.thinner_host->id(), p, 0), std::invalid_argument);
   p = good_client_params();
   p.window = 0;
-  EXPECT_THROW(WorkloadClient(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c")),
-               std::invalid_argument);
+  EXPECT_THROW(ClientPool(rig.loop, rig.thinner_host->id(), p, 0), std::invalid_argument);
 }
 
-TEST(WorkloadClient, ServedByIdleServer) {
+TEST(Client, ServedByIdleServer) {
   Rig rig;
   core::AuctionThinner::Config cfg;
   cfg.capacity_rps = 100.0;
   core::AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_client_host("c");
-  WorkloadClient c(h, rig.thinner_host->id(), good_client_params(), 0,
-                   util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), good_client_params(), 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(10.0);
   // lambda=2 for 10 s: ~20 arrivals, nearly all served, none denied.
-  EXPECT_GT(c.stats().served, 10);
-  EXPECT_EQ(c.stats().denied, 0);
-  EXPECT_DOUBLE_EQ(c.stats().fraction_served(), 1.0);
+  EXPECT_GT(c.stats(0).served, 10);
+  EXPECT_EQ(c.stats(0).denied, 0);
+  EXPECT_DOUBLE_EQ(c.stats(0).fraction_served(), 1.0);
   // Response times on an idle server: connection setup + ~10 ms service.
-  EXPECT_LT(c.stats().response_time.mean(), 0.1);
+  EXPECT_LT(c.stats(0).response_time.mean(), 0.1);
 }
 
-TEST(WorkloadClient, ArrivalRateMatchesLambda) {
+TEST(Client, ArrivalRateMatchesLambda) {
   Rig rig;
   core::AuctionThinner::Config cfg;
   cfg.capacity_rps = 1000.0;
@@ -88,66 +85,69 @@ TEST(WorkloadClient, ArrivalRateMatchesLambda) {
   auto& h = rig.add_client_host("c");
   WorkloadParams p = good_client_params();
   p.lambda = 5.0;
-  WorkloadClient c(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(60.0);
-  EXPECT_NEAR(static_cast<double>(c.stats().arrivals), 300.0, 60.0);  // ~4 sigma
+  EXPECT_NEAR(static_cast<double>(c.stats(0).arrivals), 300.0, 60.0);  // ~4 sigma
 }
 
-TEST(WorkloadClient, WindowLimitsOutstanding) {
+TEST(Client, WindowLimitsOutstanding) {
   Rig rig;
   // A thinner that never answers: requests pile up to the window limit.
   rig.thinner_host->listen(80, [](transport::TcpConnection&) {});
   auto& h = rig.add_client_host("c");
   WorkloadParams p = bad_client_params();  // lambda 40, window 20
-  WorkloadClient c(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(2.0);
-  EXPECT_LE(c.outstanding(), 20u);
-  EXPECT_GT(c.backlog(), 0u);  // excess arrivals queue up
+  EXPECT_LE(c.outstanding(0), 20u);
+  EXPECT_GT(c.backlog(0), 0u);  // excess arrivals queue up
 }
 
-TEST(WorkloadClient, UnansweredRequestsTimeOutAsDenials) {
+TEST(Client, UnansweredRequestsTimeOutAsDenials) {
   Rig rig;
   rig.thinner_host->listen(80, [](transport::TcpConnection&) {});  // silent
   auto& h = rig.add_client_host("c");
-  WorkloadClient c(h, rig.thinner_host->id(), good_client_params(), 0,
-                   util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), good_client_params(), 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(25.0);
   // Every started request dies at the 10 s timeout.
-  EXPECT_GT(c.stats().denied, 0);
-  EXPECT_EQ(c.stats().served, 0);
-  EXPECT_DOUBLE_EQ(c.stats().fraction_served(), 0.0);
+  EXPECT_GT(c.stats(0).denied, 0);
+  EXPECT_EQ(c.stats(0).served, 0);
+  EXPECT_DOUBLE_EQ(c.stats(0).fraction_served(), 0.0);
 }
 
-TEST(WorkloadClient, BacklogEntriesExpireAfterTenSeconds) {
+TEST(Client, BacklogEntriesExpireAfterTenSeconds) {
   Rig rig;
   rig.thinner_host->listen(80, [](transport::TcpConnection&) {});  // silent
   auto& h = rig.add_client_host("c");
   WorkloadParams p = good_client_params();  // window 1
   p.lambda = 10.0;                          // arrivals far outpace service
-  WorkloadClient c(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(30.0);
   // Arrivals ~300; at most ~3 can be in flight at a time; backlog churns
   // through 10 s expiries.
-  EXPECT_GT(c.stats().denied, 100);
+  EXPECT_GT(c.stats(0).denied, 100);
 }
 
-TEST(WorkloadClient, ConnectionResetCountsAsDenial) {
+TEST(Client, ConnectionResetCountsAsDenial) {
   Rig rig;
   // No listener at all: connect attempts are RST'd immediately.
   auto& h = rig.add_client_host("c");
-  WorkloadClient c(h, rig.thinner_host->id(), good_client_params(), 0,
-                   util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), good_client_params(), 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(5.0);
-  EXPECT_GT(c.stats().denied, 0);
-  EXPECT_EQ(c.stats().served, 0);
+  EXPECT_GT(c.stats(0).denied, 0);
+  EXPECT_EQ(c.stats(0).served, 0);
 }
 
-TEST(WorkloadClient, DistinctClientsUseDistinctRequestIds) {
+TEST(Client, DistinctClientsUseDistinctRequestIds) {
   // Request ids are namespaced by client index; two clients never collide.
   const std::uint64_t base0 = (static_cast<std::uint64_t>(0 + 1) << 32);
   const std::uint64_t base1 = (static_cast<std::uint64_t>(1 + 1) << 32);
@@ -166,15 +166,15 @@ TEST(PaymentChannel, PostsChurnWhenPriceExceedsPostSize) {
   auto& h2 = rig.add_client_host("c2", Bandwidth::mbps(10.0));
   WorkloadParams p = good_client_params();
   p.post_size = kilobytes(50);  // tiny POSTs -> many per payment
-  WorkloadClient c1(h1, rig.thinner_host->id(), p, 0, util::RngStream(1, "c1"));
-  WorkloadClient c2(h2, rig.thinner_host->id(), p, 1, util::RngStream(1, "c2"));
-  c1.start();
-  c2.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h1, util::RngStream(1, "c1"));
+  c.add_member(h2, util::RngStream(1, "c2"));
+  c.start_all();
   rig.run_for(20.0);
   // Both clients contend; at least one had to send multiple POSTs.
   EXPECT_GT(thinner.stats().payment_bytes_total, kilobytes(100));
-  EXPECT_GT(c1.stats().served + c2.stats().served, 2);
-  EXPECT_GT(c1.stats().payment_bytes_acked + c2.stats().payment_bytes_acked,
+  EXPECT_GT(c.stats(0).served + c.stats(1).served, 2);
+  EXPECT_GT(c.stats(0).payment_bytes_acked + c.stats(1).payment_bytes_acked,
             kilobytes(100));
 }
 

@@ -15,8 +15,8 @@
 // sweep again, and require the output BYTES — sweep CSV, tournament payoff
 // CSV and JSON — to be unchanged. Together with tools/determinism_lint.py
 // (which bans new unordered iteration statically) this closes the gap the
-// engine-differential tests cannot see: they compare two engines inside
-// ONE process state, so a shared order-sensitivity cancels out.
+// fingerprint pins leave: there a process-state dependence shows up only
+// as a pin that fails in some runs and not others, with no named cause.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 // and the bandwidth-envy cure end to end.
 #include <gtest/gtest.h>
 
+#include "client/client_pool.hpp"
 #include "client/payment_proxy.hpp"
 #include "core/auction_thinner.hpp"
 #include "exp/experiment.hpp"
@@ -42,14 +43,14 @@ TEST(PaymentProxy, RelaysRequestAndResponseOnIdleServer) {
   auto& ch = rig.net.add_node<transport::Host>("client");
   rig.net.connect(ch, *rig.sw,
                   net::LinkSpec{Bandwidth::mbps(0.5), Duration::micros(500), 48'000});
-  WorkloadClient c(ch, rig.proxy_host->id(), good_client_params(), 0,
-                   util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.proxy_host->id(), good_client_params(), 0);
+  c.add_member(ch, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(10.0);
-  EXPECT_GT(c.stats().served, 5);
-  EXPECT_EQ(c.stats().denied, 0);
-  EXPECT_EQ(proxy.relayed_requests(), c.stats().started);
-  EXPECT_EQ(proxy.relayed_responses(), c.stats().served);
+  EXPECT_GT(c.stats(0).served, 5);
+  EXPECT_EQ(c.stats(0).denied, 0);
+  EXPECT_EQ(proxy.relayed_requests(), c.stats(0).started);
+  EXPECT_EQ(proxy.relayed_responses(), c.stats(0).served);
   // Idle server: nobody was asked to pay.
   EXPECT_EQ(proxy.payments_started(), 0);
 }
@@ -64,22 +65,20 @@ TEST(PaymentProxy, PaysOnBehalfOfClientsUnderLoad) {
   PaymentProxy proxy(*rig.proxy_host, pc);
 
   // Two proxied clients with negligible bandwidth of their own.
-  std::vector<std::unique_ptr<WorkloadClient>> clients;
+  WorkloadParams p = good_client_params();
+  p.lambda = 0.5;
+  ClientPool clients(rig.loop, rig.proxy_host->id(), p, 0);
   for (int i = 0; i < 2; ++i) {
     auto& ch = rig.net.add_node<transport::Host>("client" + std::to_string(i));
     rig.net.connect(ch, *rig.sw,
                     net::LinkSpec{Bandwidth::kbps(128), Duration::micros(500), 48'000});
-    WorkloadParams p = good_client_params();
-    p.lambda = 0.5;
-    clients.push_back(std::make_unique<WorkloadClient>(
-        ch, rig.proxy_host->id(), p, static_cast<std::uint32_t>(i),
-        util::RngStream(1, "c" + std::to_string(i))));
-    clients.back()->start();
+    clients.add_member(ch, util::RngStream(1, "c" + std::to_string(i)));
   }
+  clients.start_all();
   rig.run_for(30.0);
   EXPECT_GT(proxy.payments_started(), 0);
   std::int64_t served = 0;
-  for (const auto& c : clients) served += c->stats().served;
+  for (std::uint32_t i = 0; i < clients.size(); ++i) served += clients.stats(i).served;
   EXPECT_GT(served, 5);
   // The proxy paid real bytes into the thinner.
   EXPECT_GT(thinner.stats().payment_bytes_total, kilobytes(100));
@@ -137,10 +136,11 @@ TEST(PaymentProxy, ClientAbandonmentCleansUpRelay) {
   WorkloadParams p = good_client_params();
   p.lambda = 0.2;
   p.request_timeout = Duration::seconds(3.0);  // impatient client
-  WorkloadClient c(ch, rig.proxy_host->id(), p, 0, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.proxy_host->id(), p, 0);
+  c.add_member(ch, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(30.0);
-  EXPECT_GT(c.stats().denied, 0);       // client gave up on some requests
+  EXPECT_GT(c.stats(0).denied, 0);       // client gave up on some requests
   EXPECT_LE(proxy.pending(), 2u);       // relays were torn down, not leaked
 }
 

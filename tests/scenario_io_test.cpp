@@ -184,6 +184,33 @@ TEST(ScenarioIo, GroupAndLinkKnobsParse) {
   EXPECT_EQ(c.groups[1].workload.window, client::bad_client_params().window);
 }
 
+// The retired "engine" key: files written when a group could pick the
+// "object" or "pooled" client engine still load, and the value changes
+// nothing — every group runs on client::ClientPool.
+TEST(ScenarioIo, RetiredEngineKeyIsAcceptedAndIgnored) {
+  const auto parse_with = [](const std::string& engine_entry) {
+    const ScenarioFile f = parse_scenario_file(R"({"scenarios": [{
+      "defense": "auction", "capacity_rps": 20, "duration_s": 1, "seed": 3,
+      "groups": [{"label": "g", "count": 3)" + engine_entry + R"(},
+                 {"label": "b", "count": 2, "workload": "bad"}]}]})");
+    EXPECT_EQ(f.scenarios.size(), 1u);
+    return f.scenarios.at(0).config;
+  };
+  const exp::ScenarioConfig absent = parse_with("");
+  const std::uint64_t want = exp::run_scenario(absent).fingerprint();
+  for (const std::string engine : {"object", "pooled"}) {
+    const exp::ScenarioConfig c = parse_with(R"(, "engine": ")" + engine + "\"");
+    ASSERT_EQ(c.groups.size(), absent.groups.size()) << engine;
+    EXPECT_EQ(c.groups[0].label, absent.groups[0].label) << engine;
+    EXPECT_EQ(c.groups[0].count, absent.groups[0].count) << engine;
+    EXPECT_EQ(c.strategy_names(), absent.strategy_names()) << engine;
+    EXPECT_EQ(exp::run_scenario(c).fingerprint(), want) << engine;
+  }
+  expect_parse_error(
+      R"({"scenarios": [{"groups": [{"label": "g", "count": 1, "engine": "threaded"}]}]})",
+      "groups[0].engine");
+}
+
 TEST(ScenarioIo, ShardsPartitionRoundRobin) {
   const ScenarioFile f = parse_scenario_file(R"({
     "scenarios": [{"label": "i{seed}", "defense": "none", "seed": 0, "seeds": 5}]
@@ -286,6 +313,32 @@ TEST(ScenarioIoErrors, ValueErrorsNameTheKey) {
   expect_parse_error(
       R"({"scenarios": [{"groups": [{"label": "g", "count": 1, "workload": "evil"}]}]})",
       "evil");
+}
+
+// Integer keys that land in `int` fields reject values past INT_MAX by
+// name instead of wrapping (4294967297 used to run as a 1-client group).
+TEST(ScenarioIoErrors, IntFieldsPastIntMaxNameTheKey) {
+  const std::string too_big = "4294967297";
+  const auto group = [](const std::string& entries) {
+    return R"({"scenarios": [{"groups": [{"label": "g", )" + entries + "}]}]}";
+  };
+  expect_parse_error(group(R"("count": )" + too_big),
+                     "count: must be <= 2147483647 (got 4294967297)");
+  for (const char* key : {"window", "difficulty", "retry_pipeline"}) {
+    expect_parse_error(
+        group(R"("count": 1, "workload": {")" + std::string(key) + R"(": )" + too_big + "}"),
+        std::string("workload.") + key + ": must be <= 2147483647");
+  }
+  expect_parse_error(R"({"scenarios": [{"collateral": {"downloads": )" + too_big + "}}]}",
+                     "collateral.downloads: must be <= 2147483647");
+  for (const char* key : {"good", "bad", "total"}) {
+    expect_parse_error(
+        R"({"scenarios": [{"lan": {")" + std::string(key) + R"(": )" + too_big + "}}]}",
+        std::string("lan.") + key + ": must be <= 2147483647");
+  }
+  // INT_MAX itself still fits.
+  const ScenarioFile f = parse_scenario_file(group(R"("count": 2147483647)"));
+  EXPECT_EQ(f.scenarios[0].config.groups[0].count, 2147483647);
 }
 
 TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "client/strategy.hpp"
-#include "client/workload_client.hpp"
+#include "client/workload_params.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"

@@ -1,9 +1,10 @@
-// Edge cases and property sweeps for the workload client: pause semantics,
+// Edge cases and property sweeps for the workload client (ClientPool):
 // difficulty propagation, POST-size configuration, retry pipelining bounds,
-// and demand scaling with lambda/window.
+// and demand scaling with lambda/window. Pause semantics live in
+// client_pool_test.
 #include <gtest/gtest.h>
 
-#include "client/workload_client.hpp"
+#include "client/client_pool.hpp"
 #include "core/auction_thinner.hpp"
 #include "core/quantum_thinner.hpp"
 #include "core/retry_thinner.hpp"
@@ -35,24 +36,6 @@ struct Rig {
   transport::Host* thinner_host = nullptr;
 };
 
-TEST(WorkloadEdge, PauseStopsNewArrivals) {
-  Rig rig;
-  core::AuctionThinner::Config tc;
-  tc.capacity_rps = 100.0;
-  core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
-  auto& h = rig.add_host("c");
-  WorkloadClient c(h, rig.thinner_host->id(), good_client_params(), 0,
-                   util::RngStream(1, "c"));
-  c.start();
-  rig.run_for(5.0);
-  const auto arrivals_at_pause = c.stats().arrivals;
-  EXPECT_GT(arrivals_at_pause, 0);
-  c.pause();
-  rig.run_for(5.0);
-  // At most one in-flight arrival event lands after pause().
-  EXPECT_LE(c.stats().arrivals, arrivals_at_pause + 1);
-}
-
 TEST(WorkloadEdge, DifficultyReachesTheServer) {
   // A difficulty-5 client against a quantum thinner: the served request
   // consumes ~5x the base service time of good busy time.
@@ -64,12 +47,13 @@ TEST(WorkloadEdge, DifficultyReachesTheServer) {
   WorkloadParams p = good_client_params();
   p.lambda = 0.2;  // one request, roughly
   p.difficulty = 5;
-  WorkloadClient c(h, rig.thinner_host->id(), p, 0, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(20.0);
-  ASSERT_GT(c.stats().served, 0);
+  ASSERT_GT(c.stats(0).served, 0);
   const double per_request =
-      thinner.server().good_busy_time().sec() / static_cast<double>(c.stats().served);
+      thinner.server().good_busy_time().sec() / static_cast<double>(c.stats(0).served);
   EXPECT_GT(per_request, 0.4);  // ~5 * 0.1 s, with U[0.9,1.1] jitter
   EXPECT_LT(per_request, 0.6);
 }
@@ -88,16 +72,14 @@ TEST(WorkloadEdge, PostSizeControlsChannelChurn) {
     auto& h2 = rig.add_host("rival" + std::to_string(i), Bandwidth::mbps(4.0));
     WorkloadParams p = good_client_params();
     p.post_size = post;
-    WorkloadClient c(h, rig.thinner_host->id(), p, static_cast<std::uint32_t>(2 * i),
-                     util::RngStream(1, "c" + std::to_string(i)));
-    WorkloadClient rival(h2, rig.thinner_host->id(), p,
-                         static_cast<std::uint32_t>(2 * i + 1),
-                         util::RngStream(1, "r" + std::to_string(i)));
-    c.start();
-    rival.start();
+    // Member 0 is the measured client, member 1 its rival.
+    ClientPool clients(rig.loop, rig.thinner_host->id(), p, static_cast<std::uint32_t>(2 * i));
+    clients.add_member(h, util::RngStream(1, "c" + std::to_string(i)));
+    clients.add_member(h2, util::RngStream(1, "r" + std::to_string(i)));
+    clients.start_all();
     rig.run_for(15.0);
-    c.pause();
-    rival.pause();
+    clients.pause(0);
+    clients.pause(1);
     conns[i] = h.connections_created();
     rig.run_for(5.0);
     ++i;
@@ -114,21 +96,22 @@ TEST(WorkloadEdge, RetryPipelineStaysBounded) {
   auto& filler_host = rig.add_host("filler");
   WorkloadParams fp = good_client_params();
   fp.lambda = 5.0;
-  WorkloadClient filler(filler_host, rig.thinner_host->id(), fp, 0,
-                        util::RngStream(1, "filler"));
-  filler.start();
+  ClientPool filler(rig.loop, rig.thinner_host->id(), fp, 0);
+  filler.add_member(filler_host, util::RngStream(1, "filler"));
+  filler.start_all();
   auto& h = rig.add_host("c");
   WorkloadParams p = good_client_params();
   p.lambda = 1.0;
   p.retry_pipeline = 16;
-  WorkloadClient c(h, rig.thinner_host->id(), p, 1, util::RngStream(1, "c"));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 1);
+  c.add_member(h, util::RngStream(1, "c"));
+  c.start_all();
   rig.run_for(20.0);
   // §3.2: the client streams retries continuously, paced by TCP — so the
   // count approaches (but cannot exceed) the access link's capacity of
   // ~1785 messages/s (2 Mbit/s over 140-byte wire messages).
-  EXPECT_GT(c.stats().retries_sent, 1'000);
-  EXPECT_LT(c.stats().retries_sent, static_cast<std::int64_t>(20.0 * 1'900));
+  EXPECT_GT(c.stats(0).retries_sent, 1'000);
+  EXPECT_LT(c.stats(0).retries_sent, static_cast<std::int64_t>(20.0 * 1'900));
 }
 
 struct DemandCase {
@@ -148,14 +131,15 @@ TEST_P(DemandScaling, ArrivalsTrackLambdaAndWindowCapsOutstanding) {
   p.lambda = GetParam().lambda;
   p.window = GetParam().window;
   p.cls = http::ClientClass::kGood;
-  WorkloadClient c(h, rig.thinner_host->id(), p, 0, util::RngStream(9, GetParam().name));
-  c.start();
+  ClientPool c(rig.loop, rig.thinner_host->id(), p, 0);
+  c.add_member(h, util::RngStream(9, GetParam().name));
+  c.start_all();
   rig.run_for(30.0);
-  EXPECT_NEAR(static_cast<double>(c.stats().arrivals), 30.0 * p.lambda,
+  EXPECT_NEAR(static_cast<double>(c.stats(0).arrivals), 30.0 * p.lambda,
               5 * std::sqrt(30.0 * p.lambda) + 1);
-  EXPECT_LE(c.outstanding(), static_cast<std::size_t>(p.window));
-  EXPECT_EQ(c.stats().started,
-            static_cast<std::int64_t>(c.outstanding()));  // none ever finished
+  EXPECT_LE(c.outstanding(0), static_cast<std::size_t>(p.window));
+  EXPECT_EQ(c.stats(0).started,
+            static_cast<std::int64_t>(c.outstanding(0)));  // none ever finished
 }
 
 INSTANTIATE_TEST_SUITE_P(
