@@ -207,8 +207,8 @@ void ClientPool::start_request(std::uint32_t m) {
   r.id = id;
   r.member = m;
   r.sent = loop_->now();
-  r.timer.emplace(*loop_, [this, id] { finish(id, Disposition::kDenied); });
-  r.timer->restart(params_.request_timeout);
+  r.timer.emplace(*loop_);
+  r.timer->restart(params_.request_timeout, [this, id] { finish(id, Disposition::kDenied); });
 
   transport::TcpConnection& conn = hosts_[m]->connect(thinner_, params_.request_port);
   r.stream = &session_pool_.adopt(conn);
@@ -258,8 +258,8 @@ void ClientPool::on_message(Request& r, const Message& m) {
       r.payment->start();
       if (const auto patience = strategies_[mem]->payment_patience(rngs_[mem], view(mem))) {
         const std::uint64_t id = r.id;
-        r.defect_timer.emplace(*loop_, [this, id] { abandon_payment(id); });
-        r.defect_timer->restart(*patience);
+        r.defect_timer.emplace(*loop_);
+        r.defect_timer->restart(*patience, [this, id] { abandon_payment(id); });
       }
       break;
     }

@@ -140,8 +140,8 @@ AuctionThinner::RequestState& AuctionThinner::get_or_create(std::uint64_t id, Cl
   st->id = id;
   st->cls = cls;
   st->created = host_->loop().now();
-  st->expiry = std::make_unique<sim::Timer>(host_->loop(), [this, id] { expire(id); });
-  st->expiry->restart(cfg_.payment_window);
+  st->expiry = std::make_unique<sim::Timer>(host_->loop());
+  st->expiry->restart(cfg_.payment_window, [this, id] { expire(id); });
   RequestState& ref = *st;
   states_[id] = std::move(st);
   return ref;

@@ -24,13 +24,13 @@ QuantumAuctionThinner::QuantumAuctionThinner(transport::Host& host, const Config
                                               : Duration::seconds(1.0 / cfg.capacity_rps)),
       server_(host.loop(), cfg.capacity_rps, std::move(server_rng)),
       pool_(host.loop()),
-      quantum_timer_(host.loop(), [this] { quantum_tick(); }) {
+      quantum_timer_(host.loop()) {
   server_.set_on_complete([this](const server::ServiceRequest& r) { on_server_complete(r); });
   host.listen(cfg_.request_port,
               [this](transport::TcpConnection& c) { on_request_accept(c); });
   host.listen(cfg_.payment_port,
               [this](transport::TcpConnection& c) { on_payment_accept(c); });
-  quantum_timer_.restart(quantum_);
+  quantum_timer_.restart(quantum_, [this] { quantum_tick(); });
 }
 
 void QuantumAuctionThinner::on_request_accept(transport::TcpConnection& conn) {
@@ -129,8 +129,8 @@ QuantumAuctionThinner::RequestState& QuantumAuctionThinner::get_or_create(std::u
   st->id = id;
   st->cls = cls;
   st->created = host_->loop().now();
-  st->expiry = std::make_unique<sim::Timer>(host_->loop(), [this, id] { expire(id); });
-  st->expiry->restart(cfg_.payment_window);
+  st->expiry = std::make_unique<sim::Timer>(host_->loop());
+  st->expiry->restart(cfg_.payment_window, [this, id] { expire(id); });
   RequestState& ref = *st;
   states_[id] = std::move(st);
   return ref;
@@ -187,7 +187,7 @@ void QuantumAuctionThinner::give_server_to(RequestState& st) {
 }
 
 void QuantumAuctionThinner::quantum_tick() {
-  quantum_timer_.restart(quantum_);
+  quantum_timer_.restart(quantum_, [this] { quantum_tick(); });
   ++stats_.auctions_held;
   RequestState* v = active_state();
   RequestState* u = top_contender();

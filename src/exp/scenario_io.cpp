@@ -62,6 +62,34 @@ std::int64_t positive_int(const json::Value& v, const std::string& ctx) {
   return i;
 }
 
+/// A link rate in Mbit/s. Bandwidth holds integer bits per second, so a
+/// value that rounds to 0 bit/s or past INT64_MAX would reach the link
+/// model as a rate it cannot serialize at: refuse both, naming the key.
+Bandwidth link_rate(const json::Value& v, const std::string& ctx) {
+  const double mbps = positive_num(v, ctx);
+  const double bps = mbps * 1e6 + 0.5;  // Bandwidth::mbps's rounding
+  if (bps < 1.0) {
+    fail(ctx, "rounds to 0 bit/s (got " + json::number_to_string(mbps) +
+                  " Mbit/s); a link needs at least 1 bit/s");
+  }
+  if (!(bps < 0x1p63)) {
+    fail(ctx, "overflows int64 bit/s (got " + json::number_to_string(mbps) +
+                  " Mbit/s); rates must stay below 9.2e12 Mbit/s");
+  }
+  return Bandwidth::mbps(mbps);
+}
+
+/// A link delay in microseconds; its nanoseconds must fit in int64.
+Duration link_delay(const json::Value& v, const std::string& ctx) {
+  constexpr std::int64_t kMaxMicros = std::numeric_limits<std::int64_t>::max() / 1000;
+  const std::int64_t us = nonneg_int(v, ctx);
+  if (us > kMaxMicros) {
+    fail(ctx, "must be <= " + std::to_string(kMaxMicros) + " (got " + std::to_string(us) +
+                  ", whose nanoseconds overflow int64)");
+  }
+  return Duration::micros(us);
+}
+
 /// An integer bound for an `int` field: values past INT_MAX fail naming the
 /// key instead of wrapping.
 int narrow(std::int64_t i, const std::string& ctx) {
@@ -283,9 +311,9 @@ ClientGroupSpec group_from_json(const json::Value& v, const std::string& ctx) {
     } else if (key == "workload") {
       g.workload = workload_from_json(val, kctx);
     } else if (key == "access_bw_mbps") {
-      g.access_bw = Bandwidth::mbps(positive_num(val, kctx));
+      g.access_bw = link_rate(val, kctx);
     } else if (key == "access_delay_us") {
-      g.access_delay = Duration::micros(nonneg_int(val, kctx));
+      g.access_delay = link_delay(val, kctx);
     } else if (key == "access_queue_bytes") {
       g.access_queue = positive_int(val, kctx);
     } else if (key == "behind_bottleneck") {
@@ -346,9 +374,9 @@ void link_spec_from_json(const json::Value& v, const std::string& ctx,
   for (const auto& [key, val] : v.as_object()) {
     const std::string kctx = ctx + "." + key;
     if (key == rate_key) {
-      rate = Bandwidth::mbps(positive_num(val, kctx));
+      rate = link_rate(val, kctx);
     } else if (key == "delay_us") {
-      delay = Duration::micros(nonneg_int(val, kctx));
+      delay = link_delay(val, kctx);
     } else if (key == "queue_bytes") {
       queue = positive_int(val, kctx);
     } else {
@@ -366,9 +394,9 @@ void collateral_from_json(CollateralSpec& c, const json::Value& v, const std::st
     } else if (key == "downloads") {
       c.downloads = narrow(positive_int(val, kctx), kctx);
     } else if (key == "access_bw_mbps") {
-      c.access_bw = Bandwidth::mbps(positive_num(val, kctx));
+      c.access_bw = link_rate(val, kctx);
     } else if (key == "access_delay_us") {
-      c.access_delay = Duration::micros(nonneg_int(val, kctx));
+      c.access_delay = link_delay(val, kctx);
     } else if (key == "behind_bottleneck") {
       c.behind_bottleneck = bool_of(val, kctx);
     } else if (key == "start_delay_s") {

@@ -7,9 +7,10 @@
 // still counts toward an auction bid — §3.3), the stream reports incremental
 // body progress as well as message completion.
 //
-// A MessageStream attaches itself to its connection's app_handle so the
-// peer endpoint's stream can read the descriptor queue — the simulation
-// shortcut that lets typed messages ride on counted bytes.
+// A MessageStream is its connection's TcpConnection::Listener, and stores
+// itself in the connection's app_handle so the peer endpoint's stream can
+// read the descriptor queue — the simulation shortcut that lets typed
+// messages ride on counted bytes.
 //
 // The descriptor queue is a growable ring (the DropTailQueue pattern)
 // rather than a deque, and a detached stream can be rebound to a fresh
@@ -29,7 +30,7 @@
 
 namespace speakup::http {
 
-class MessageStream {
+class MessageStream final : private transport::TcpConnection::Listener {
  public:
   struct Callbacks {
     std::function<void(const Message&)> on_message;  // fully delivered
@@ -48,10 +49,7 @@ class MessageStream {
   MessageStream& operator=(const MessageStream&) = delete;
 
   ~MessageStream() {
-    if (conn_ != nullptr) {
-      conn_->app_handle() = static_cast<MessageStream*>(nullptr);
-      conn_->set_callbacks({});
-    }
+    if (conn_ != nullptr) detach(*conn_);
   }
 
   void set_callbacks(Callbacks cbs) { cbs_ = std::move(cbs); }
@@ -81,8 +79,7 @@ class MessageStream {
     if (conn_ != nullptr) {
       transport::TcpConnection* c = conn_;
       conn_ = nullptr;
-      c->app_handle() = static_cast<MessageStream*>(nullptr);
-      c->set_callbacks({});
+      detach(*c);
       c->abort();
     }
   }
@@ -93,20 +90,27 @@ class MessageStream {
  private:
   void attach(transport::TcpConnection& conn) {
     conn_ = &conn;
-    conn.app_handle() = this;
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_established = [this] {
-      if (cbs_.on_established) cbs_.on_established();
-    };
-    cbs.on_data = [this](Bytes n) { consume(n); };
-    cbs.on_acked = [this](Bytes total) {
-      if (cbs_.on_acked) cbs_.on_acked(total);
-    };
-    cbs.on_reset = [this] {
-      conn_ = nullptr;
-      if (cbs_.on_reset) cbs_.on_reset();
-    };
-    conn.set_callbacks(std::move(cbs));
+    conn.set_app_handle(this);
+    conn.set_listener(this);
+  }
+
+  static void detach(transport::TcpConnection& conn) {
+    conn.set_app_handle(nullptr);
+    conn.set_listener(nullptr);
+  }
+
+  // --- TcpConnection::Listener ---------------------------------------------
+
+  void on_established(transport::TcpConnection& /*conn*/) override {
+    if (cbs_.on_established) cbs_.on_established();
+  }
+  void on_data(transport::TcpConnection& /*conn*/, Bytes n) override { consume(n); }
+  void on_acked(transport::TcpConnection& /*conn*/, Bytes total) override {
+    if (cbs_.on_acked) cbs_.on_acked(total);
+  }
+  void on_reset(transport::TcpConnection& /*conn*/) override {
+    conn_ = nullptr;
+    if (cbs_.on_reset) cbs_.on_reset();
   }
 
   // --- outbox ring (descriptors not yet fully consumed by the peer) -------
@@ -176,8 +180,7 @@ class MessageStream {
     if (conn_ == nullptr) return nullptr;
     transport::TcpConnection* p = conn_->peer();
     if (p == nullptr) return nullptr;
-    auto* handle = std::any_cast<MessageStream*>(&p->app_handle());
-    return handle == nullptr ? nullptr : *handle;
+    return static_cast<MessageStream*>(p->app_handle());
   }
 
   transport::TcpConnection* conn_ = nullptr;

@@ -1,3 +1,5 @@
+// speakup-lint: hot-path (allocation-free steady state; growth sites must
+// be amortized and allowlisted in tools/lint_allowlist.txt)
 #include "net/link.hpp"
 
 #include "net/network.hpp"
@@ -11,73 +13,80 @@ Link::Link(Network& net, NodeId a, NodeId b, const LinkSpec& ab, const LinkSpec&
   SPEAKUP_ASSERT(ab.rate.bits_per_sec() > 0 && ba.rate.bits_per_sec() > 0);
 }
 
-void Link::send(NodeId from, Packet p) {
+void Link::send(NodeId from, const Packet& p) {
   SPEAKUP_ASSERT(from == a_ || from == b_);
+  SPEAKUP_AUDIT_ONLY(net_->maybe_audit();)
   Direction& d = dir_for(from);
   if (d.transmitting) {
-    const Bytes wire = p.wire_size;
-    const bool accepted = d.queue.push(std::move(p));  // drop-tail on overflow
+    const bool accepted = d.queue.push(net_->packets(), p);  // drop-tail on overflow
     if (auto* o = net_->loop().observer()) {
       if (accepted) {
-        o->on_link_enqueue(wire);
+        o->on_link_enqueue(p.wire_size);
       } else {
-        o->on_link_drop(wire);
+        o->on_link_drop(p.wire_size);
       }
     }
     return;
   }
   // Transmitter idle: serialize immediately without passing through the queue.
   d.transmitting = true;
-  transmit(d, std::move(p));
+  transmit(d, net_->packets().acquire(p));
 }
 
-void Link::transmit(Direction& d, Packet p) {
-  const Duration tx = d.rate.transmission_time(p.wire_size);
-  const std::uint32_t slot = acquire(std::move(p), d);
-  net_->loop().schedule(tx, [this, slot] { on_serialized(slot); });
+void Link::transmit(Direction& d, std::uint32_t slot) {
+  SPEAKUP_AUDIT_ONLY(++d.in_flight;)
+  const Duration tx = d.rate.transmission_time(net_->packets()[slot].pkt.wire_size);
+  net_->loop().schedule(tx, [this, &d, slot] { on_serialized(d, slot); });
 }
 
-void Link::on_serialized(std::uint32_t slot) {
+void Link::on_serialized(Direction& d, std::uint32_t slot) {
   // Serialization finished: the packet propagates (non-blocking)...
-  Direction& d = *pool_[slot].dir;
-  d.delivered_bytes += pool_[slot].pkt.wire_size;
-  net_->loop().schedule(d.delay, [this, slot] { on_propagated(slot); });
-  // ...and the transmitter picks up the next queued packet. (This may grow
-  // the pool; `d` is a Link member, so the reference stays valid.)
-  if (auto next = d.queue.pop()) {
-    if (auto* o = net_->loop().observer()) o->on_link_dequeue(next->wire_size);
-    transmit(d, std::move(*next));
+  PacketPool& pool = net_->packets();
+  d.delivered_bytes += pool[slot].pkt.wire_size;
+  net_->loop().schedule(d.delay, [this, &d, slot] { on_propagated(d, slot); });
+  // ...and the transmitter picks up the next queued packet's record.
+  const std::uint32_t next = d.queue.pop(pool);
+  if (next != PacketPool::kNil) {
+    if (auto* o = net_->loop().observer()) o->on_link_dequeue(pool[next].pkt.wire_size);
+    transmit(d, next);
   } else {
     d.transmitting = false;
   }
 }
 
-void Link::on_propagated(std::uint32_t slot) {
-  Packet p = std::move(pool_[slot].pkt);
-  const NodeId to = pool_[slot].dir->dst;
+void Link::on_propagated(Direction& d, std::uint32_t slot) {
+  PacketPool& pool = net_->packets();
+  const Packet p = pool[slot].pkt;
+  SPEAKUP_AUDIT_ONLY(--d.in_flight;)
   // Recycle before delivering: on_packet may synchronously send more
   // traffic through this very link.
-  release(slot);
-  net_->deliver(to, std::move(p));
+  pool.release(slot);
+  net_->deliver(d.dst, p);
 }
 
-std::uint32_t Link::acquire(Packet&& p, Direction& d) {
-  std::uint32_t slot;
-  if (free_head_ != kNilSlot) {
-    slot = free_head_;
-    free_head_ = pool_[slot].next_free;
-  } else {
-    pool_.emplace_back();
-    slot = static_cast<std::uint32_t>(pool_.size() - 1);
+#if SPEAKUP_AUDIT_ENABLED
+std::size_t Link::audit(const PacketPool& pool, std::vector<std::uint8_t>& seen) const {
+  for (const Direction* d : {&ab_, &ba_}) {
+    std::size_t packets = 0;
+    Bytes bytes = 0;
+    for (std::uint32_t r = d->queue.head(); r != PacketPool::kNil; r = pool[r].next) {
+      SPEAKUP_AUDIT_CHECK(r < pool.capacity(), "Link: queued record index out of range");
+      SPEAKUP_AUDIT_CHECK(!seen[r], "Link: record reached twice (shared by two lists)");
+      SPEAKUP_AUDIT_CHECK(pool[r].where == PacketPool::Where::kQueued,
+                          "Link: queue list holds a record not marked queued");
+      seen[r] = 1;
+      ++packets;
+      bytes += pool[r].pkt.wire_size;
+    }
+    SPEAKUP_AUDIT_CHECK(packets == d->queue.size_packets(),
+                        "Link: queue list length must equal the queue's packet count");
+    SPEAKUP_AUDIT_CHECK(bytes == d->queue.size_bytes(),
+                        "Link: queue list bytes must equal the queue's occupancy");
+    SPEAKUP_AUDIT_CHECK(d->transmitting || d->queue.empty(),
+                        "Link: an idle transmitter must have an empty queue");
   }
-  pool_[slot].pkt = p;
-  pool_[slot].dir = &d;
-  return slot;
+  return ab_.in_flight + ba_.in_flight;
 }
-
-void Link::release(std::uint32_t slot) {
-  pool_[slot].next_free = free_head_;
-  free_head_ = slot;
-}
+#endif
 
 }  // namespace speakup::net

@@ -5,16 +5,19 @@
 // the transmitter for wire_size/rate, then arrives after the propagation
 // delay (propagation does not block the next transmission).
 //
-// Hot-path note: each in-flight packet is carried by one pooled record that
-// lives through both phases (serialization, then propagation); the event
-// callbacks capture only {this, slot}, so pushing a packet through a link
-// performs zero heap allocations at steady state (see docs/performance.md).
+// Hot-path note: a packet rides one record of the network-wide PacketPool
+// from the moment the link accepts it — queued, serializing, propagating —
+// until it is delivered; the event callbacks capture only {this, direction,
+// record index}, so pushing a packet through a link performs zero heap
+// allocations at steady state (see docs/performance.md). A link owns no
+// packet storage of its own.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/event_loop.hpp"
 #include "util/units.hpp"
@@ -37,7 +40,7 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   /// Sends `p` from endpoint `from` toward the other endpoint.
-  void send(NodeId from, Packet p);
+  void send(NodeId from, const Packet& p);
 
   [[nodiscard]] NodeId endpoint_a() const { return a_; }
   [[nodiscard]] NodeId endpoint_b() const { return b_; }
@@ -51,6 +54,15 @@ class Link {
     return dir_for(from).delivered_bytes;
   }
 
+#if SPEAKUP_AUDIT_ENABLED
+  /// Structural audit (SPEAKUP_AUDIT builds only), driven by
+  /// Network::audit(): walks both directions' queue lists, marking each
+  /// record in `seen` (a record met twice fails) and checking each list's
+  /// length and bytes against its queue's counters. Returns the number of
+  /// records the two transmitters hold (serializing or propagating).
+  std::size_t audit(const PacketPool& pool, std::vector<std::uint8_t>& seen) const;
+#endif
+
  private:
   struct Direction {
     Direction(const LinkSpec& spec, NodeId to)
@@ -61,23 +73,12 @@ class Link {
     NodeId dst;
     bool transmitting = false;
     Bytes delivered_bytes = 0;
+    SPEAKUP_AUDIT_ONLY(std::size_t in_flight = 0;)  // records serializing or propagating
   };
 
-  /// One pooled record per in-flight packet: the packet plus its direction,
-  /// reused across the serialize -> propagate -> deliver phases and then
-  /// recycled through a free list.
-  struct InFlight {
-    Packet pkt;
-    Direction* dir = nullptr;
-    std::uint32_t next_free = kNilSlot;
-  };
-  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
-
-  void transmit(Direction& d, Packet p);
-  void on_serialized(std::uint32_t slot);
-  void on_propagated(std::uint32_t slot);
-  std::uint32_t acquire(Packet&& p, Direction& d);
-  void release(std::uint32_t slot);
+  void transmit(Direction& d, std::uint32_t slot);
+  void on_serialized(Direction& d, std::uint32_t slot);
+  void on_propagated(Direction& d, std::uint32_t slot);
   Direction& dir_for(NodeId from) { return from == a_ ? ab_ : ba_; }
   [[nodiscard]] const Direction& dir_for(NodeId from) const { return from == a_ ? ab_ : ba_; }
 
@@ -86,8 +87,6 @@ class Link {
   NodeId b_;
   Direction ab_;
   Direction ba_;
-  std::vector<InFlight> pool_;
-  std::uint32_t free_head_ = kNilSlot;
 };
 
 }  // namespace speakup::net

@@ -32,14 +32,16 @@ void Network::build_routes() {
   const std::size_t n = nodes_.size();
   adjacency_.resize(n);
 
-  gateway_.assign(n, kInvalidNode);
-  gateway_link_.assign(n, kNoLink);
   core_index_.assign(n, -1);
   core_nodes_.clear();
   for (std::size_t v = 0; v < n; ++v) {
+    NodeRoute& r = route_[v];
+    r.component = -1;
+    r.gateway = kInvalidNode;
+    r.uplink = nullptr;
     if (adjacency_[v].size() == 1) {
-      gateway_[v] = adjacency_[v][0].first;
-      gateway_link_[v] = adjacency_[v][0].second;
+      r.gateway = adjacency_[v][0].first;
+      r.uplink = links_[adjacency_[v][0].second].get();
     } else if (adjacency_[v].size() >= 2) {
       core_index_[v] = static_cast<std::int32_t>(core_nodes_.size());
       core_nodes_.push_back(static_cast<NodeId>(v));
@@ -48,20 +50,19 @@ void Network::build_routes() {
 
   // Connected components over the full graph: the reachability check that
   // the dense matrix used to encode as kInvalidNode entries.
-  component_.assign(n, -1);
   std::int32_t comp = 0;
   std::deque<NodeId> frontier;
   for (std::size_t start = 0; start < n; ++start) {
-    if (component_[start] != -1) continue;
-    component_[start] = comp;
+    if (route_[start].component != -1) continue;
+    route_[start].component = comp;
     frontier.push_back(static_cast<NodeId>(start));
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop_front();
       for (const auto& [v, link_idx] : adjacency_[static_cast<std::size_t>(u)]) {
         (void)link_idx;
-        if (component_[static_cast<std::size_t>(v)] == -1) {
-          component_[static_cast<std::size_t>(v)] = comp;
+        if (route_[static_cast<std::size_t>(v)].component == -1) {
+          route_[static_cast<std::size_t>(v)].component = comp;
           frontier.push_back(v);
         }
       }
@@ -70,11 +71,10 @@ void Network::build_routes() {
   }
 
   // BFS from every core destination over the core-induced subgraph:
-  // core_next_hop_[v][dst] = parent-of-v on path to dst, with the link
-  // recorded so forwarding never scans an adjacency list.
+  // core_next_link_[v][dst] = the link from v to its parent on the path to
+  // dst, so forwarding never scans an adjacency list.
   const std::size_t c = core_nodes_.size();
-  core_next_hop_.assign(c * c, kInvalidNode);
-  core_next_link_.assign(c * c, kNoLink);
+  core_next_link_.assign(c * c, nullptr);
   std::vector<bool> seen(c);
   for (std::size_t dst_ci = 0; dst_ci < c; ++dst_ci) {
     seen.assign(c, false);
@@ -87,8 +87,7 @@ void Network::build_routes() {
         const std::int32_t v_ci = core_index_[static_cast<std::size_t>(v)];
         if (v_ci < 0 || seen[static_cast<std::size_t>(v_ci)]) continue;
         seen[static_cast<std::size_t>(v_ci)] = true;
-        core_next_hop_[static_cast<std::size_t>(v_ci) * c + dst_ci] = u;
-        core_next_link_[static_cast<std::size_t>(v_ci) * c + dst_ci] = link_idx;
+        core_next_link_[static_cast<std::size_t>(v_ci) * c + dst_ci] = links_[link_idx].get();
         frontier.push_back(v);
       }
     }
@@ -98,39 +97,37 @@ void Network::build_routes() {
 
 void Network::forward(NodeId from, Packet p) {
   if (!routes_valid_) build_routes();
-  SPEAKUP_ASSERT(p.dst != kInvalidNode);
-  const auto from_i = static_cast<std::size_t>(from);
-  const auto dst_i = static_cast<std::size_t>(p.dst);
-  if (from == p.dst || component_[from_i] != component_[dst_i]) {
+  SPEAKUP_ASSERT(p.dst >= 0 && static_cast<std::size_t>(p.dst) < route_.size());
+  const NodeRoute& src = route_[static_cast<std::size_t>(from)];
+  const NodeRoute& dst = route_[static_cast<std::size_t>(p.dst)];
+  if (from == p.dst || src.component != dst.component) {
     ++unroutable_drops_;
     return;
   }
   // A leaf has exactly one way out (the component check above already
   // guaranteed the destination is reachable through it).
-  if (gateway_[from_i] != kInvalidNode) {
-    links_[gateway_link_[from_i]]->send(from, std::move(p));
+  if (src.uplink != nullptr) {
+    src.uplink->send(from, p);
     return;
   }
   // From core: route toward the destination itself, or — when the
   // destination is a leaf — toward its gateway, with a direct final hop.
   NodeId target = p.dst;
-  if (gateway_[dst_i] != kInvalidNode) {
-    if (gateway_[dst_i] == from) {
-      links_[gateway_link_[dst_i]]->send(from, std::move(p));
+  if (dst.uplink != nullptr) {
+    if (dst.gateway == from) {
+      dst.uplink->send(from, p);
       return;
     }
-    target = gateway_[dst_i];
+    target = dst.gateway;
   }
-  const std::int32_t from_ci = core_index_[from_i];
+  const std::int32_t from_ci = core_index_[static_cast<std::size_t>(from)];
   const std::int32_t target_ci = core_index_[static_cast<std::size_t>(target)];
   SPEAKUP_ASSERT(from_ci >= 0 && target_ci >= 0);
-  const std::size_t cell = static_cast<std::size_t>(from_ci) * core_nodes_.size() +
-                           static_cast<std::size_t>(target_ci);
-  SPEAKUP_ASSERT(core_next_link_[cell] != kNoLink);
-  links_[core_next_link_[cell]]->send(from, std::move(p));
+  Link* next = core_next_link_[static_cast<std::size_t>(from_ci) * core_nodes_.size() +
+                               static_cast<std::size_t>(target_ci)];
+  SPEAKUP_ASSERT(next != nullptr);
+  next->send(from, p);
 }
-
-void Network::deliver(NodeId to, Packet p) { node(to).on_packet(std::move(p)); }
 
 Link* Network::link_between(NodeId a, NodeId b) const {
   if (static_cast<std::size_t>(a) >= adjacency_.size()) return nullptr;
@@ -139,5 +136,49 @@ Link* Network::link_between(NodeId a, NodeId b) const {
   }
   return nullptr;
 }
+
+#if SPEAKUP_AUDIT_ENABLED
+void Network::audit() const {
+  const std::size_t cap = packets_.capacity();
+  std::vector<std::uint8_t> seen(cap, 0);
+  std::size_t free_count = 0;
+  for (std::uint32_t r = packets_.free_head(); r != PacketPool::kNil; r = packets_[r].next) {
+    SPEAKUP_AUDIT_CHECK(r < cap, "Network: free-list record index out of range");
+    SPEAKUP_AUDIT_CHECK(!seen[r], "Network: record on the free list twice");
+    SPEAKUP_AUDIT_CHECK(packets_[r].where == PacketPool::Where::kFree,
+                        "Network: free-list record must be marked free");
+    seen[r] = 1;
+    ++free_count;
+  }
+  std::size_t queued = 0;
+  std::size_t in_flight = 0;
+  for (const auto& link : links_) {
+    in_flight += link->audit(packets_, seen);
+  }
+  for (std::size_t r = 0; r < cap; ++r) {
+    if (packets_[static_cast<std::uint32_t>(r)].where == PacketPool::Where::kQueued) ++queued;
+    if (seen[r]) continue;
+    SPEAKUP_AUDIT_CHECK(packets_[static_cast<std::uint32_t>(r)].where ==
+                            PacketPool::Where::kInFlight,
+                        "Network: a record on no list must be in flight");
+  }
+  SPEAKUP_AUDIT_CHECK(free_count + queued + in_flight == cap,
+                      "Network: every record must be free, queued or in flight exactly once");
+  SPEAKUP_AUDIT_CHECK(packets_.in_use() == queued + in_flight,
+                      "Network: pool in-use count must equal queued + in-flight records");
+}
+
+void Network::corrupt_pool_for_test() {
+  for (const auto& link : links_) {
+    for (const NodeId from : {link->endpoint_a(), link->endpoint_b()}) {
+      const std::uint32_t head = link->queue_from(from).head();
+      if (head != PacketPool::kNil) {
+        packets_.release(head);
+        return;
+      }
+    }
+  }
+}
+#endif
 
 }  // namespace speakup::net

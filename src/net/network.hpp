@@ -1,5 +1,6 @@
 // The topology container: owns nodes and links, computes shortest-path
-// routes, and moves packets hop by hop.
+// routes, and moves packets hop by hop. It also owns the PacketPool that
+// holds every packet its links carry.
 #pragma once
 
 #include <memory>
@@ -10,8 +11,10 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/event_loop.hpp"
 #include "util/assert.hpp"
+#include "util/audit.hpp"
 
 namespace speakup::net {
 
@@ -32,6 +35,8 @@ class Network {
     auto node = std::make_unique<T>(*this, id, std::move(name), std::forward<Args>(args)...);
     T& ref = *node;
     nodes_.push_back(std::move(node));
+    route_.push_back(NodeRoute{});
+    route_.back().node = &ref;
     routes_valid_ = false;
     return ref;
   }
@@ -53,10 +58,16 @@ class Network {
   /// Moves `p` one hop from `from` toward `p.dst`.
   void forward(NodeId from, Packet p);
 
-  /// Delivers `p` to node `to` (called by links on arrival).
-  void deliver(NodeId to, Packet p);
+  /// Delivers `p` to node `to` (called by links on arrival). Works before
+  /// build_routes().
+  void deliver(NodeId to, const Packet& p) {
+    SPEAKUP_ASSERT(to >= 0 && static_cast<std::size_t>(to) < route_.size());
+    route_[static_cast<std::size_t>(to)].node->on_packet(p);
+  }
 
   [[nodiscard]] sim::EventLoop& loop() const { return *loop_; }
+  /// The records of every packet the links hold (queued or in flight).
+  [[nodiscard]] PacketPool& packets() { return packets_; }
   [[nodiscard]] Node& node(NodeId id) const {
     SPEAKUP_ASSERT(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
     return *nodes_[static_cast<std::size_t>(id)];
@@ -67,10 +78,37 @@ class Network {
   /// Packets dropped because no route / unroutable destination.
   [[nodiscard]] std::int64_t unroutable_drops() const { return unroutable_drops_; }
 
+#if SPEAKUP_AUDIT_ENABLED
+  /// Structural audit (SPEAKUP_AUDIT builds only): every pool record is
+  /// exactly one of free (on the free list), queued (on one direction's
+  /// list) or in flight (held by one transmitter), and each direction's
+  /// list agrees with its queue's packet and byte counters. Runs at
+  /// amortized checkpoints from Link::send.
+  void audit() const;
+  void maybe_audit() {
+    if (--audit_countdown_ == 0) {
+      audit();
+      // O(links + records) per audit, so space audits that far apart.
+      audit_countdown_ = kAuditPeriod + links_.size() + packets_.capacity();
+    }
+  }
+  /// Deliberate corruption for tests/audit_test.cpp: releases the head
+  /// record of the first non-empty queue without unlinking it — the
+  /// signature of a premature release.
+  void corrupt_pool_for_test();
+#endif
+
  private:
-  static constexpr std::size_t kNoLink = SIZE_MAX;
+  /// Everything forward() and deliver() need to know about one endpoint.
+  struct NodeRoute {
+    std::int32_t component = -1;    // connected-component id
+    NodeId gateway = kInvalidNode;  // leaf -> its single neighbor, else kInvalidNode
+    Link* uplink = nullptr;         // leaf -> its single link, else nullptr
+    Node* node = nullptr;           // set by add_node
+  };
 
   sim::EventLoop* loop_;
+  PacketPool packets_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   // adjacency_[n] lists (neighbor, link index)
@@ -78,18 +116,19 @@ class Network {
   // Leaf-compressed routing state (see build_routes): degree-1 nodes route
   // through their single neighbor; shortest-path tables cover core nodes
   // only, so a 10^5-leaf access tree costs O(N + C^2) instead of O(N^2).
-  std::vector<NodeId> gateway_;            // leaf -> its single neighbor, else kInvalidNode
-  std::vector<std::size_t> gateway_link_;  // leaf -> its single link index
+  std::vector<NodeRoute> route_;           // per node
   std::vector<std::int32_t> core_index_;   // node -> dense core index, or -1
   std::vector<NodeId> core_nodes_;         // dense core index -> node
-  std::vector<std::int32_t> component_;    // connected-component id per node
-  // core_next_hop_[v_ci * C + dst_ci] = neighbor of v on a shortest core
-  // path toward dst (same BFS tie-breaks as the old full-matrix build);
-  // core_next_link_ carries the corresponding link index.
-  std::vector<NodeId> core_next_hop_;
-  std::vector<std::size_t> core_next_link_;
+  // core_next_link_[v_ci * C + dst_ci] = the link from v to its neighbor on
+  // a shortest core path toward dst (same BFS tie-breaks as the old
+  // full-matrix build).
+  std::vector<Link*> core_next_link_;
   bool routes_valid_ = false;
   std::int64_t unroutable_drops_ = 0;
+#if SPEAKUP_AUDIT_ENABLED
+  static constexpr std::size_t kAuditPeriod = 256;
+  std::size_t audit_countdown_ = kAuditPeriod;
+#endif
 };
 
 /// A store-and-forward switch: relays packets along shortest paths.

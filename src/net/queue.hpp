@@ -4,19 +4,20 @@
 // dropped — the only loss mechanism in the simulator, as in a real drop-tail
 // router. Drop and occupancy counters feed the experiment reports.
 //
-// Storage is a growable ring buffer rather than std::deque: a deque
-// allocates and frees chunk blocks continuously while traffic streams
-// through it, whereas the ring doubles a few times early on and then stays
-// allocation-free for the rest of the run.
+// The queue stores no packets of its own: a queued packet is a record of the
+// network-wide PacketPool, linked head -> tail through the record's `next`
+// index. Enqueueing takes a record from the pool, dequeueing hands the very
+// same record on to the transmitter, so a packet is copied once on its way
+// through a link and an idle queue costs a few words, not a buffer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "util/assert.hpp"
+#include "util/audit.hpp"
 
 namespace speakup::net {
 
@@ -26,8 +27,12 @@ class DropTailQueue {
     SPEAKUP_ASSERT(capacity_bytes > 0);
   }
 
-  /// Attempts to enqueue; returns false (and counts a drop) on overflow.
-  bool push(Packet p) {
+  DropTailQueue(const DropTailQueue&) = delete;
+  DropTailQueue& operator=(const DropTailQueue&) = delete;
+
+  /// Enqueues `p` in a record taken from `pool`; returns false (counting a
+  /// drop and taking no record) on overflow.
+  bool push(PacketPool& pool, const Packet& p) {
     if (occupancy_ + p.wire_size > capacity_) {
       ++drops_;
       dropped_bytes_ += p.wire_size;
@@ -35,21 +40,32 @@ class DropTailQueue {
     }
     occupancy_ += p.wire_size;
     ++enqueued_;
-    if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) % ring_.size()] = std::move(p);
+    const std::uint32_t slot = pool.acquire(p);
+    SPEAKUP_AUDIT_ONLY(pool[slot].where = PacketPool::Where::kQueued;)
+    if (tail_ == kNil) {
+      head_ = slot;
+    } else {
+      pool[tail_].next = slot;
+    }
+    tail_ = slot;
     ++count_;
     return true;
   }
 
-  /// Removes and returns the head packet; empty queue yields nullopt.
-  std::optional<Packet> pop() {
-    if (count_ == 0) return std::nullopt;
-    Packet p = std::move(ring_[head_]);
-    head_ = (head_ + 1) % ring_.size();
+  /// Unlinks the head record and returns its index, or kNil when empty. The
+  /// record stays acquired: the caller transmits it and releases it later.
+  std::uint32_t pop(PacketPool& pool) {
+    if (head_ == kNil) return kNil;
+    const std::uint32_t slot = head_;
+    PacketPool::Record& r = pool[slot];
+    head_ = r.next;
+    if (head_ == kNil) tail_ = kNil;
+    r.next = kNil;
+    SPEAKUP_AUDIT_ONLY(r.where = PacketPool::Where::kInFlight;)
     --count_;
-    occupancy_ -= p.wire_size;
+    occupancy_ -= r.pkt.wire_size;
     SPEAKUP_ASSERT(occupancy_ >= 0);
-    return p;
+    return slot;
   }
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -59,25 +75,23 @@ class DropTailQueue {
   [[nodiscard]] std::int64_t drops() const { return drops_; }
   [[nodiscard]] Bytes dropped_bytes() const { return dropped_bytes_; }
   [[nodiscard]] std::int64_t enqueued() const { return enqueued_; }
+#if SPEAKUP_AUDIT_ENABLED
+  /// Index of the head record (kNil when empty), for the structural audit;
+  /// the list continues through PacketPool::Record::next.
+  [[nodiscard]] std::uint32_t head() const { return head_; }
+#endif
 
  private:
-  void grow() {
-    std::vector<Packet> bigger(ring_.empty() ? 2 : ring_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
-    }
-    ring_ = std::move(bigger);
-    head_ = 0;
-  }
+  static constexpr std::uint32_t kNil = PacketPool::kNil;
 
   Bytes capacity_;
   Bytes occupancy_ = 0;
   std::int64_t drops_ = 0;
   Bytes dropped_bytes_ = 0;
   std::int64_t enqueued_ = 0;
-  std::vector<Packet> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  std::uint32_t head_ = kNil;
+  std::uint32_t tail_ = kNil;
+  std::uint32_t count_ = 0;
 };
 
 }  // namespace speakup::net

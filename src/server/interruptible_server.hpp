@@ -28,7 +28,7 @@ class InterruptibleServer {
       : loop_(&loop),
         capacity_rps_(capacity_rps),
         rng_(std::move(rng)),
-        completion_timer_(loop, [this] { on_work_slice_done(); }) {
+        completion_timer_(loop) {
     util::require(capacity_rps > 0, "server capacity must be positive");
   }
 
@@ -102,7 +102,7 @@ class InterruptibleServer {
   void start(Job job) {
     active_ = job;
     active_started_ = loop_->now();
-    completion_timer_.restart(job.remaining);
+    completion_timer_.restart(job.remaining, [this] { on_work_slice_done(); });
   }
 
   /// Charges the class account for work done since the job (re)started.

@@ -2,15 +2,14 @@
 // timeouts (TCP RTO, payment-channel expiry, client request timeouts).
 // Restarting implicitly cancels the previous arming.
 //
-// Hot-path note: arming schedules an 8-byte `[this]` closure, which lands
-// in the event slab's inline buffer — restart/cancel churn (every TCP
-// segment re-arms the RTO) performs no heap allocation. The fire path
-// copies the stored std::function before invoking (see restart()); that
-// copy is also allocation-free for captures within std::function's SBO,
-// which covers every timer in the tree (`[this]`-sized).
+// The timer stores no callback of its own: the caller hands the callback
+// to restart(), and it lives only in the event slab's inline buffer while
+// the timer is armed. A Timer is therefore a loop pointer plus an EventId
+// (24 bytes), which matters for the objects that embed one per connection
+// or per request at 10^5-client scale. The event loop moves a callback out of the slab
+// before invoking it, so a callback may destroy the Timer that armed it.
 #pragma once
 
-#include <functional>
 #include <utility>
 
 #include "sim/event_loop.hpp"
@@ -19,30 +18,24 @@ namespace speakup::sim {
 
 class Timer {
  public:
-  Timer(EventLoop& loop, std::function<void()> on_fire)
-      : loop_(&loop), on_fire_(std::move(on_fire)) {}
+  explicit Timer(EventLoop& loop) : loop_(&loop) {}
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
   ~Timer() { cancel(); }
 
-  /// (Re)arms the timer to fire `delay` from now. A still-pending timer is
-  /// rescheduled in place — the stored closure is reused, so the dominant
-  /// protocol pattern (every TCP ack re-arms the RTO) costs two O(1) wheel
-  /// link operations and nothing else.
-  void restart(Duration delay) {
+  /// (Re)arms the timer to fire `on_fire` `delay` from now. A still-pending
+  /// timer is rescheduled in place and keeps the callback it was armed
+  /// with, so every restart of one timer must pass the same callback. The
+  /// dominant protocol pattern (every TCP ack re-arms the RTO) then costs
+  /// two O(1) wheel link operations and nothing else.
+  template <typename F>
+  void restart(Duration delay, F&& on_fire) {
     if (id_.pending()) {
       id_ = loop_->reschedule(id_, delay);
       return;
     }
-    // Invoke through a by-value copy: the callback is allowed to destroy
-    // this Timer (protocol handlers routinely tear down the state that owns
-    // their timeout), which would otherwise destroy the std::function
-    // mid-execution.
-    id_ = loop_->schedule(delay, [this] {
-      auto fn = on_fire_;
-      fn();
-    });
+    id_ = loop_->schedule(delay, std::forward<F>(on_fire));
   }
 
   void cancel() {
@@ -53,7 +46,6 @@ class Timer {
 
  private:
   EventLoop* loop_;
-  std::function<void()> on_fire_;
   EventId id_;
 };
 

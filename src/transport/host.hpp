@@ -24,6 +24,7 @@
 #include "net/node.hpp"
 #include "sim/event_loop.hpp"
 #include "transport/tcp_connection.hpp"
+#include "util/assert.hpp"
 #include "util/audit.hpp"
 
 namespace speakup::transport {
@@ -35,7 +36,15 @@ class Host : public net::Node {
 
   ~Host() override;
 
-  void set_tcp_config(const TcpConfig& cfg) { tcp_cfg_ = cfg; }
+  /// Replaces the TCP tunables for connections this host opens or accepts.
+  /// Connections read the config in place, so it cannot change under them:
+  /// throws std::invalid_argument, naming the host, once it holds any.
+  void set_tcp_config(const TcpConfig& cfg) {
+    util::require(table_size_ == 0, "set_tcp_config: host " + name() +
+                                        " holds live connections, which read its TCP "
+                                        "config in place");
+    tcp_cfg_ = cfg;
+  }
   [[nodiscard]] const TcpConfig& tcp_config() const { return tcp_cfg_; }
 
   /// Opens a connection to (dst, dst_port). The returned reference stays

@@ -15,7 +15,7 @@ constexpr std::int64_t kNoTimedSegment = -1;
 TcpConnection::TcpConnection(Host& host, std::uint32_t local_port, net::NodeId remote,
                              std::uint32_t remote_port, const TcpConfig& cfg, bool initiator)
     : host_(&host),
-      cfg_(cfg),
+      cfg_(&cfg),
       local_port_(local_port),
       remote_(remote),
       remote_port_(remote_port),
@@ -23,7 +23,7 @@ TcpConnection::TcpConnection(Host& host, std::uint32_t local_port, net::NodeId r
       cwnd_(static_cast<double>(cfg.mss * cfg.initial_cwnd_segments)),
       ssthresh_(static_cast<double>(cfg.initial_ssthresh)),
       rto_(cfg.initial_rto),
-      rto_timer_(host.loop(), [this] { on_rto(); }) {}
+      rto_timer_(host.loop()) {}
 
 TcpConnection::~TcpConnection() {
   if (peer_ != nullptr) peer_->peer_ = nullptr;
@@ -34,14 +34,14 @@ void TcpConnection::start_handshake() {
   syn_sent_at_ = host_->loop().now();
   host_->send_packet(net::make_control_packet(host_->id(), local_port_, remote_, remote_port_,
                                               net::PacketKind::kSyn));
-  rto_timer_.restart(rto_);
+  arm_rto();
 }
 
 void TcpConnection::start_passive() {
   SPEAKUP_ASSERT(state_ == State::kSynReceived);
   host_->send_packet(net::make_control_packet(host_->id(), local_port_, remote_, remote_port_,
                                               net::PacketKind::kSynAck));
-  rto_timer_.restart(rto_);
+  arm_rto();
 }
 
 void TcpConnection::write(Bytes n) {
@@ -100,15 +100,15 @@ void TcpConnection::on_packet(const net::Packet& p) {
 
 void TcpConnection::establish() {
   state_ = State::kEstablished;
-  if (cbs_.on_established) cbs_.on_established();
+  if (listener_ != nullptr) listener_->on_established(*this);
 }
 
 void TcpConnection::try_send() {
   if (state_ != State::kEstablished) return;
   const auto window = std::min<std::int64_t>(static_cast<std::int64_t>(cwnd_),
-                                             cfg_.max_inflight);
+                                             cfg_->max_inflight);
   while (snd_nxt_ < app_limit_ && inflight() < window) {
-    const Bytes len = std::min<Bytes>(cfg_.mss, app_limit_ - snd_nxt_);
+    const Bytes len = std::min<Bytes>(cfg_->mss, app_limit_ - snd_nxt_);
     send_segment(snd_nxt_, len, /*retransmission=*/false);
     snd_nxt_ += len;
   }
@@ -153,38 +153,38 @@ void TcpConnection::handle_ack(std::int64_t ack) {
       } else {
         // NewReno partial ack: the next hole is lost too; retransmit it and
         // keep the recovery window partially deflated.
-        const Bytes len = std::min<Bytes>(cfg_.mss, snd_nxt_ - snd_una_);
+        const Bytes len = std::min<Bytes>(cfg_->mss, snd_nxt_ - snd_una_);
         if (len > 0) send_segment(snd_una_, len, /*retransmission=*/true);
-        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + static_cast<double>(cfg_.mss),
-                         static_cast<double>(cfg_.mss));
+        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + static_cast<double>(cfg_->mss),
+                         static_cast<double>(cfg_->mss));
       }
     } else {
       if (cwnd_ < ssthresh_) {
-        cwnd_ += static_cast<double>(cfg_.mss);  // slow start
+        cwnd_ += static_cast<double>(cfg_->mss);  // slow start
       } else {
-        cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(cfg_.mss) / cwnd_;
+        cwnd_ += static_cast<double>(cfg_->mss) * static_cast<double>(cfg_->mss) / cwnd_;
       }
     }
     if (inflight() > 0) {
       arm_rto();
     } else {
       rto_timer_.cancel();
-      rto_ = std::clamp(have_rtt_ ? srtt_ + 4 * rttvar_ : cfg_.initial_rto, cfg_.min_rto,
-                        cfg_.max_rto);
+      rto_ = std::clamp(have_rtt_ ? srtt_ + 4 * rttvar_ : cfg_->initial_rto, cfg_->min_rto,
+                        cfg_->max_rto);
     }
-    if (cbs_.on_acked) cbs_.on_acked(snd_una_);
+    if (listener_ != nullptr) listener_->on_acked(*this, snd_una_);
     try_send();
     return;
   }
   // Duplicate ACK (only meaningful while data is outstanding).
   if (ack == snd_una_ && inflight() > 0) {
     if (in_recovery_) {
-      cwnd_ += static_cast<double>(cfg_.mss);  // inflation
+      cwnd_ += static_cast<double>(cfg_->mss);  // inflation
       try_send();
       return;
     }
     ++dupacks_;
-    if (dupacks_ == cfg_.dupack_threshold) enter_fast_recovery();
+    if (dupacks_ == cfg_->dupack_threshold) enter_fast_recovery();
   }
 }
 
@@ -192,9 +192,9 @@ void TcpConnection::enter_fast_recovery() {
   in_recovery_ = true;
   recover_ = snd_nxt_;
   ssthresh_ = std::max(static_cast<double>(inflight()) / 2.0,
-                       2.0 * static_cast<double>(cfg_.mss));
-  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(cfg_.mss);
-  const Bytes len = std::min<Bytes>(cfg_.mss, snd_nxt_ - snd_una_);
+                       2.0 * static_cast<double>(cfg_->mss));
+  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(cfg_->mss);
+  const Bytes len = std::min<Bytes>(cfg_->mss, snd_nxt_ - snd_una_);
   if (len > 0) send_segment(snd_una_, len, /*retransmission=*/true);
 }
 
@@ -212,7 +212,9 @@ void TcpConnection::handle_data(std::int64_t seq, Bytes len) {
   // stragglers a non-merging tracker left behind).
   rcv_nxt_ = ooo_.pop_prefix(rcv_nxt_);
   send_ack();
-  if (rcv_nxt_ > old_rcv_nxt && cbs_.on_data) cbs_.on_data(rcv_nxt_ - old_rcv_nxt);
+  if (rcv_nxt_ > old_rcv_nxt && listener_ != nullptr) {
+    listener_->on_data(*this, rcv_nxt_ - old_rcv_nxt);
+  }
 }
 
 void TcpConnection::on_rto() {
@@ -229,7 +231,7 @@ void TcpConnection::on_rto() {
   // not back off: the first tears the connection down, and the second must
   // leave rto_ untouched for the next fresh flight.
   if (state_ == State::kSynSent) {
-    if (++syn_retries_ > cfg_.max_syn_retries) {
+    if (++syn_retries_ > cfg_->max_syn_retries) {
       teardown(/*notify_app=*/true);
       return;
     }
@@ -237,14 +239,14 @@ void TcpConnection::on_rto() {
     backoff_rto();
     host_->send_packet(net::make_control_packet(host_->id(), local_port_, remote_, remote_port_,
                                                 net::PacketKind::kSyn));
-    rto_timer_.restart(rto_);
+    arm_rto();
     return;
   }
   if (state_ == State::kSynReceived) {
     backoff_rto();
     host_->send_packet(net::make_control_packet(host_->id(), local_port_, remote_, remote_port_,
                                                 net::PacketKind::kSynAck));
-    rto_timer_.restart(rto_);
+    arm_rto();
     return;
   }
   if (inflight() <= 0) return;
@@ -252,24 +254,26 @@ void TcpConnection::on_rto() {
   // go-back-N from the last cumulative ack.
   backoff_rto();
   ssthresh_ = std::max(static_cast<double>(inflight()) / 2.0,
-                       2.0 * static_cast<double>(cfg_.mss));
-  cwnd_ = static_cast<double>(cfg_.mss);
+                       2.0 * static_cast<double>(cfg_->mss));
+  cwnd_ = static_cast<double>(cfg_->mss);
   snd_nxt_ = snd_una_;
   in_recovery_ = false;
   dupacks_ = 0;
   timed_seq_ = kNoTimedSegment;
-  const Bytes len = std::min<Bytes>(cfg_.mss, app_limit_ - snd_una_);
+  const Bytes len = std::min<Bytes>(cfg_->mss, app_limit_ - snd_una_);
   if (len > 0) {
     send_segment(snd_una_, len, /*retransmission=*/true);
     snd_nxt_ = snd_una_ + len;
   }
-  rto_timer_.restart(rto_);
+  arm_rto();
 }
 
-void TcpConnection::arm_rto() { rto_timer_.restart(rto_); }
+void TcpConnection::arm_rto() {
+  rto_timer_.restart(rto_, [this] { on_rto(); });
+}
 
 void TcpConnection::backoff_rto() {
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);
+  rto_ = std::min(rto_ * 2, cfg_->max_rto);
   if (auto* o = host_->loop().observer()) o->on_tcp_rto_backoff(rto_);
 }
 
@@ -284,7 +288,7 @@ void TcpConnection::take_rtt_sample(Duration sample) {
     rttvar_ = Duration::nanos((3 * rttvar_.ns() + err.ns()) / 4);
     srtt_ = Duration::nanos((7 * srtt_.ns() + sample.ns()) / 8);
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_->min_rto, cfg_->max_rto);
 }
 
 void TcpConnection::teardown(bool notify_app) {
@@ -295,7 +299,7 @@ void TcpConnection::teardown(bool notify_app) {
     peer_->peer_ = nullptr;
     peer_ = nullptr;
   }
-  if (notify_app && cbs_.on_reset) cbs_.on_reset();
+  if (notify_app && listener_ != nullptr) listener_->on_reset(*this);
   host_->release(this);
 }
 

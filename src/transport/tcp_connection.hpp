@@ -7,15 +7,20 @@
 // and RFC 6298 RTT estimation.
 //
 // Data is modeled as byte counts. Applications call write(n) to append n
-// bytes to the stream; the receiving endpoint's on_data callback reports
+// bytes to the stream; the receiving endpoint's Listener::on_data reports
 // in-order arrival. peer() exposes the other endpoint — a simulation
 // shortcut used by the message layer to pass typed message descriptors
 // alongside the faithfully-simulated bytes.
+//
+// Memory note: at 10^5-client scale every client host holds connection
+// slots, so the object carries no per-connection copies of shared state:
+// the config is read through a pointer to the host's TcpConfig, the
+// application is one Listener pointer plus one untyped handle, and the RTO
+// timer stores no callback (see sim/timer.hpp). tests/transport_test.cpp
+// pins the resulting size.
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.hpp"
 #include "sim/timer.hpp"
@@ -31,12 +36,21 @@ class TcpConnection {
  public:
   enum class State { kSynSent, kSynReceived, kEstablished, kClosed };
 
-  /// Application-facing callbacks. All optional.
-  struct Callbacks {
-    std::function<void()> on_established;
-    std::function<void(Bytes newly_delivered)> on_data;  // receiver side, in-order bytes
-    std::function<void(Bytes total_acked)> on_acked;     // sender side, cumulative
-    std::function<void()> on_reset;                      // peer RST or local failure
+  /// Application-facing event sink. The connection holds a non-owning
+  /// pointer to it (nullptr: nobody listening); every hook is optional and
+  /// names the connection, so one listener can serve many.
+  class Listener {
+   public:
+    virtual void on_established(TcpConnection& /*conn*/) {}
+    /// Receiver side: `newly_delivered` more in-order bytes arrived.
+    virtual void on_data(TcpConnection& /*conn*/, Bytes /*newly_delivered*/) {}
+    /// Sender side: the peer has acked `total_acked` stream bytes.
+    virtual void on_acked(TcpConnection& /*conn*/, Bytes /*total_acked*/) {}
+    /// Peer RST or local failure.
+    virtual void on_reset(TcpConnection& /*conn*/) {}
+
+   protected:
+    ~Listener() = default;
   };
 
   TcpConnection(Host& host, std::uint32_t local_port, net::NodeId remote,
@@ -46,7 +60,9 @@ class TcpConnection {
   TcpConnection& operator=(const TcpConnection&) = delete;
   ~TcpConnection();
 
-  void set_callbacks(Callbacks cbs) { cbs_ = std::move(cbs); }
+  /// Attaches (or, with nullptr, detaches) the application. The listener
+  /// must outlive its attachment.
+  void set_listener(Listener* listener) { listener_ = listener; }
 
   /// Appends `n` bytes to the outgoing stream.
   void write(Bytes n);
@@ -70,8 +86,11 @@ class TcpConnection {
   /// handshake completes or after the peer closes.
   [[nodiscard]] TcpConnection* peer() const { return peer_; }
 
-  /// Opaque slot for a higher layer (http::MessageStream) to attach itself.
-  [[nodiscard]] std::any& app_handle() { return app_handle_; }
+  /// Opaque slot for a higher layer to attach itself: http::MessageStream
+  /// stores itself here so the peer's stream can find it. Only that layer
+  /// writes it, so readers know the pointee's type.
+  [[nodiscard]] void* app_handle() const { return app_handle_; }
+  void set_app_handle(void* handle) { app_handle_ = handle; }
 
   // --- counters / introspection (used by tests and reports) ---
   /// Total bytes the application has submitted via write() — the
@@ -108,7 +127,7 @@ class TcpConnection {
   void on_rto();
   void arm_rto();
   /// Karn-style exponential backoff: doubles the RTO (capped at
-  /// cfg_.max_rto). Called exactly once per timer expiry — the single
+  /// cfg_->max_rto). Called exactly once per timer expiry — the single
   /// place backoff is applied, so no path can double-apply it.
   void backoff_rto();
   void take_rtt_sample(Duration sample);
@@ -119,14 +138,14 @@ class TcpConnection {
   [[nodiscard]] Bytes inflight() const { return snd_nxt_ - snd_una_; }
 
   Host* host_;
-  TcpConfig cfg_;
+  const TcpConfig* cfg_;  // the host's; Host::set_tcp_config refuses while connections live
   std::uint32_t local_port_;
   net::NodeId remote_;
   std::uint32_t remote_port_;
   State state_;
   TcpConnection* peer_ = nullptr;
-  std::any app_handle_;
-  Callbacks cbs_;
+  void* app_handle_ = nullptr;
+  Listener* listener_ = nullptr;
 
   // --- send side ---
   std::int64_t snd_una_ = 0;   // oldest unacked stream offset

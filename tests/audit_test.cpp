@@ -6,8 +6,9 @@
 //     invariants must hold on live structures, not just empty ones;
 //   - death tests: each structure's corrupt_*_for_test() hook plants the
 //     signature of a real bug class (missed sift swap, lost table erase,
-//     stale bitmap bit, clobbered heap key) and audit() must catch it.
-//     Without these, a vacuously-true audit would pass forever.
+//     stale bitmap bit, clobbered heap key, premature packet release) and
+//     audit() must catch it. Without these, a vacuously-true audit would
+//     pass forever.
 //
 // The whole file GTEST_SKIPs unless built with -DSPEAKUP_AUDIT=ON in a
 // Debug build (SPEAKUP_AUDIT_ENABLED) — CI's audit job is the build that
@@ -174,6 +175,7 @@ TEST(Audit, TrafficRigCleanAudits) {
     pool.audit();
     rig.thinner_host->audit();
     for (transport::Host* h : hosts) h->audit();
+    rig.net.audit();
   }
 }
 
@@ -214,6 +216,24 @@ TEST(AuditDeathTest, HostDetectsLostTableEntry) {
         (void)a.connect(b.id(), 80);  // live slot + demux table entry on a
         a.corrupt_table_for_test();   // the signature of a lost erase
         a.audit();
+      },
+      kDeathMsg);
+}
+
+TEST(AuditDeathTest, NetworkDetectsPrematurePacketRelease) {
+  EXPECT_DEATH(
+      {
+        Rig rig;
+        transport::Host& a = rig.add_host("a");
+        // Three back-to-back packets onto a's 2 Mbit/s access link: one
+        // serializes, two wait in the queue's list.
+        for (int i = 0; i < 3; ++i) {
+          rig.net.forward(a.id(), net::make_data_packet(a.id(), 1, rig.thinner_host->id(), 80,
+                                                        0, 1000));
+        }
+        rig.net.audit();                  // clean so far
+        rig.net.corrupt_pool_for_test();  // a queued record also on the free list
+        rig.net.audit();
       },
       kDeathMsg);
 }

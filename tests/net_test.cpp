@@ -5,6 +5,7 @@
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/event_loop.hpp"
 
@@ -32,44 +33,82 @@ Packet test_packet(NodeId src, NodeId dst, Bytes wire) {
 }
 
 TEST(DropTailQueue, FifoOrder) {
+  PacketPool pool;
   DropTailQueue q(10'000);
   for (int i = 0; i < 3; ++i) {
     Packet p = test_packet(0, 1, 100);
     p.seq = i;
-    ASSERT_TRUE(q.push(p));
+    ASSERT_TRUE(q.push(pool, p));
   }
   for (int i = 0; i < 3; ++i) {
-    auto p = q.pop();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->seq, i);
+    const std::uint32_t r = q.pop(pool);
+    ASSERT_NE(r, PacketPool::kNil);
+    EXPECT_EQ(pool[r].pkt.seq, i);
+    pool.release(r);
   }
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(q.pop(pool), PacketPool::kNil);
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
+  PacketPool pool;
   DropTailQueue q(250);
-  EXPECT_TRUE(q.push(test_packet(0, 1, 100)));
-  EXPECT_TRUE(q.push(test_packet(0, 1, 100)));
-  EXPECT_FALSE(q.push(test_packet(0, 1, 100)));  // 300 > 250
+  EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
+  EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
+  EXPECT_FALSE(q.push(pool, test_packet(0, 1, 100)));  // 300 > 250
   EXPECT_EQ(q.drops(), 1);
   EXPECT_EQ(q.dropped_bytes(), 100);
   EXPECT_EQ(q.size_bytes(), 200);
+  EXPECT_EQ(pool.in_use(), 2u);  // a dropped packet takes no record
 }
 
 TEST(DropTailQueue, PopFreesCapacity) {
+  PacketPool pool;
   DropTailQueue q(200);
-  EXPECT_TRUE(q.push(test_packet(0, 1, 150)));
-  EXPECT_FALSE(q.push(test_packet(0, 1, 100)));
-  ASSERT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.push(test_packet(0, 1, 100)));
+  EXPECT_TRUE(q.push(pool, test_packet(0, 1, 150)));
+  EXPECT_FALSE(q.push(pool, test_packet(0, 1, 100)));
+  const std::uint32_t r = q.pop(pool);
+  ASSERT_NE(r, PacketPool::kNil);
+  pool.release(r);
+  EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
 }
 
 TEST(DropTailQueue, CountsEnqueued) {
+  PacketPool pool;
   DropTailQueue q(1000);
-  q.push(test_packet(0, 1, 100));
-  q.push(test_packet(0, 1, 100));
+  q.push(pool, test_packet(0, 1, 100));
+  q.push(pool, test_packet(0, 1, 100));
   EXPECT_EQ(q.enqueued(), 2);
   EXPECT_EQ(q.size_packets(), 2u);
+}
+
+TEST(DropTailQueue, QueuesSharingOnePoolKeepTheirOwnOrder) {
+  // Two queues interleave pushes and pops through one pool: records freed
+  // by one are reused by the other, yet each list stays FIFO.
+  PacketPool pool;
+  DropTailQueue a(10'000);
+  DropTailQueue b(10'000);
+  std::int64_t next_a = 0;
+  std::int64_t next_b = 1000;
+  std::int64_t want_a = 0;
+  std::int64_t want_b = 1000;
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 1 + round % 3; ++k) {
+      Packet p = test_packet(0, 1, 100);
+      p.seq = next_a++;
+      ASSERT_TRUE(a.push(pool, p));
+      p.seq = next_b++;
+      ASSERT_TRUE(b.push(pool, p));
+    }
+    for (DropTailQueue* q : {&a, &b}) {
+      const std::uint32_t r = q->pop(pool);
+      ASSERT_NE(r, PacketPool::kNil);
+      EXPECT_EQ(pool[r].pkt.seq, q == &a ? want_a++ : want_b++);
+      pool.release(r);
+    }
+  }
+  EXPECT_EQ(pool.in_use(), a.size_packets() + b.size_packets());
+  EXPECT_LE(pool.capacity(), pool.in_use() + 2);  // freed records were reused
 }
 
 TEST(Link, DeliversAfterSerializationPlusPropagation) {
@@ -247,6 +286,67 @@ TEST(Network, DeliveredBytesCounter) {
   loop.run();
   EXPECT_EQ(l.bytes_delivered_from(a.id()), 2000);
   EXPECT_EQ(l.bytes_delivered_from(b.id()), 0);
+}
+
+TEST(Network, LinksAndDirectionsShareOnePoolInOrder) {
+  // Two links, both directions of each, interleave bursts through the one
+  // network-wide packet pool. Each direction still delivers FIFO, drops at
+  // its own tail, and counts only its own bytes.
+  sim::EventLoop loop;
+  Network net(loop);
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  auto& c = net.add_node<SinkNode>("c");
+  auto& d = net.add_node<SinkNode>("d");
+  // Room for three 1000-byte packets behind the one serializing.
+  const LinkSpec spec{Bandwidth::mbps(2.0), Duration::millis(3), 3'000};
+  Link& ab = net.connect(a, b, spec);
+  Link& cd = net.connect(c, d, spec);
+  net.build_routes();
+  const std::vector<std::pair<SinkNode*, SinkNode*>> flows = {
+      {&a, &b}, {&b, &a}, {&c, &d}, {&d, &c}};
+  std::vector<Bytes> sent_bytes(flows.size(), 0);
+  for (int i = 0; i < 8; ++i) {
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      // Sizes differ per flow and per packet, so a byte counter fed by the
+      // wrong direction cannot match.
+      Packet p = test_packet(flows[f].first->id(), flows[f].second->id(),
+                             1000 - 20 * static_cast<Bytes>(f) - i);
+      p.seq = i;
+      sent_bytes[f] += p.wire_size;
+      net.forward(p.src, p);
+    }
+  }
+  loop.run();
+  const std::vector<const Link*> link_of = {&ab, &ab, &cd, &cd};
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const SinkNode& dst = *flows[f].second;
+    const DropTailQueue& q = link_of[f]->queue_from(flows[f].first->id());
+    // One serializing plus three queued; the rest fell off the tail.
+    ASSERT_EQ(dst.packets.size(), 4u) << "flow " << f;
+    Bytes got = 0;
+    for (std::size_t k = 0; k < dst.packets.size(); ++k) {
+      EXPECT_EQ(dst.packets[k].seq, static_cast<std::int64_t>(k)) << "flow " << f;
+      EXPECT_EQ(dst.packets[k].src, flows[f].first->id());
+      got += dst.packets[k].wire_size;
+    }
+    EXPECT_EQ(q.drops(), 4) << "flow " << f;
+    EXPECT_EQ(got + q.dropped_bytes(), sent_bytes[f]) << "flow " << f;
+    EXPECT_EQ(link_of[f]->bytes_delivered_from(flows[f].first->id()), got) << "flow " << f;
+  }
+  EXPECT_EQ(net.packets().in_use(), 0u);
+  // Never more than four per direction were held at once.
+  EXPECT_LE(net.packets().capacity(), 16u);
+}
+
+TEST(Network, DeliverWorksBeforeRoutesAreBuilt) {
+  sim::EventLoop loop;
+  Network net(loop);
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  net.deliver(b.id(), test_packet(a.id(), b.id(), 100));
+  ASSERT_EQ(b.packets.size(), 1u);
+  EXPECT_TRUE(a.packets.empty());
 }
 
 }  // namespace

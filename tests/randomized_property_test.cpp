@@ -17,6 +17,7 @@
 #include "exp/experiment.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp_test_listener.hpp"
 #include "transport/host.hpp"
 #include "transport/ooo_tracker.hpp"
 #include "util/rng.hpp"
@@ -280,6 +281,7 @@ TEST(RandomizedProperty, OooTrackerSpillsAndRecoversBeyondInlineCapacity) {
 }
 
 TEST(RandomizedProperty, RandomConnectedTopologiesRouteAllPairs) {
+  transport::test::FnListeners listeners;
   util::RngStream rng(102, "topo-fuzz");
   for (int trial = 0; trial < 5; ++trial) {
     sim::EventLoop loop;
@@ -317,11 +319,10 @@ TEST(RandomizedProperty, RandomConnectedTopologiesRouteAllPairs) {
     int completed = 0;
     for (auto* server : hs) {
       server->listen(80, [&](transport::TcpConnection& c) {
-        transport::TcpConnection::Callbacks cbs;
-        cbs.on_data = [&completed](Bytes n) {
+        auto& cbs = listeners.attach(c);
+        cbs.data = [&completed](Bytes n) {
           if (n > 0) ++completed;
         };
-        c.set_callbacks(std::move(cbs));
       });
     }
     int expected = 0;

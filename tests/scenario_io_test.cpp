@@ -341,6 +341,62 @@ TEST(ScenarioIoErrors, IntFieldsPastIntMaxNameTheKey) {
   EXPECT_EQ(f.scenarios[0].config.groups[0].count, 2147483647);
 }
 
+// Link rates and delays that would crash the link model are refused by
+// name: a rate that rounds to 0 bit/s or overflows int64 bit/s, and a delay
+// whose nanoseconds overflow int64 (9223372036854775 us parses as the
+// double 9223372036854776, one microsecond past the limit).
+TEST(ScenarioIoErrors, LinkRatesAndDelaysOutOfRangeNameTheKey) {
+  const auto scenario = [](const std::string& body) {
+    return R"({"scenarios": [{)" + body + "}]}";
+  };
+  const auto group = [&](const std::string& key, const std::string& value) {
+    return scenario(R"("groups": [{"label": "g", "count": 1, ")" + key + R"(": )" + value +
+                    "}]");
+  };
+  const auto object = [&](const std::string& block, const std::string& key,
+                          const std::string& value) {
+    return scenario(R"(")" + block + R"(": {")" + key + R"(": )" + value + "}");
+  };
+  const std::string kRoundsToZero = "rounds to 0 bit/s";
+  const std::string kRateOverflow = "overflows int64 bit/s";
+  const std::string kDelayOverflow = "must be <= 9223372036854775 (got";
+  for (const char* tiny : {"1e-9", "4e-7"}) {
+    expect_parse_error(group("access_bw_mbps", tiny), "access_bw_mbps: " + kRoundsToZero);
+    expect_parse_error(object("collateral", "access_bw_mbps", tiny),
+                       "collateral.access_bw_mbps: " + kRoundsToZero);
+    expect_parse_error(object("bottleneck", "rate_mbps", tiny),
+                       "bottleneck.rate_mbps: " + kRoundsToZero);
+    expect_parse_error(object("proxy", "uplink_mbps", tiny), "proxy.uplink_mbps: " + kRoundsToZero);
+    expect_parse_error(object("thinner", "bw_mbps", tiny), "thinner.bw_mbps: " + kRoundsToZero);
+  }
+  for (const char* huge : {"1e300", "9.3e12"}) {
+    expect_parse_error(group("access_bw_mbps", huge), "access_bw_mbps: " + kRateOverflow);
+    expect_parse_error(object("collateral", "access_bw_mbps", huge),
+                       "collateral.access_bw_mbps: " + kRateOverflow);
+    expect_parse_error(object("bottleneck", "rate_mbps", huge),
+                       "bottleneck.rate_mbps: " + kRateOverflow);
+    expect_parse_error(object("proxy", "uplink_mbps", huge), "proxy.uplink_mbps: " + kRateOverflow);
+    expect_parse_error(object("thinner", "bw_mbps", huge), "thinner.bw_mbps: " + kRateOverflow);
+  }
+  for (const char* far : {"9223372036854775", "10000000000000000"}) {
+    expect_parse_error(group("access_delay_us", far), "access_delay_us: " + kDelayOverflow);
+    expect_parse_error(object("collateral", "access_delay_us", far),
+                       "collateral.access_delay_us: " + kDelayOverflow);
+    expect_parse_error(object("bottleneck", "delay_us", far), "bottleneck.delay_us: " + kDelayOverflow);
+    expect_parse_error(object("proxy", "delay_us", far), "proxy.delay_us: " + kDelayOverflow);
+    expect_parse_error(object("thinner", "delay_us", far), "thinner.delay_us: " + kDelayOverflow);
+  }
+  // The edges that still fit parse to exactly what the link model gets.
+  const ScenarioFile f = parse_scenario_file(scenario(
+      R"("groups": [{"label": "g", "count": 1, "access_bw_mbps": 5e-7,)"
+      R"( "access_delay_us": 9223372036854774}], "bottleneck": {"rate_mbps": 9.2e12}, )"
+      R"("thinner": {"delay_us": 0})"));
+  EXPECT_EQ(f.scenarios[0].config.groups[0].access_bw.bits_per_sec(), 1);
+  EXPECT_EQ(f.scenarios[0].config.groups[0].access_delay.ns(), 9223372036854774000);
+  ASSERT_TRUE(f.scenarios[0].config.bottleneck.has_value());
+  EXPECT_EQ(f.scenarios[0].config.bottleneck->rate.bits_per_sec(), 9'200'000'000'000'000'000);
+}
+
 TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {
   expect_parse_error(R"({"scenarios": []})", "at least one");
   expect_parse_error(R"({"scenarios": [{"lan": {"good": 1}, "groups": []}]})",

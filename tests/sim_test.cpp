@@ -2,6 +2,8 @@
 // timers.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -134,8 +136,8 @@ TEST(EventLoop, ExecutedEventsCountsOnlyFired) {
 TEST(Timer, FiresAfterDelay) {
   EventLoop loop;
   int fired = 0;
-  Timer t(loop, [&] { ++fired; });
-  t.restart(Duration::millis(5));
+  Timer t(loop);
+  t.restart(Duration::millis(5), [&] { ++fired; });
   EXPECT_TRUE(t.pending());
   loop.run();
   EXPECT_EQ(fired, 1);
@@ -145,9 +147,10 @@ TEST(Timer, FiresAfterDelay) {
 TEST(Timer, RestartSupersedesPreviousArming) {
   EventLoop loop;
   std::vector<double> at;
-  Timer t(loop, [&] { at.push_back(loop.now().sec()); });
-  t.restart(Duration::millis(5));
-  t.restart(Duration::millis(20));
+  const auto record = [&] { at.push_back(loop.now().sec()); };
+  Timer t(loop);
+  t.restart(Duration::millis(5), record);
+  t.restart(Duration::millis(20), record);
   loop.run();
   ASSERT_EQ(at.size(), 1u);
   EXPECT_DOUBLE_EQ(at[0], 0.020);
@@ -156,8 +159,8 @@ TEST(Timer, RestartSupersedesPreviousArming) {
 TEST(Timer, CancelStopsFiring) {
   EventLoop loop;
   int fired = 0;
-  Timer t(loop, [&] { ++fired; });
-  t.restart(Duration::millis(5));
+  Timer t(loop);
+  t.restart(Duration::millis(5), [&] { ++fired; });
   t.cancel();
   loop.run();
   EXPECT_EQ(fired, 0);
@@ -167,8 +170,8 @@ TEST(Timer, DestructionCancels) {
   EventLoop loop;
   int fired = 0;
   {
-    Timer t(loop, [&] { ++fired; });
-    t.restart(Duration::millis(5));
+    Timer t(loop);
+    t.restart(Duration::millis(5), [&] { ++fired; });
   }
   loop.run();
   EXPECT_EQ(fired, 0);
@@ -178,29 +181,24 @@ TEST(Timer, CallbackMayDestroyOwnTimer) {
   // Protocol code routinely tears down the state that owns the timer from
   // inside the timeout handler; this must not crash.
   EventLoop loop;
-  auto owner = std::make_unique<Timer>(loop, [] {});
-  auto* raw = owner.get();
-  Timer* leaked = nullptr;
-  auto holder = std::make_unique<Timer>(loop, [&] {
+  auto owner = std::make_unique<Timer>(loop);
+  auto holder = std::make_unique<Timer>(loop);
+  holder->restart(Duration::millis(1), [&] {
     owner.reset();  // destroys the other timer
   });
-  (void)raw;
-  (void)leaked;
-  holder->restart(Duration::millis(1));
-  owner->restart(Duration::millis(10));
+  owner->restart(Duration::millis(10), [] {});
   loop.run();
   EXPECT_EQ(owner, nullptr);
 }
 
 TEST(Timer, SelfDestructionInsideOwnCallback) {
   EventLoop loop;
-  std::unique_ptr<Timer> t;
+  auto t = std::make_unique<Timer>(loop);
   int fired = 0;
-  t = std::make_unique<Timer>(loop, [&] {
+  t->restart(Duration::millis(1), [&] {
     ++fired;
     t.reset();  // destroy the timer from within its own callback
   });
-  t->restart(Duration::millis(1));
   loop.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(t, nullptr);
@@ -209,13 +207,29 @@ TEST(Timer, SelfDestructionInsideOwnCallback) {
 TEST(Timer, PeriodicRestartPattern) {
   EventLoop loop;
   int fired = 0;
-  Timer t(loop, [&] {
-    if (++fired < 5) t.restart(Duration::millis(10));
-  });
-  t.restart(Duration::millis(10));
+  Timer t(loop);
+  std::function<void()> tick = [&] {
+    if (++fired < 5) t.restart(Duration::millis(10), [&] { tick(); });
+  };
+  t.restart(Duration::millis(10), [&] { tick(); });
   loop.run();
   EXPECT_EQ(fired, 5);
   EXPECT_DOUBLE_EQ(loop.now().sec(), 0.050);
+}
+
+TEST(Timer, PendingRestartKeepsItsArmedCallback) {
+  // Rescheduling in place reuses the event record, callback included:
+  // that is what keeps per-ack RTO re-arms free of closure churn.
+  EventLoop loop;
+  int first = 0;
+  int second = 0;
+  Timer t(loop);
+  t.restart(Duration::millis(5), [&] { ++first; });
+  t.restart(Duration::millis(20), [&] { ++second; });
+  loop.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(loop.now().ns(), Duration::millis(20).ns());
 }
 
 }  // namespace

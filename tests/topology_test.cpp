@@ -8,6 +8,7 @@
 #include "exp/experiment.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp_test_listener.hpp"
 #include "transport/host.hpp"
 
 namespace speakup {
@@ -16,6 +17,7 @@ namespace {
 TEST(Topology, ManyFlowsFillASharedBottleneck) {
   // 8 senders through a 4 Mbit/s bottleneck: aggregate goodput approaches
   // the link rate even though each flow's share is small.
+  transport::test::FnListeners listeners;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& sw = net.add_switch("sw");
@@ -33,9 +35,8 @@ TEST(Topology, ManyFlowsFillASharedBottleneck) {
   net.build_routes();
   Bytes delivered = 0;
   sink.listen(80, [&](transport::TcpConnection& c) {
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   for (auto* h : senders) h->connect(sink.id(), 80).write(megabytes(50));
   loop.run_until(SimTime::zero() + Duration::seconds(30.0));
@@ -123,6 +124,7 @@ TEST(Topology, CollateralBaselineMatchesPathPhysics) {
 TEST(Topology, AsymmetricDuplexCarriesAcksUnimpeded) {
   // Data a->b at 1 Mbit/s with a fat reverse channel: ACKs never queue, so
   // goodput matches the forward rate.
+  transport::test::FnListeners listeners;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& a = net.add_node<transport::Host>("a");
@@ -132,9 +134,8 @@ TEST(Topology, AsymmetricDuplexCarriesAcksUnimpeded) {
   net.build_routes();
   Bytes delivered = 0;
   b.listen(80, [&](transport::TcpConnection& c) {
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   a.connect(b.id(), 80).write(megabytes(3));
   loop.run_until(SimTime::zero() + Duration::seconds(20.0));

@@ -12,6 +12,7 @@
 
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp_test_listener.hpp"
 #include "transport/host.hpp"
 
 // Zero-allocation assertions use util::AllocGuard; the counting operator
@@ -42,12 +43,12 @@ struct Pair {
 TEST(TcpEdge, MaxInflightCapsThroughputOnLongFatPath) {
   // 100 Mbit/s, 100 ms RTT: BDP = 1.25 MB >> the 64 KB window, so goodput
   // is window/RTT ~= 5 Mbit/s, not the link rate.
+  test::FnListeners listeners;
   Pair p(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 4'000'000});
   Bytes delivered = 0;
   p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   p.a->connect(p.b->id(), 80).write(megabytes(20));
   p.run_for(10.0);
@@ -57,15 +58,15 @@ TEST(TcpEdge, MaxInflightCapsThroughputOnLongFatPath) {
 }
 
 TEST(TcpEdge, LargerWindowRaisesLongFatThroughput) {
+  test::FnListeners listeners;
   TcpConfig big;
   big.max_inflight = 512 * 1024;
   big.initial_ssthresh = 512 * 1024;
   Pair p(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 4'000'000}, big);
   Bytes delivered = 0;
   p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   p.a->connect(p.b->id(), 80).write(megabytes(40));
   p.run_for(10.0);
@@ -76,14 +77,14 @@ TEST(TcpEdge, SenderSurvivesTotalBlackout) {
   // The peer vanishes mid-transfer (we model it by aborting the receiving
   // endpoint silently — its RST races ahead but the sender's state machine
   // must terminate cleanly either way).
+  test::FnListeners listeners;
   Pair p(net::LinkSpec{Bandwidth::mbps(2.0), Duration::millis(5), 96'000});
   TcpConnection* server_side = nullptr;
   p.b->listen(80, [&](TcpConnection& c) { server_side = &c; });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   bool reset = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.reset = [&] { reset = true; };
   c.write(megabytes(1));
   p.run_for(1.0);
   ASSERT_NE(server_side, nullptr);
@@ -115,6 +116,7 @@ TEST(TcpEdge, StaleDataAfterTeardownDrawsRst) {
 TEST(TcpEdge, RtoBackoffGrowsExponentially) {
   // A connection whose peer never answers: SYN retries should back off and
   // eventually give up (max_syn_retries).
+  test::FnListeners listeners;
   TcpConfig cfg;
   cfg.max_syn_retries = 3;
   sim::EventLoop loop;
@@ -127,9 +129,8 @@ TEST(TcpEdge, RtoBackoffGrowsExponentially) {
   net.build_routes();
   bool reset = false;
   TcpConnection& c = a.connect(blackhole.id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.reset = [&] { reset = true; };
   // 3 s + 6 s + 12 s + 24 s of backoff before giving up: not yet at 20 s...
   loop.run_until(SimTime::zero() + Duration::seconds(20.0));
   EXPECT_FALSE(reset);
@@ -215,12 +216,12 @@ TEST(TcpEdge, SteadyStateLossPathIsAllocationFree) {
   // warm-up, none of it may touch the allocator — the interval vector is
   // inline/pooled, timer re-arms reuse their event record, and packets
   // ride pooled link records.
+  test::FnListeners listeners;
   Pair p(net::LinkSpec{Bandwidth::mbps(10.0), Duration::millis(1), 6'000});
   Bytes delivered = 0;
   p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   c.write(megabytes(200));  // far more than the run can move: never drains
@@ -320,12 +321,12 @@ TEST(TcpEdge, ZeroByteWriteIsNoop) {
 }
 
 TEST(TcpEdge, ManySmallWritesCoalesceIntoSegments) {
+  test::FnListeners listeners;
   Pair p(net::LinkSpec{Bandwidth::mbps(10.0), Duration::millis(1), 96'000});
   Bytes delivered = 0;
   p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   p.run_for(0.1);
@@ -345,13 +346,13 @@ struct RateCase {
 class TcpThroughputSweep : public ::testing::TestWithParam<RateCase> {};
 
 TEST_P(TcpThroughputSweep, BulkTransferUsesMostOfTheLink) {
+  test::FnListeners listeners;
   const double rate = static_cast<double>(GetParam().mbps);
   Pair p(net::LinkSpec{Bandwidth::mbps(rate), Duration::millis(2), 96'000});
   Bytes delivered = 0;
   p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes n) { delivered += n; };
   });
   p.a->connect(p.b->id(), 80).write(megabytes(100));
   p.run_for(10.0);

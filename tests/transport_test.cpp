@@ -5,10 +5,13 @@
 
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp_test_listener.hpp"
 #include "transport/host.hpp"
 
 namespace speakup::transport {
@@ -30,14 +33,14 @@ struct TwoHostNet {
 constexpr net::LinkSpec kLan{Bandwidth::mbps(2.0), Duration::millis(1), 96'000};
 
 TEST(Tcp, HandshakeEstablishesBothEnds) {
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   TcpConnection* accepted = nullptr;
   t.b->listen(80, [&](TcpConnection& c) { accepted = &c; });
   bool established = false;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established = true; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.established = [&] { established = true; };
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   EXPECT_TRUE(established);
   ASSERT_NE(accepted, nullptr);
@@ -48,13 +51,13 @@ TEST(Tcp, HandshakeEstablishesBothEnds) {
 }
 
 TEST(Tcp, HandshakeTakesOneRtt) {
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   t.b->listen(80, [](TcpConnection&) {});
   SimTime established_at;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established_at = t.loop.now(); };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.established = [&] { established_at = t.loop.now(); };
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   // SYN + SYN-ACK, each 1 ms propagation + tiny serialization.
   EXPECT_GE(established_at.ns(), Duration::millis(2).ns());
@@ -62,28 +65,28 @@ TEST(Tcp, HandshakeTakesOneRtt) {
 }
 
 TEST(Tcp, ConnectionToNonListeningPortResets) {
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   bool reset = false;
   TcpConnection& c = t.a->connect(t.b->id(), 4242);
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.reset = [&] { reset = true; };
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   EXPECT_TRUE(reset);
 }
 
 /// Transfers `n` bytes a->b and returns the completion time (seconds).
 double transfer_time(const net::LinkSpec& spec, Bytes n) {
+  test::FnListeners listeners;
   TwoHostNet t(spec);
   Bytes delivered = 0;
   SimTime done_at;
   t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, n](Bytes newly) {
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&, n](Bytes newly) {
       delivered += newly;
       if (delivered >= n) done_at = t.net.loop().now();
     };
-    c.set_callbacks(std::move(cbs));
   });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(n);
@@ -111,12 +114,12 @@ TEST(Tcp, ThroughputScalesWithBandwidth) {
 TEST(Tcp, SlowStartDoublesPerRtt) {
   // With a 100 ms RTT and an initial window of 2 MSS, delivered bytes
   // should roughly double each RTT during slow start.
+  test::FnListeners listeners;
   TwoHostNet t(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 1'000'000});
   Bytes delivered = 0;
   t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes newly) { delivered += newly; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes newly) { delivered += newly; };
   });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(megabytes(4));
@@ -141,12 +144,12 @@ TEST(Tcp, SlowStartDoublesPerRtt) {
 
 TEST(Tcp, SmallMessageNeedsNoFullMss) {
   // 200 bytes should arrive as a single sub-MSS segment quickly.
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   Bytes delivered = 0;
   t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes newly) { delivered += newly; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&](Bytes newly) { delivered += newly; };
   });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(200);
@@ -154,14 +157,42 @@ TEST(Tcp, SmallMessageNeedsNoFullMss) {
   EXPECT_EQ(delivered, 200);
 }
 
+// Every client host carries connection slots, so the object's size is a
+// per-client memory cost at 10^5-client scale (docs/performance.md).
+static_assert(sizeof(TcpConnection) <= 416, "TcpConnection grew past its memory budget");
+
+TEST(Tcp, ConfigIsFrozenWhileConnectionsLive) {
+  TwoHostNet t(kLan);
+  t.b->listen(80, [](TcpConnection&) {});
+  TcpConfig cfg;
+  cfg.mss = 536;
+  t.a->set_tcp_config(cfg);  // no connections yet: accepted
+  EXPECT_EQ(t.a->tcp_config().mss, 536);
+  TcpConnection& c = t.a->connect(t.b->id(), 80);
+  cfg.mss = 1000;
+  try {
+    t.a->set_tcp_config(cfg);
+    FAIL() << "set_tcp_config must refuse while connections live";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("host a"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(t.a->tcp_config().mss, 536);
+  // Once the host holds no connection again, the config may change.
+  c.abort();
+  t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
+  ASSERT_EQ(t.a->live_connections(), 0u);
+  t.a->set_tcp_config(cfg);
+  EXPECT_EQ(t.a->tcp_config().mss, 1000);
+}
+
 TEST(Tcp, OnAckedReportsProgress) {
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   t.b->listen(80, [](TcpConnection&) {});
   Bytes acked = 0;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_acked = [&](Bytes total) { acked = total; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.acked = [&](Bytes total) { acked = total; };
   c.write(10'000);
   t.loop.run_until(SimTime::zero() + Duration::seconds(2.0));
   EXPECT_EQ(acked, 10'000);
@@ -200,6 +231,7 @@ TEST(Tcp, SrttApproximatesPathRtt) {
 }
 
 TEST(Tcp, AbortSendsRstToPeer) {
+  test::FnListeners listeners;
   TwoHostNet t(kLan);
   TcpConnection* accepted = nullptr;
   t.b->listen(80, [&](TcpConnection& c) { accepted = &c; });
@@ -207,9 +239,8 @@ TEST(Tcp, AbortSendsRstToPeer) {
   t.loop.run_until(SimTime::zero() + Duration::millis(100));
   ASSERT_NE(accepted, nullptr);
   bool peer_reset = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { peer_reset = true; };
-  accepted->set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(*accepted);
+  cbs.reset = [&] { peer_reset = true; };
   c.abort();
   EXPECT_TRUE(c.closed());
   t.loop.run_until(SimTime::zero() + Duration::millis(200));
@@ -232,6 +263,7 @@ TEST(Tcp, SynLossRecoversViaRto) {
   // Drop the first SYN by using a zero-capacity... not possible; instead use
   // a queue fitting nothing beyond the in-flight packet and pre-fill the
   // link with a dummy transfer so the SYN is dropped.
+  test::FnListeners listeners;
   TwoHostNet t(net::LinkSpec{Bandwidth::kbps(64), Duration::millis(1), 100});
   t.b->listen(80, [](TcpConnection&) {});
   // Saturate the a->b direction so some control packets drop.
@@ -239,9 +271,8 @@ TEST(Tcp, SynLossRecoversViaRto) {
   filler.write(kilobytes(50));
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   bool established = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established = true; };
-  c.set_callbacks(std::move(cbs));
+  auto& cbs = listeners.attach(c);
+  cbs.established = [&] { established = true; };
   t.loop.run_until(SimTime::zero() + Duration::seconds(60.0));
   EXPECT_TRUE(established);  // SYN retries eventually get through
 }
@@ -249,6 +280,7 @@ TEST(Tcp, SynLossRecoversViaRto) {
 TEST(Tcp, TwoFlowsShareBottleneckFairly) {
   // Two hosts behind a shared 2 Mbit/s bottleneck send to the same sink;
   // long-run throughputs should be within 2x of each other.
+  test::FnListeners listeners;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& h1 = net.add_node<Host>("h1");
@@ -264,9 +296,8 @@ TEST(Tcp, TwoFlowsShareBottleneckFairly) {
   Bytes d2 = 0;
   sink.listen(80, [&](TcpConnection& c) {
     const auto remote = c.remote_node();
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, remote](Bytes n) { (remote == h1.id() ? d1 : d2) += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&, remote](Bytes n) { (remote == h1.id() ? d1 : d2) += n; };
   });
   h1.connect(sink.id(), 80).write(megabytes(100));
   h2.connect(sink.id(), 80).write(megabytes(100));
@@ -284,6 +315,7 @@ TEST(Tcp, ParallelConnectionsGrabLargerShare) {
   // One host opens 5 connections, the other 1, across a shared bottleneck:
   // the 5-connection host should get roughly 5x the bandwidth (§4.2's
   // n/(n+1) argument). Accept anything clearly above 2x.
+  test::FnListeners listeners;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& greedy = net.add_node<Host>("greedy");
@@ -299,9 +331,8 @@ TEST(Tcp, ParallelConnectionsGrabLargerShare) {
   Bytes dm = 0;
   sink.listen(80, [&](TcpConnection& c) {
     const auto remote = c.remote_node();
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, remote](Bytes n) { (remote == greedy.id() ? dg : dm) += n; };
-    c.set_callbacks(std::move(cbs));
+    auto& cbs = listeners.attach(c);
+    cbs.data = [&, remote](Bytes n) { (remote == greedy.id() ? dg : dm) += n; };
   });
   for (int i = 0; i < 5; ++i) greedy.connect(sink.id(), 80).write(megabytes(100));
   meek.connect(sink.id(), 80).write(megabytes(100));
