@@ -1,7 +1,7 @@
 // Pins the ExperimentResult fingerprints of every checked-in scenario file
 // except the 10^5-client million_clients.json: the smoke sweep, the
-// loss-heavy sweeps (shared_bottleneck.json, lossy.json), and the paper and
-// adversary sweeps.
+// loss-heavy sweeps (shared_bottleneck.json, lossy.json), the paper and
+// adversary sweeps, and the one-row-per-defense sweep (defenses.json).
 //
 // The hot-path refactor contract is behavior-invisibility: rewriting the
 // event representation, the timer store (heap vs wheel), the TCP
@@ -68,6 +68,9 @@ class PinCheck {
           << "' (events_executed=" << o.result.events_executed << ")";
     }
   }
+
+  /// Outcomes of run(), in queue order.
+  [[nodiscard]] const std::vector<RunOutcome>& outcomes() const { return runner_.outcomes(); }
 
  private:
   Runner runner_;
@@ -250,6 +253,31 @@ TEST(HotPathFingerprint, PaperAndAdversarySweepsMatchPerObjectEnginePins) {
       {"flash-crowd/quantum", "e57aef79825c57e3"},
   });
   check.run();
+}
+
+TEST(HotPathFingerprint, DefenseSweepMatchesPerDefenseFrontEndPins) {
+  // Captured from the per-defense front ends, each with its own copy of the
+  // thinner plumbing, just before they came to share one skeleton.
+  PinCheck check;
+  check.expect_pins("defenses.json", {
+      {"defenses/none", "7a7538be07fec866"},
+      {"defenses/retry", "4d15487b791db24f"},
+      {"defenses/auction", "262e1f7ed9fcca4e"},
+      {"defenses/quantum", "051e5a9bc69dc2f9"},
+      {"defenses/elastic", "1677cddc799bd4ed"},
+      {"defenses/puzzle", "533102968d87e2e6"},
+  });
+  check.run();
+  const std::vector<RunOutcome>& out = check.outcomes();
+  ASSERT_EQ(out.size(), 6U);
+  // The pins guard the defense-specific paths only if the rows take them.
+  const auto counter = [&](std::size_t row, const char* name) {
+    return out[row].result.thinner.counters.get(name);
+  };
+  EXPECT_GT(counter(3, "suspensions"), 0);
+  EXPECT_GT(counter(3, "aborts"), 0);
+  EXPECT_GT(counter(4, "elastic_scale_ups"), 0);
+  EXPECT_GT(counter(5, "puzzle_admitted"), 0);
 }
 
 }  // namespace
