@@ -74,7 +74,7 @@ void row3() {
   auto& sw = net.add_switch("sw");
   auto& th = net.add_node<transport::Host>("thinner");
   net.connect(th, sw, net::LinkSpec{Bandwidth::gbps(100.0), Duration::micros(100), 64'000'000});
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 0.001;
   core::AuctionThinner thinner(th, tc, util::RngStream(1, "srv"));
   std::vector<std::unique_ptr<http::MessageStream>> streams;

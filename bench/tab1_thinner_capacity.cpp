@@ -38,7 +38,7 @@ struct CapacityRig {
     thinner_host->set_tcp_config(cfg);
     net.connect(*thinner_host, sw,
                 net::LinkSpec{Bandwidth::gbps(100.0), Duration::micros(100), 64'000'000});
-    core::AuctionThinner::Config tc;
+    core::FrontEndConfig tc;
     tc.capacity_rps = 0.001;  // the server never finishes: everyone pays
     thinner = std::make_unique<core::AuctionThinner>(*thinner_host, tc,
                                                      util::RngStream(1, "srv"));

@@ -1,90 +1,65 @@
-// Bohatei-style elastic capacity (Fayaz et al., USENIX Security 2015): the
-// defense answers overload not by charging clients but by provisioning more
-// server capacity. Admission is identical to the undefended baseline (serve
-// whoever arrives while the server is free, kBusy otherwise); a periodic
-// monitor watches the server's busy fraction and doubles capacity — up to
-// max_scale times the base rate — whenever an interval runs at or above the
-// overload threshold. The tournament uses it as the "scale out instead of
-// charging" column: it restores good-client service under load but pays in
-// provisioned capacity rather than attacker bandwidth, and it cannot
-// distinguish good demand from bad.
+// The undefended baseline ("none") and Bohatei-style elastic capacity
+// ("elastic", Fayaz et al., USENIX Security 2015) are one front end.
 //
-// With max_scale == 1.0 the monitor is never armed, so a run is
-// event-for-event identical to NoDefenseFrontEnd (the differential test in
-// adversarial_test.cpp holds this as an invariant).
+// Admission serves whichever request arrives while the server is free and
+// answers kBusy otherwise, the moral equivalent of a refused connection or
+// a 503. The server's attention therefore divides in proportion to request
+// rates, which is what lets high-rate attackers crowd good clients out
+// (§3, Figure 1(a)). That is the "without speak-up" curve of Figures 2
+// and 3.
+//
+// "elastic" answers overload not by charging clients but by provisioning
+// more server capacity: a periodic monitor watches the server's busy
+// fraction and doubles capacity, up to elastic_max_scale times the base
+// rate, whenever an interval runs at or above elastic_threshold. The
+// tournament uses it as the "scale out instead of charging" column. It
+// restores good-client service under load but pays in provisioned capacity
+// rather than attacker bandwidth, and it cannot tell good demand from bad.
+//
+// "none" is this front end unscaled: the monitor is never armed. So is
+// "elastic" with elastic_max_scale == 1.0, which makes a run event for
+// event identical to "none" (adversarial_test.cpp holds this invariant).
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <string_view>
 #include <unordered_map>
 
-#include "core/front_end.hpp"
-#include "core/thinner_stats.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
-#include "server/emulated_server.hpp"
-#include "transport/host.hpp"
-#include "util/rng.hpp"
+#include "core/thinner.hpp"
 
 namespace speakup::core {
 
-class ElasticFrontEnd : public FrontEnd {
+class ElasticFrontEnd : public Thinner<server::EmulatedServer> {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;
-    /// Capacity ceiling, as a multiple of the base rate. 1.0 = never scale.
-    double max_scale = 4.0;
-    /// Monitoring interval between scale decisions.
-    Duration interval = Duration::seconds(5);
-    /// Busy fraction over an interval at or above which capacity doubles.
-    double threshold = 0.9;
-    std::uint32_t request_port = 80;
-  };
+  /// `unscaled` builds "none": the elastic_* fields are ignored.
+  ElasticFrontEnd(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng,
+                  bool unscaled = false);
 
-  ElasticFrontEnd(transport::Host& host, const Config& cfg, util::RngStream server_rng);
-
-  // --- FrontEnd ---
-  [[nodiscard]] std::string_view name() const override { return "elastic"; }
-  [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
+  [[nodiscard]] std::string_view name() const override {
+    return unscaled_ ? "none" : "elastic";
+  }
   [[nodiscard]] std::size_t contending() const override { return serving_.size(); }
-  [[nodiscard]] Duration server_busy_good() const override {
-    return server_.good_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_bad() const override {
-    return server_.bad_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_total() const override { return server_.busy_time(); }
 
   void on_run_start() override;
 
   /// Current capacity multiplier (1.0 until the monitor first scales up).
   [[nodiscard]] double scale() const { return scale_; }
-  [[nodiscard]] const server::EmulatedServer& server() const { return server_; }
 
  private:
   struct Pending {
-    std::uint64_t id = 0;
     http::ClientClass cls = http::ClientClass::kNeutral;
     http::MessageStream* session = nullptr;
   };
 
-  void on_accept(transport::TcpConnection& conn);
-  void on_message(http::MessageStream& s, const http::Message& m);
-  void on_reset(http::MessageStream& s);
-  void on_server_complete(const server::ServiceRequest& done);
+  void on_request(http::MessageStream& s, const http::Message& m) override;
+  void on_stream_lost(std::uint64_t id, http::MessageStream& s) override;
+  void on_server_complete(const server::ServiceRequest& done) override;
   void on_monitor_tick();
 
-  transport::Host* host_;
-  Config cfg_;
-  server::EmulatedServer server_;
-  http::SessionPool pool_;
-  ThinnerStats stats_;
-  std::unordered_map<std::uint64_t, Pending> serving_;
-  std::unordered_map<http::MessageStream*, std::uint64_t> by_stream_;
+  bool unscaled_;
   double scale_ = 1.0;
   Duration busy_at_tick_ = Duration::zero();
+  std::unordered_map<std::uint64_t, Pending> serving_;
 };
 
 }  // namespace speakup::core

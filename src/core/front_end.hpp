@@ -20,14 +20,16 @@
 namespace speakup::core {
 
 /// Construction-time knobs, a superset over all built-in defenses; each
-/// defense reads the fields it understands and ignores the rest. Mirrors
-/// the thinner section of exp::ScenarioConfig.
+/// defense takes the whole struct, reads the fields it understands and
+/// ignores the rest. Mirrors the thinner section of exp::ScenarioConfig.
 struct FrontEndConfig {
-  double capacity_rps = 100.0;
-  Bytes response_body = 1000;
+  double capacity_rps = 100.0;  // c, in difficulty-1 requests/s
+  Bytes response_body = 1000;   // served-response size
+  // The auctions (§7.3): a payment channel whose request never arrives is
+  // evicted after this long and its bytes are wasted.
   Duration payment_window = Duration::seconds(10);
   Duration quantum = Duration::zero();  // 0 -> 1/c (quantum auction only)
-  Duration suspension_limit = Duration::seconds(30);
+  Duration suspension_limit = Duration::seconds(30);  // §5 step 4
   // "elastic" (Bohatei-style scale-up): capacity may grow to
   // elastic_max_scale x the base rate, doubling after each monitoring
   // interval whose busy fraction reaches elastic_threshold. A max scale of

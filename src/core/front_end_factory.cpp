@@ -5,7 +5,6 @@
 
 #include "core/auction_thinner.hpp"
 #include "core/elastic_front_end.hpp"
-#include "core/no_defense.hpp"
 #include "core/puzzle_front_end.hpp"
 #include "core/quantum_thinner.hpp"
 #include "core/retry_thinner.hpp"
@@ -18,75 +17,27 @@ FrontEndFactory& FrontEndFactory::instance() {
   return factory;
 }
 
-// The built-ins register here, not via SPEAKUP_REGISTER_FRONT_END: static
-// registrars in a library archive are dropped by the linker when nothing
-// else references their translation unit, and after this refactor nothing
-// outside the factory names the concrete thinners.
+namespace {
+// Builds `Defense` from the shared config, passing `extra` after the RNG.
+template <class Defense, auto... extra>
+FrontEndFactory::Builder builder() {
+  return [](transport::Host& host, const FrontEndConfig& cfg,
+            util::RngStream rng) -> std::unique_ptr<FrontEnd> {
+    return std::make_unique<Defense>(host, cfg, std::move(rng), extra...);
+  };
+}
+}  // namespace
+
+// The built-ins register here rather than through static registrars in
+// their own files: a linker drops a library object that nothing references,
+// and nothing outside the factory names the concrete defenses.
 FrontEndFactory::FrontEndFactory() {
-  builders_.emplace_back(
-      "auction", [](transport::Host& host, const FrontEndConfig& cfg,
-                    util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        AuctionThinner::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.payment_window = cfg.payment_window;
-        tc.request_port = cfg.request_port;
-        tc.payment_port = cfg.payment_port;
-        return std::make_unique<AuctionThinner>(host, tc, std::move(rng));
-      });
-  builders_.emplace_back(
-      "retry", [](transport::Host& host, const FrontEndConfig& cfg,
-                  util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        RetryThinner::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.request_port = cfg.request_port;
-        return std::make_unique<RetryThinner>(host, tc, std::move(rng));
-      });
-  builders_.emplace_back(
-      "none", [](transport::Host& host, const FrontEndConfig& cfg,
-                 util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        NoDefenseFrontEnd::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.request_port = cfg.request_port;
-        return std::make_unique<NoDefenseFrontEnd>(host, tc, std::move(rng));
-      });
-  builders_.emplace_back(
-      "quantum", [](transport::Host& host, const FrontEndConfig& cfg,
-                    util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        QuantumAuctionThinner::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.payment_window = cfg.payment_window;
-        tc.quantum = cfg.quantum;
-        tc.suspension_limit = cfg.suspension_limit;
-        tc.request_port = cfg.request_port;
-        tc.payment_port = cfg.payment_port;
-        return std::make_unique<QuantumAuctionThinner>(host, tc, std::move(rng));
-      });
-  builders_.emplace_back(
-      "elastic", [](transport::Host& host, const FrontEndConfig& cfg,
-                    util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        ElasticFrontEnd::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.max_scale = cfg.elastic_max_scale;
-        tc.interval = cfg.elastic_interval;
-        tc.threshold = cfg.elastic_threshold;
-        tc.request_port = cfg.request_port;
-        return std::make_unique<ElasticFrontEnd>(host, tc, std::move(rng));
-      });
-  builders_.emplace_back(
-      "puzzle", [](transport::Host& host, const FrontEndConfig& cfg,
-                   util::RngStream rng) -> std::unique_ptr<FrontEnd> {
-        PuzzleFrontEnd::Config tc;
-        tc.capacity_rps = cfg.capacity_rps;
-        tc.response_body = cfg.response_body;
-        tc.puzzle_cost = cfg.puzzle_cost;
-        tc.request_port = cfg.request_port;
-        return std::make_unique<PuzzleFrontEnd>(host, tc, std::move(rng));
-      });
+  builders_.emplace_back("auction", builder<AuctionThinner>());
+  builders_.emplace_back("retry", builder<RetryThinner>());
+  builders_.emplace_back("none", builder<ElasticFrontEnd, /*unscaled=*/true>());
+  builders_.emplace_back("quantum", builder<QuantumAuctionThinner>());
+  builders_.emplace_back("elastic", builder<ElasticFrontEnd>());
+  builders_.emplace_back("puzzle", builder<PuzzleFrontEnd>());
 }
 
 void FrontEndFactory::register_defense(const std::string& name, Builder builder) {

@@ -1,11 +1,13 @@
 // Name-keyed registry of defense front ends.
 //
-// Every defense registers a builder under its canonical name (the same name
-// exp::to_string(DefenseMode) produces for the built-ins); the experiment
-// harness constructs whatever the scenario asks for by name. Adding a new
-// defense therefore touches no harness code: register it — statically via
-// SPEAKUP_REGISTER_FRONT_END or imperatively from a test — and every
-// scenario, bench, and sweep can run it.
+// Every defense registers a builder under its canonical name, the name a
+// scenario's "defense" key gives. The experiment harness constructs whatever
+// the scenario asks for by name, so adding a defense touches no harness
+// code. The six built-ins (none, retry, auction, quantum, elastic, puzzle)
+// register in the factory's constructor, each from the one FrontEndConfig;
+// "none" is the elastic front end with scaling off. Anything else, such as
+// a test's fake defense, registers through register_defense, and every
+// scenario, bench and sweep can then run it.
 #pragma once
 
 #include <functional>
@@ -55,20 +57,5 @@ class FrontEndFactory {
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, Builder>> builders_;
 };
-
-/// Static self-registration helper: at namespace scope,
-///   SPEAKUP_REGISTER_FRONT_END(my_defense, "mydefense",
-///       [](transport::Host& h, const FrontEndConfig& c, util::RngStream r) {
-///         return std::make_unique<MyDefense>(h, c, std::move(r));
-///       });
-struct FrontEndRegistrar {
-  FrontEndRegistrar(const std::string& name, FrontEndFactory::Builder builder) {
-    FrontEndFactory::instance().register_defense(name, std::move(builder));
-  }
-};
-
-#define SPEAKUP_REGISTER_FRONT_END(tag, name, ...) \
-  static const ::speakup::core::FrontEndRegistrar speakup_front_end_registrar_##tag{ \
-      name, __VA_ARGS__}
 
 }  // namespace speakup::core

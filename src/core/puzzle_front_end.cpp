@@ -1,16 +1,6 @@
 #include "core/puzzle_front_end.hpp"
 
-#include <algorithm>
-
-#include "obs/observer.hpp"
 #include "util/assert.hpp"
-
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
 
 namespace speakup::core {
 
@@ -19,50 +9,31 @@ using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-PuzzleFrontEnd::PuzzleFrontEnd(transport::Host& host, const Config& cfg,
+namespace {
+// Runs before the base class starts listening, so a rejected config leaves
+// no listener behind.
+const FrontEndConfig& checked(const FrontEndConfig& cfg) {
+  util::require(cfg.puzzle_cost > Duration::zero(), "puzzle cost must be positive");
+  return cfg;
+}
+}  // namespace
+
+PuzzleFrontEnd::PuzzleFrontEnd(transport::Host& host, const FrontEndConfig& cfg,
                                util::RngStream server_rng)
-    : host_(&host),
-      cfg_(cfg),
-      server_(host.loop(), cfg.capacity_rps, std::move(server_rng)),
-      pool_(host.loop()) {
-  util::require(cfg_.puzzle_cost > Duration::zero(), "puzzle cost must be positive");
-  server_.set_on_complete([this](const server::ServiceRequest& r) { on_server_complete(r); });
-  host.listen(cfg_.request_port, [this](transport::TcpConnection& c) { on_accept(c); });
-}
+    : Thinner(host, checked(cfg), std::move(server_rng)) {}
 
-void PuzzleFrontEnd::on_accept(transport::TcpConnection& conn) {
-  MessageStream& s = pool_.adopt(conn);
-  MessageStream::Callbacks cbs;
-  cbs.on_message = [this, &s](const Message& m) { on_message(s, m); };
-  cbs.on_reset = [this, &s] { on_reset(s); };
-  s.set_callbacks(std::move(cbs));
-}
-
-void PuzzleFrontEnd::count_served(ClientClass cls) {
-  if (cls == ClientClass::kGood) {
-    ++stats_.served_good;
-  } else if (cls == ClientClass::kBad) {
-    ++stats_.served_bad;
-  } else {
-    ++stats_.served_other;
-  }
-}
-
-void PuzzleFrontEnd::on_message(MessageStream& s, const Message& m) {
+void PuzzleFrontEnd::on_request(MessageStream& s, const Message& m) {
   if (m.type != MessageType::kRequest) return;
   ++stats_.requests_received;
   const SimTime now = host_->loop().now();
+  Tracked& t = requests_[m.request_id] = Tracked{m.cls, m.difficulty, &s, now, now};
+  by_stream_[&s] = m.request_id;
   if (!server_.busy() && ready_.empty()) {
     // Idle server, no solved work queued: admit at price 0, like the
     // auction's direct admissions.
     ++stats_.direct_admissions;
-    if (auto* o = host_->loop().observer()) {
-      o->on_admission(obs_cls(m.cls), 0.0, /*direct=*/true);
-    }
+    observe_admission(m.cls, 0.0, /*direct=*/true);
     count_served(m.cls);
-    requests_[m.request_id] =
-        Tracked{m.request_id, m.cls, m.difficulty, &s, State::kServing, now, now};
-    by_stream_[&s] = m.request_id;
     server_.submit(server::ServiceRequest{m.request_id, m.cls, m.difficulty});
     return;
   }
@@ -72,23 +43,18 @@ void PuzzleFrontEnd::on_message(MessageStream& s, const Message& m) {
   SimTime start = now;
   const auto it = client_cpu_free_.find(client);
   if (it != client_cpu_free_.end() && it->second > start) start = it->second;
-  const Duration solve = cfg_.puzzle_cost * m.difficulty;
-  const SimTime done = start + solve;
-  client_cpu_free_[client] = done;
-  requests_[m.request_id] =
-      Tracked{m.request_id, m.cls, m.difficulty, &s, State::kSolving, now, done};
-  by_stream_[&s] = m.request_id;
+  t.solve_done = start + cfg_.puzzle_cost * m.difficulty;
+  client_cpu_free_[client] = t.solve_done;
   const std::uint64_t id = m.request_id;
-  host_->loop().schedule(done - now, [this, id] { on_solved(id); });
+  host_->loop().schedule(t.solve_done - now, [this, id] { on_solved(id); });
 }
 
 void PuzzleFrontEnd::on_solved(std::uint64_t id) {
   const auto it = requests_.find(id);
   if (it == requests_.end()) return;  // client reset and was dropped
-  it->second.state = State::kReady;
   ready_.insert({it->second.solve_done.ns(), id});
   stats_.counters.inc("puzzle_solved");
-  if (auto* o = host_->loop().observer()) o->on_puzzle_solved();
+  if (auto* o = observer()) o->on_puzzle_solved();
   if (!server_.busy()) admit_next();
 }
 
@@ -97,52 +63,33 @@ void PuzzleFrontEnd::admit_next() {
   const auto first = ready_.begin();
   const std::uint64_t id = first->second;
   ready_.erase(first);
-  Tracked& t = requests_.at(id);
-  t.state = State::kServing;
+  const Tracked& t = requests_.at(id);
   stats_.counters.inc("puzzle_admitted");
   count_served(t.cls);
-  // The "payment" here is compute: record the request's wait from arrival
-  // to admission in the payment-time samples the other currencies use.
+  // The puzzle "price" is compute: record the request's wait from arrival
+  // to admission as its price and in the payment-time samples the other
+  // currencies use.
   const double waited = (host_->loop().now() - t.arrived).sec();
-  if (auto* o = host_->loop().observer()) {
-    // The puzzle "price" is compute time; record the wait as the price.
-    o->on_admission(obs_cls(t.cls), waited, /*direct=*/false);
-    o->on_puzzle_admitted(waited);
-  }
-  if (t.cls == ClientClass::kGood) {
-    stats_.payment_time_good.add(waited);
-  } else if (t.cls == ClientClass::kBad) {
-    stats_.payment_time_bad.add(waited);
-  }
-  server_.submit(server::ServiceRequest{t.id, t.cls, t.difficulty});
+  observe_admission(t.cls, waited, /*direct=*/false);
+  if (auto* o = observer()) o->on_puzzle_admitted(waited);
+  sample(t.cls, stats_.payment_time_good, stats_.payment_time_bad, waited);
+  server_.submit(server::ServiceRequest{id, t.cls, t.difficulty});
 }
 
 void PuzzleFrontEnd::on_server_complete(const server::ServiceRequest& done) {
   const auto it = requests_.find(done.request_id);
   if (it != requests_.end()) {
-    if (it->second.session != nullptr) {
-      it->second.session->send(Message{.type = MessageType::kResponse,
-                                       .request_id = done.request_id,
-                                       .body = cfg_.response_body});
-      by_stream_.erase(it->second.session);
-    }
+    respond(it->second.session, done.request_id, it->second.cls);
     requests_.erase(it);
   }
   admit_next();
 }
 
-void PuzzleFrontEnd::on_reset(MessageStream& s) {
-  const auto it = by_stream_.find(&s);
-  if (it != by_stream_.end()) {
-    const auto rit = requests_.find(it->second);
-    if (rit != requests_.end()) {
-      // Keep solving/ready state (the admission queue stays deterministic);
-      // only the response sink goes away.
-      rit->second.session = nullptr;
-    }
-    by_stream_.erase(it);
-  }
-  pool_.retire(&s);
+void PuzzleFrontEnd::on_stream_lost(std::uint64_t id, MessageStream& /*s*/) {
+  // Keep solving/ready state (the admission queue stays deterministic);
+  // only the response sink goes away.
+  const auto it = requests_.find(id);
+  if (it != requests_.end()) it->second.session = nullptr;
 }
 
 }  // namespace speakup::core

@@ -18,79 +18,38 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
-#include "core/front_end.hpp"
-#include "core/thinner_stats.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
-#include "server/emulated_server.hpp"
-#include "transport/host.hpp"
-#include "util/rng.hpp"
+#include "core/thinner.hpp"
 
 namespace speakup::core {
 
-class PuzzleFrontEnd : public FrontEnd {
+class PuzzleFrontEnd : public Thinner<server::EmulatedServer> {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;
-    /// Client compute per unit of request difficulty.
-    Duration puzzle_cost = Duration::seconds(2);
-    std::uint32_t request_port = 80;
-  };
+  PuzzleFrontEnd(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng);
 
-  PuzzleFrontEnd(transport::Host& host, const Config& cfg, util::RngStream server_rng);
-
-  // --- FrontEnd ---
   [[nodiscard]] std::string_view name() const override { return "puzzle"; }
-  [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   [[nodiscard]] std::size_t contending() const override { return requests_.size(); }
-  [[nodiscard]] Duration server_busy_good() const override {
-    return server_.good_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_bad() const override {
-    return server_.bad_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_total() const override { return server_.busy_time(); }
-
-  /// Held requests whose puzzle is solved but not yet admitted.
-  [[nodiscard]] std::size_t ready() const { return ready_.size(); }
-  [[nodiscard]] const server::EmulatedServer& server() const { return server_; }
 
  private:
-  enum class State { kSolving, kReady, kServing };
-
   struct Tracked {
-    std::uint64_t id = 0;
     http::ClientClass cls = http::ClientClass::kNeutral;
     int difficulty = 1;
     http::MessageStream* session = nullptr;
-    State state = State::kSolving;
     SimTime arrived;
     SimTime solve_done;
   };
 
-  void on_accept(transport::TcpConnection& conn);
-  void on_message(http::MessageStream& s, const http::Message& m);
-  void on_reset(http::MessageStream& s);
-  void on_server_complete(const server::ServiceRequest& done);
+  void on_request(http::MessageStream& s, const http::Message& m) override;
+  void on_stream_lost(std::uint64_t id, http::MessageStream& s) override;
+  void on_server_complete(const server::ServiceRequest& done) override;
   void on_solved(std::uint64_t id);
   void admit_next();
-  void count_served(http::ClientClass cls);
 
-  transport::Host* host_;
-  Config cfg_;
-  server::EmulatedServer server_;
-  http::SessionPool pool_;
-  ThinnerStats stats_;
   std::unordered_map<std::uint64_t, Tracked> requests_;
-  std::unordered_map<http::MessageStream*, std::uint64_t> by_stream_;
   /// Solved requests awaiting admission, ordered (solve completion, id).
   std::set<std::pair<std::int64_t, std::uint64_t>> ready_;
   /// When each client's (serial) CPU frees up; key is request_id >> 32.

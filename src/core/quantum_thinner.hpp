@@ -18,102 +18,32 @@
 // consume, which is the point of the generalization.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <string_view>
 
-#include "core/front_end.hpp"
-#include "core/thinner_stats.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
+#include "core/payment_thinner.hpp"
 #include "server/interruptible_server.hpp"
 #include "sim/timer.hpp"
-#include "transport/host.hpp"
-#include "util/rng.hpp"
 
 namespace speakup::core {
 
-class QuantumAuctionThinner : public FrontEnd {
+class QuantumAuctionThinner : public PaymentThinner<server::InterruptibleServer> {
  public:
-  struct Config {
-    double capacity_rps = 100.0;  // capacity in difficulty-1 requests/s
-    Bytes response_body = 1000;
-    Duration payment_window = Duration::seconds(10);   // missing-request eviction
-    Duration quantum = Duration::zero();               // 0 -> default 1/c
-    Duration suspension_limit = Duration::seconds(30); // §5 step 4
-    std::uint32_t request_port = 80;
-    std::uint32_t payment_port = 81;
-  };
+  /// The quantum is cfg.quantum, or 1/c when that is zero.
+  QuantumAuctionThinner(transport::Host& host, const FrontEndConfig& cfg,
+                        util::RngStream server_rng);
 
-  QuantumAuctionThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng);
-
-  // --- FrontEnd ---
   [[nodiscard]] std::string_view name() const override { return "quantum"; }
-  [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
-  [[nodiscard]] std::size_t contending() const override { return states_.size(); }
-  [[nodiscard]] Duration server_busy_good() const override {
-    return server_.good_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_bad() const override {
-    return server_.bad_busy_time();
-  }
-  /// The interruptible server only charges classified work, so the total is
-  /// the good + bad split (neutral traffic never reaches the §5 server).
-  [[nodiscard]] Duration server_busy_total() const override {
-    return server_.good_busy_time() + server_.bad_busy_time();
-  }
-
-  [[nodiscard]] const server::InterruptibleServer& server() const { return server_; }
-  [[nodiscard]] std::int64_t suspensions() const {
-    return stats_.counters.get("suspensions");
-  }
-  [[nodiscard]] std::int64_t aborts() const { return stats_.counters.get("aborts"); }
 
  private:
-  struct RequestState {
-    std::uint64_t id = 0;
-    http::ClientClass cls = http::ClientClass::kNeutral;
-    int difficulty = 1;
-    bool has_request = false;
-    bool active = false;      // currently holds the server
-    bool suspended = false;   // SUSPENDed inside the server
-    bool started = false;     // has been admitted at least once
-    Bytes paid = 0;           // bid for the *next* quantum
-    SimTime created;
-    SimTime suspended_at;
-    SimTime first_payment;
-    bool started_paying = false;
-    http::MessageStream* request_session = nullptr;
-    http::MessageStream* payment_session = nullptr;
-    std::unique_ptr<sim::Timer> expiry;  // payment window (armed while never admitted)
-  };
-
-  void on_request_accept(transport::TcpConnection& conn);
-  void on_payment_accept(transport::TcpConnection& conn);
-  void on_request_message(http::MessageStream& s, const http::Message& m);
-  void on_payment_message(http::MessageStream& s, const http::Message& m);
-  void on_payment_progress(http::MessageStream& s, const http::Message& m, Bytes newly);
-  void on_stream_reset(http::MessageStream& s);
-  void on_server_complete(const server::ServiceRequest& done);
+  /// Admits or RESUMEs `r`, zeroing its bid (§5 step 2).
+  void grant(Request& r) override;
+  void on_request_abandoned(Request& r) override { abort_request(r.id); }
+  void on_server_complete(const server::ServiceRequest& done) override;
   void quantum_tick();
-  void give_server_to(RequestState& st);
   void abort_request(std::uint64_t id);
-  void expire(std::uint64_t id);
-  void destroy_state(std::uint64_t id, bool abort_sessions);
-  RequestState& get_or_create(std::uint64_t id, http::ClientClass cls);
-  RequestState* state_for(http::MessageStream& s);
-  RequestState* active_state();
-  RequestState* top_contender();
+  Request* active();
 
-  transport::Host* host_;
-  Config cfg_;
   Duration quantum_;
-  server::InterruptibleServer server_;
-  http::SessionPool pool_;
-  ThinnerStats stats_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<RequestState>> states_;
-  std::unordered_map<http::MessageStream*, std::uint64_t> by_stream_;
   sim::Timer quantum_timer_;
 };
 

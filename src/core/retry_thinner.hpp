@@ -12,69 +12,35 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <string_view>
 #include <unordered_map>
 
-#include "core/front_end.hpp"
-#include "core/thinner_stats.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
-#include "server/emulated_server.hpp"
-#include "transport/host.hpp"
-#include "util/rng.hpp"
+#include "core/thinner.hpp"
 
 namespace speakup::core {
 
-class RetryThinner : public FrontEnd {
+class RetryThinner : public Thinner<server::EmulatedServer> {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;
-    std::uint32_t request_port = 80;
-  };
+  RetryThinner(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng)
+      : Thinner(host, cfg, std::move(server_rng)) {}
 
-  RetryThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng);
-
-  // --- FrontEnd ---
   [[nodiscard]] std::string_view name() const override { return "retry"; }
-  [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   [[nodiscard]] std::size_t contending() const override { return states_.size(); }
-  [[nodiscard]] Duration server_busy_good() const override {
-    return server_.good_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_bad() const override {
-    return server_.bad_busy_time();
-  }
-  [[nodiscard]] Duration server_busy_total() const override { return server_.busy_time(); }
-
-  [[nodiscard]] const server::EmulatedServer& server() const { return server_; }
-  [[nodiscard]] std::int64_t retries_received() const { return retries_received_; }
 
  private:
   struct RequestState {
-    std::uint64_t id = 0;
     http::ClientClass cls = http::ClientClass::kNeutral;
     int difficulty = 1;
+    http::MessageStream* session = nullptr;
     std::int64_t retries = 0;
     bool serving = false;
-    http::MessageStream* session = nullptr;
   };
 
-  void on_accept(transport::TcpConnection& conn);
-  void on_message(http::MessageStream& s, const http::Message& m);
-  void on_reset(http::MessageStream& s);
-  void on_server_complete(const server::ServiceRequest& done);
-  void admit(RequestState& st);
+  void on_request(http::MessageStream& s, const http::Message& m) override;
+  void on_stream_lost(std::uint64_t id, http::MessageStream& s) override;
+  void on_server_complete(const server::ServiceRequest& done) override;
 
-  transport::Host* host_;
-  Config cfg_;
-  server::EmulatedServer server_;
-  http::SessionPool pool_;
-  ThinnerStats stats_;
-  std::int64_t retries_received_ = 0;
-  std::unordered_map<std::uint64_t, std::unique_ptr<RequestState>> states_;
-  std::unordered_map<http::MessageStream*, std::uint64_t> by_stream_;
+  std::unordered_map<std::uint64_t, RequestState> states_;
 };
 
 }  // namespace speakup::core

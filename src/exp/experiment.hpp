@@ -11,11 +11,7 @@
 #include "client/client_stats.hpp"
 #include "client/file_transfer.hpp"
 #include "client/payment_proxy.hpp"
-#include "core/auction_thinner.hpp"
 #include "core/front_end.hpp"
-#include "core/no_defense.hpp"
-#include "core/quantum_thinner.hpp"
-#include "core/retry_thinner.hpp"
 #include "core/thinner_stats.hpp"
 #include "exp/scenario.hpp"
 #include "net/network.hpp"
@@ -110,21 +106,6 @@ class Experiment {
 
   /// The defense this experiment runs, whatever its concrete type.
   [[nodiscard]] core::FrontEnd* front_end() { return front_end_.get(); }
-
-  // Typed views for tests that poke defense internals: each is just a
-  // dynamic_cast of front_end(), null when the scenario runs another mode.
-  [[nodiscard]] core::AuctionThinner* auction_thinner() {
-    return dynamic_cast<core::AuctionThinner*>(front_end_.get());
-  }
-  [[nodiscard]] core::RetryThinner* retry_thinner() {
-    return dynamic_cast<core::RetryThinner*>(front_end_.get());
-  }
-  [[nodiscard]] core::NoDefenseFrontEnd* no_defense() {
-    return dynamic_cast<core::NoDefenseFrontEnd*>(front_end_.get());
-  }
-  [[nodiscard]] core::QuantumAuctionThinner* quantum_thinner() {
-    return dynamic_cast<core::QuantumAuctionThinner*>(front_end_.get());
-  }
 
   [[nodiscard]] client::PaymentProxy* payment_proxy() { return proxy_.get(); }
 

@@ -90,6 +90,23 @@ Duration link_delay(const json::Value& v, const std::string& ctx) {
   return Duration::micros(us);
 }
 
+/// A duration in seconds. Duration holds int64 nanoseconds, so a value
+/// whose nanoseconds reach 2^63 would wrap, and a `positive` one that rounds
+/// to 0 ns would reach the model as zero: refuse both, naming the key.
+Duration seconds_key(const json::Value& v, const std::string& ctx, bool positive) {
+  const double s = positive ? positive_num(v, ctx) : nonneg_num(v, ctx);
+  const double ns = s * 1e9 + 0.5;  // Duration::seconds's rounding
+  if (!(ns < 0x1p63)) {
+    fail(ctx, "overflows int64 nanoseconds (got " + json::number_to_string(s) +
+                  " s); durations must stay below 9.2e9 s");
+  }
+  if (positive && ns < 1.0) {
+    fail(ctx, "rounds to 0 ns (got " + json::number_to_string(s) +
+                  " s); it must be at least 5e-10 s");
+  }
+  return Duration::seconds(s);
+}
+
 /// An integer bound for an `int` field: values past INT_MAX fail naming the
 /// key instead of wrapping.
 int narrow(std::int64_t i, const std::string& ctx) {
@@ -264,9 +281,9 @@ client::WorkloadParams workload_from_json(const json::Value& v, const std::strin
     } else if (key == "post_size_bytes") {
       p.post_size = nonneg_int(val, kctx);
     } else if (key == "request_timeout_s") {
-      p.request_timeout = Duration::seconds(positive_num(val, kctx));
+      p.request_timeout = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "backlog_timeout_s") {
-      p.backlog_timeout = Duration::seconds(positive_num(val, kctx));
+      p.backlog_timeout = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "retry_pipeline") {
       p.retry_pipeline = narrow(positive_int(val, kctx), kctx);
     } else if (key == "strategy") {
@@ -400,7 +417,7 @@ void collateral_from_json(CollateralSpec& c, const json::Value& v, const std::st
     } else if (key == "behind_bottleneck") {
       c.behind_bottleneck = bool_of(val, kctx);
     } else if (key == "start_delay_s") {
-      c.start_delay = Duration::seconds(nonneg_num(val, kctx));
+      c.start_delay = seconds_key(val, kctx, /*positive=*/false);
     } else {
       fail(ctx, "unknown key \"" + key + "\"");
     }
@@ -430,29 +447,29 @@ ScenarioConfig config_from_json(const json::Value& v, const std::string& ctx) {
     } else if (key == "capacity_rps") {
       cfg.capacity_rps = positive_num(val, kctx);
     } else if (key == "duration_s") {
-      cfg.duration = Duration::seconds(positive_num(val, kctx));
+      cfg.duration = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "seed") {
       cfg.seed = static_cast<std::uint64_t>(nonneg_int(val, kctx));
     } else if (key == "payment_window_s") {
-      cfg.payment_window = Duration::seconds(positive_num(val, kctx));
+      cfg.payment_window = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "quantum_s") {
-      cfg.quantum = Duration::seconds(nonneg_num(val, kctx));
+      cfg.quantum = seconds_key(val, kctx, /*positive=*/false);
     } else if (key == "suspension_limit_s") {
-      cfg.suspension_limit = Duration::seconds(positive_num(val, kctx));
+      cfg.suspension_limit = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "response_body_bytes") {
       cfg.response_body = positive_int(val, kctx);
     } else if (key == "elastic_max_scale") {
       cfg.elastic_max_scale = num_of(val, kctx);
       if (cfg.elastic_max_scale < 1.0) fail(kctx, "must be >= 1");
     } else if (key == "elastic_interval_s") {
-      cfg.elastic_interval = Duration::seconds(positive_num(val, kctx));
+      cfg.elastic_interval = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "elastic_threshold") {
       cfg.elastic_threshold = num_of(val, kctx);
       if (cfg.elastic_threshold <= 0.0 || cfg.elastic_threshold > 1.0) {
         fail(kctx, "must be in (0, 1]");
       }
     } else if (key == "puzzle_cost_s") {
-      cfg.puzzle_cost = Duration::seconds(positive_num(val, kctx));
+      cfg.puzzle_cost = seconds_key(val, kctx, /*positive=*/true);
     } else if (key == "thinner") {
       link_spec_from_json(val, kctx, "bw_mbps", cfg.thinner_bw, cfg.thinner_delay,
                           cfg.thinner_queue);

@@ -91,6 +91,8 @@ class InterruptibleServer {
   // --- accounting (server time consumed, by class) ---
   [[nodiscard]] Duration good_busy_time() const { return good_busy_time_; }
   [[nodiscard]] Duration bad_busy_time() const { return bad_busy_time_; }
+  /// Only classified work is charged, so the total is the good + bad split.
+  [[nodiscard]] Duration busy_time() const { return good_busy_time_ + bad_busy_time_; }
   [[nodiscard]] std::int64_t completed() const { return completed_; }
 
  private:

@@ -158,7 +158,7 @@ TEST(Audit, OooTrackerCleanUnderMerges) {
 
 TEST(Audit, TrafficRigCleanAudits) {
   Rig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 20.0;
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(9, "srv"));
   client::ClientPool pool(rig.loop, rig.thinner_host->id(),

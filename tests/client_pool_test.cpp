@@ -83,7 +83,7 @@ TEST(ClientPool, RequestSlabRecyclesDenseSlots) {
 
 TEST(ClientPool, PauseStopsNewArrivals) {
   Rig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 100.0;
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   ClientPool pool(rig.loop, rig.thinner_host->id(), good_client_params(), 0);

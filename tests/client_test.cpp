@@ -61,7 +61,7 @@ TEST(Client, RejectsBadParameters) {
 
 TEST(Client, ServedByIdleServer) {
   Rig rig;
-  core::AuctionThinner::Config cfg;
+  core::FrontEndConfig cfg;
   cfg.capacity_rps = 100.0;
   core::AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_client_host("c");
@@ -79,7 +79,7 @@ TEST(Client, ServedByIdleServer) {
 
 TEST(Client, ArrivalRateMatchesLambda) {
   Rig rig;
-  core::AuctionThinner::Config cfg;
+  core::FrontEndConfig cfg;
   cfg.capacity_rps = 1000.0;
   core::AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_client_host("c");
@@ -159,7 +159,7 @@ TEST(Client, DistinctClientsUseDistinctRequestIds) {
 TEST(PaymentChannel, PostsChurnWhenPriceExceedsPostSize) {
   // Small POSTs force kPostContinue churn: the client must reopen channels.
   Rig rig;
-  core::AuctionThinner::Config cfg;
+  core::FrontEndConfig cfg;
   cfg.capacity_rps = 0.25;  // ~4 s service: contenders must pay a while
   core::AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h1 = rig.add_client_host("c1", Bandwidth::mbps(10.0));

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/auction_thinner.hpp"
-#include "core/no_defense.hpp"
+#include "core/elastic_front_end.hpp"
 #include "core/quantum_thinner.hpp"
 #include "core/retry_thinner.hpp"
 #include "net/network.hpp"
@@ -121,7 +121,7 @@ struct Rig {
 
 TEST(AuctionThinner, IdleServerAdmitsImmediatelyAtPriceZero) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 10.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c0");
@@ -137,7 +137,7 @@ TEST(AuctionThinner, IdleServerAdmitsImmediatelyAtPriceZero) {
 
 TEST(AuctionThinner, BusyServerAsksForPayment) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;  // ~1 s service times
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c0");
@@ -151,7 +151,7 @@ TEST(AuctionThinner, BusyServerAsksForPayment) {
 
 TEST(AuctionThinner, HighestBidderWinsTheAuction) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient a(rig.net, *rig.sw, "a");
@@ -178,7 +178,7 @@ TEST(AuctionThinner, HighestBidderWinsTheAuction) {
 
 TEST(AuctionThinner, RecordedPriceIsWinnersBytes) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient a(rig.net, *rig.sw, "a");
@@ -199,7 +199,7 @@ TEST(AuctionThinner, PaymentBeforeRequestIsCreditedOnArrival) {
   // §7.3's overpayment case: the payment channel opens first; the request
   // arrives later (delayed behind payment bytes for real bad clients).
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient a(rig.net, *rig.sw, "a");
@@ -221,7 +221,7 @@ TEST(AuctionThinner, PaymentBeforeRequestIsCreditedOnArrival) {
 
 TEST(AuctionThinner, PostCompletionElicitsContinue) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient a(rig.net, *rig.sw, "a");
@@ -239,7 +239,7 @@ TEST(AuctionThinner, RequestlessChannelExpiresAfterWindow) {
   // §7.3 wastage: a payment channel whose request never arrives is timed
   // out after the payment window and its bytes are wasted.
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 0.2;  // ~5 s service keeps the server busy throughout
   cfg.payment_window = Duration::seconds(2.0);
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -258,7 +258,7 @@ TEST(AuctionThinner, ContenderWithRequestSurvivesTheWindow) {
   // A contender whose request is present keeps paying past the window and
   // eventually wins (the window is only for missing requests).
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 0.2;  // ~5 s service
   cfg.payment_window = Duration::seconds(2.0);
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -275,7 +275,7 @@ TEST(AuctionThinner, ContenderWithRequestSurvivesTheWindow) {
 
 TEST(AuctionThinner, TieBreaksByArrivalOrder) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient a(rig.net, *rig.sw, "a");
@@ -293,7 +293,7 @@ TEST(AuctionThinner, TieBreaksByArrivalOrder) {
 
 TEST(AuctionThinner, ClassAccountingSeparatesGoodAndBad) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 10.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient g(rig.net, *rig.sw, "g");
@@ -313,7 +313,7 @@ TEST(AuctionThinner, ClassAccountingSeparatesGoodAndBad) {
 
 TEST(RetryThinner, IdleServerAdmitsImmediately) {
   Rig rig;
-  RetryThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 10.0;
   RetryThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c");
@@ -326,7 +326,7 @@ TEST(RetryThinner, IdleServerAdmitsImmediately) {
 
 TEST(RetryThinner, BusyServerSendsRetrySignal) {
   Rig rig;
-  RetryThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   RetryThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c");
@@ -339,7 +339,7 @@ TEST(RetryThinner, BusyServerSendsRetrySignal) {
 
 TEST(RetryThinner, PersistentRetrierGetsServedAndPriceCounted) {
   Rig rig;
-  RetryThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   RetryThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c");
@@ -359,14 +359,15 @@ TEST(RetryThinner, PersistentRetrierGetsServedAndPriceCounted) {
 }
 
 // --------------------------------------------------------------------------
-// NoDefenseFrontEnd
+// "none": the elastic front end, unscaled
 // --------------------------------------------------------------------------
 
 TEST(NoDefense, DropsWhenBusyServesWhenFree) {
   Rig rig;
-  NoDefenseFrontEnd::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
-  NoDefenseFrontEnd fe(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
+  ElasticFrontEnd fe(*rig.thinner_host, cfg, util::RngStream(1, "srv"), /*unscaled=*/true);
+  EXPECT_EQ(fe.name(), "none");
   ManualClient c(rig.net, *rig.sw, "c");
   c.send_request(rig.thinner_host->id(), 1);
   rig.run_for(0.05);
@@ -385,7 +386,7 @@ TEST(NoDefense, DropsWhenBusyServesWhenFree) {
 
 TEST(QuantumThinner, ServesSingleRequestLikeFlatThinner) {
   Rig rig;
-  QuantumAuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 10.0;
   QuantumAuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   ManualClient c(rig.net, *rig.sw, "c");
@@ -397,7 +398,7 @@ TEST(QuantumThinner, ServesSingleRequestLikeFlatThinner) {
 
 TEST(QuantumThinner, PayingContenderPreemptsNonPayingActive) {
   Rig rig;
-  QuantumAuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;       // 1 s per difficulty unit
   cfg.quantum = Duration::millis(200);
   QuantumAuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -413,7 +414,7 @@ TEST(QuantumThinner, PayingContenderPreemptsNonPayingActive) {
   // was admitted, and finished its ~1 s of work.
   EXPECT_TRUE(fast.got(2, MessageType::kResponse));
   EXPECT_FALSE(slow.got(1, MessageType::kResponse));
-  EXPECT_GE(thinner.suspensions(), 1);
+  EXPECT_GE(thinner.stats().counters.get("suspensions"), 1);
   // slow resumes once fast is done and eventually completes.
   rig.run_for(6.0);
   EXPECT_TRUE(slow.got(1, MessageType::kResponse));
@@ -421,7 +422,7 @@ TEST(QuantumThinner, PayingContenderPreemptsNonPayingActive) {
 
 TEST(QuantumThinner, SuspendedTooLongIsAborted) {
   Rig rig;
-  QuantumAuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   cfg.quantum = Duration::millis(200);
   cfg.suspension_limit = Duration::seconds(2.0);
@@ -437,13 +438,13 @@ TEST(QuantumThinner, SuspendedTooLongIsAborted) {
   // The victim was suspended, the hog's 20 s job keeps the server, and the
   // 2 s suspension limit aborts the victim.
   EXPECT_TRUE(victim.got(1, MessageType::kAborted));
-  EXPECT_GE(thinner.aborts(), 1);
+  EXPECT_GE(thinner.stats().counters.get("aborts"), 1);
   EXPECT_FALSE(victim.got(1, MessageType::kResponse));
 }
 
 TEST(QuantumThinner, ActivePayerKeepsServerAgainstSmallerBids) {
   Rig rig;
-  QuantumAuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   cfg.quantum = Duration::millis(200);
   QuantumAuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -461,7 +462,7 @@ TEST(QuantumThinner, ActivePayerKeepsServerAgainstSmallerBids) {
   // The holder completes its ~3 s request without ever being suspended:
   // its ongoing payment outbids the rival at every quantum.
   EXPECT_TRUE(holder.got(1, MessageType::kResponse));
-  EXPECT_EQ(thinner.suspensions(), 0);
+  EXPECT_EQ(thinner.stats().counters.get("suspensions"), 0);
 }
 
 }  // namespace

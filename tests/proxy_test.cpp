@@ -33,7 +33,7 @@ struct ProxyRig {
 
 TEST(PaymentProxy, RelaysRequestAndResponseOnIdleServer) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 50.0;
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;
@@ -57,7 +57,7 @@ TEST(PaymentProxy, RelaysRequestAndResponseOnIdleServer) {
 
 TEST(PaymentProxy, PaysOnBehalfOfClientsUnderLoad) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 1.0;  // slow server forces payment
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;
@@ -123,7 +123,7 @@ TEST(PaymentProxy, CuresBandwidthEnvyEndToEnd) {
 
 TEST(PaymentProxy, ClientAbandonmentCleansUpRelay) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 0.1;  // nobody gets served quickly
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;

@@ -397,6 +397,59 @@ TEST(ScenarioIoErrors, LinkRatesAndDelaysOutOfRangeNameTheKey) {
   EXPECT_EQ(f.scenarios[0].config.bottleneck->rate.bits_per_sec(), 9'200'000'000'000'000'000);
 }
 
+// Every *_s duration key becomes int64 nanoseconds: a value whose
+// nanoseconds reach 2^63 would wrap, and a must-be-positive value that
+// rounds to 0 ns would reach the model as zero. Both fail at parse, naming
+// the key.
+TEST(ScenarioIoErrors, DurationsOutOfRangeNameTheKey) {
+  const auto scenario = [](const std::string& body) {
+    return R"({"scenarios": [{)" + body + "}]}";
+  };
+  const auto top = [&](const std::string& key, const std::string& value) {
+    return scenario(R"(")" + key + R"(": )" + value);
+  };
+  const auto workload = [&](const std::string& key, const std::string& value) {
+    return scenario(R"("groups": [{"label": "g", "count": 1, "workload": {")" + key +
+                    R"(": )" + value + "}}]");
+  };
+  const auto collateral = [&](const std::string& value) {
+    return scenario(R"("collateral": {"start_delay_s": )" + value + "}");
+  };
+  const std::string kOverflow = "overflows int64 nanoseconds";
+  const std::string kRoundsToZero = "rounds to 0 ns";
+  const char* top_positive[] = {"duration_s", "payment_window_s", "suspension_limit_s",
+                                "elastic_interval_s", "puzzle_cost_s"};
+  for (const char* huge : {"1e10", "9.3e9", "1e300"}) {
+    for (const char* key : top_positive) {
+      expect_parse_error(top(key, huge), std::string(key) + ": " + kOverflow);
+    }
+    expect_parse_error(top("quantum_s", huge), "quantum_s: " + kOverflow);
+    for (const char* key : {"request_timeout_s", "backlog_timeout_s"}) {
+      expect_parse_error(workload(key, huge), std::string("workload.") + key + ": " + kOverflow);
+    }
+    expect_parse_error(collateral(huge), "collateral.start_delay_s: " + kOverflow);
+  }
+  for (const char* tiny : {"1e-12", "4e-10"}) {
+    for (const char* key : top_positive) {
+      expect_parse_error(top(key, tiny), std::string(key) + ": " + kRoundsToZero);
+    }
+    for (const char* key : {"request_timeout_s", "backlog_timeout_s"}) {
+      expect_parse_error(workload(key, tiny),
+                         std::string("workload.") + key + ": " + kRoundsToZero);
+    }
+  }
+  // The edges that still fit parse to exactly what the model gets; keys
+  // that may be 0 accept values that round to 0 ns.
+  const ScenarioFile f = parse_scenario_file(scenario(
+      R"("duration_s": 9.2e9, "payment_window_s": 5e-10, "quantum_s": 1e-12, )"
+      R"("collateral": {"start_delay_s": 1e-12})"));
+  EXPECT_EQ(f.scenarios[0].config.duration.ns(), 9'200'000'000'000'000'000);
+  EXPECT_EQ(f.scenarios[0].config.payment_window.ns(), 1);
+  EXPECT_EQ(f.scenarios[0].config.quantum.ns(), 0);
+  ASSERT_TRUE(f.scenarios[0].config.collateral.has_value());
+  EXPECT_EQ(f.scenarios[0].config.collateral->start_delay.ns(), 0);
+}
+
 TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {
   expect_parse_error(R"({"scenarios": []})", "at least one");
   expect_parse_error(R"({"scenarios": [{"lan": {"good": 1}, "groups": []}]})",

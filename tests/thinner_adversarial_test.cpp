@@ -61,7 +61,7 @@ struct Rig {
 
 TEST(ThinnerAdversarial, WrongMessageTypesOnRequestPortAreIgnored) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_host("weird");
   rig.blast(h, cfg.request_port,
@@ -76,7 +76,7 @@ TEST(ThinnerAdversarial, WrongMessageTypesOnRequestPortAreIgnored) {
 
 TEST(ThinnerAdversarial, DuplicateRequestIdIsCountedOnce) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 100.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_host("dup");
@@ -90,7 +90,7 @@ TEST(ThinnerAdversarial, DuplicateRequestIdIsCountedOnce) {
 
 TEST(ThinnerAdversarial, PaymentForUnknownRequestExpiresAndIsWasted) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 100.0;
   cfg.payment_window = Duration::seconds(1.0);
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -108,7 +108,7 @@ TEST(ThinnerAdversarial, TwoPaymentChannelsForOneRequestBothCredit) {
   // Splitting a request's payment across channels is allowed (the client is
   // only charged by total delivered bytes); both channels' bytes count.
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 0.5;  // server busy ~2 s
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& filler = rig.add_host("filler");
@@ -131,7 +131,7 @@ TEST(ThinnerAdversarial, TwoPaymentChannelsForOneRequestBothCredit) {
 
 TEST(ThinnerAdversarial, PayOpenAfterServiceIsHarmless) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 100.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_host("late");
@@ -148,7 +148,7 @@ TEST(ThinnerAdversarial, PayOpenAfterServiceIsHarmless) {
 
 TEST(ThinnerAdversarial, RequestFloodFromOneHostIsBoundedByStateMachine) {
   Rig rig;
-  AuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 10.0;
   AuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_host("flood");
@@ -170,7 +170,7 @@ TEST(ThinnerAdversarial, RequestFloodFromOneHostIsBoundedByStateMachine) {
 
 TEST(ThinnerAdversarial, RetryThinnerIgnoresGarbageAndDuplicates) {
   Rig rig;
-  RetryThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 1.0;
   RetryThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
   auto& h = rig.add_host("garbage");
@@ -184,7 +184,7 @@ TEST(ThinnerAdversarial, RetryThinnerIgnoresGarbageAndDuplicates) {
 
 TEST(ThinnerAdversarial, QuantumThinnerSurvivesChannelChurnDuringService) {
   Rig rig;
-  QuantumAuctionThinner::Config cfg;
+  FrontEndConfig cfg;
   cfg.capacity_rps = 2.0;
   cfg.quantum = Duration::millis(100);
   QuantumAuctionThinner thinner(*rig.thinner_host, cfg, util::RngStream(1, "srv"));
@@ -204,7 +204,7 @@ TEST(ThinnerAdversarial, QuantumThinnerSurvivesChannelChurnDuringService) {
   }
   rig.run_for(5.0);
   EXPECT_EQ(thinner.stats().served_total(), 1);
-  EXPECT_EQ(thinner.aborts(), 0);
+  EXPECT_EQ(thinner.stats().counters.get("aborts"), 0);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(WorkloadEdge, DifficultyReachesTheServer) {
   // A difficulty-5 client against a quantum thinner: the served request
   // consumes ~5x the base service time of good busy time.
   Rig rig;
-  core::QuantumAuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 10.0;  // base quantum ~0.1 s
   core::QuantumAuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   auto& h = rig.add_host("c");
@@ -62,7 +62,7 @@ TEST(WorkloadEdge, PostSizeControlsChannelChurn) {
   // Tiny POSTs force many channel rotations per payment; the thinner's
   // kPostContinue count shows up as extra connections from the client host.
   Rig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 0.5;  // ~2 s services force sustained payment
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   std::int64_t conns[2] = {0, 0};
@@ -90,7 +90,7 @@ TEST(WorkloadEdge, PostSizeControlsChannelChurn) {
 
 TEST(WorkloadEdge, RetryPipelineStaysBounded) {
   Rig rig;
-  core::RetryThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 0.2;  // nobody gets served for a long time
   core::RetryThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   auto& filler_host = rig.add_host("filler");
