@@ -82,8 +82,8 @@ class ClientPool {
   ~ClientPool();
 
   /// Sizes the per-member arrays for `n` members, so the add_member calls
-  /// that follow never regrow them (a regrowth recopies every member's RNG
-  /// state).
+  /// that follow never regrow them (a regrowth moves every member's entries
+  /// and holds the old and new arrays at once).
   void reserve(std::size_t n);
 
   /// Adds one member: hosts in global client order, each with its own

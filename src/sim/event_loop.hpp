@@ -418,8 +418,7 @@ class EventLoop {
   /// now + delay, saturated to max_time() on overflow.
   [[nodiscard]] SimTime saturated_deadline(Duration delay) const {
     SPEAKUP_ASSERT(delay >= Duration::zero());
-    const std::int64_t headroom = max_time().ns() - now_.ns();
-    return delay.ns() > headroom ? max_time() : now_ + delay;
+    return now_ + delay;  // SimTime addition saturates at max_time()
   }
 
   /// Files `slot`'s (deadline, fresh seq) key into the wheel when the

@@ -23,8 +23,14 @@ class Duration {
   static constexpr Duration nanos(std::int64_t ns) { return Duration{ns}; }
   static constexpr Duration micros(std::int64_t us) { return Duration{us * 1000}; }
   static constexpr Duration millis(std::int64_t ms) { return Duration{ms * 1'000'000}; }
+  /// Rounds to the nearest nanosecond. Values whose nanoseconds fall
+  /// outside int64 (about ±292 years) saturate at the int64 limits instead
+  /// of overflowing the cast.
   static constexpr Duration seconds(double s) {
-    return Duration{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
+    const double ns = s * 1e9 + (s >= 0 ? 0.5 : -0.5);
+    if (ns >= 0x1p63) return Duration{INT64_MAX};
+    if (ns < -0x1p63) return Duration{INT64_MIN};
+    return Duration{static_cast<std::int64_t>(ns)};
   }
   static constexpr Duration zero() { return Duration{0}; }
   /// Effectively "never" — used for disabled timers and sentinels.
@@ -59,8 +65,12 @@ class SimTime {
   [[nodiscard]] constexpr double sec() const { return static_cast<double>(ns_) / 1e9; }
 
   friend constexpr auto operator<=>(SimTime, SimTime) = default;
+  /// Saturates at the int64 limits: a deadline past the end of the clock
+  /// reads as the clock's last instant, which no run reaches.
   friend constexpr SimTime operator+(SimTime t, Duration d) {
-    return SimTime::from_ns(t.ns_ + d.ns());
+    std::int64_t ns = 0;
+    if (__builtin_add_overflow(t.ns_, d.ns(), &ns)) ns = d.ns() > 0 ? INT64_MAX : INT64_MIN;
+    return SimTime::from_ns(ns);
   }
   friend constexpr Duration operator-(SimTime a, SimTime b) {
     return Duration::nanos(a.ns_ - b.ns_);

@@ -264,6 +264,30 @@ TEST(ScenarioIo, QueueOnRunnerPreservesLabels) {
   EXPECT_TRUE(runner.outcome("retry").ok()) << runner.outcome("retry").error;
 }
 
+// A deadline whose nanoseconds pass int64 used to wrap negative and fail the
+// row with "time is before now". It now saturates at the end of the clock,
+// so it simply never fires: a client whose mean gap is 1e11 s never sends,
+// and a 9e9 s payment window never closes.
+TEST(ScenarioIo, DeadlinesPastTheClockNeverFire) {
+  const ScenarioFile f = parse_scenario_file(R"({
+    "scenarios": [
+      {"label": "tiny-lambda", "defense": "none", "duration_s": 60,
+       "groups": [{"label": "g", "count": 3, "workload": {"lambda": 1e-11}}]},
+      {"label": "long-window", "defense": "auction", "duration_s": 9e9,
+       "payment_window_s": 9e9,
+       "groups": [{"label": "g", "count": 3, "workload": {"lambda": 1e-9}}]}
+    ]
+  })");
+  exp::Runner runner;
+  f.queue_on(runner);
+  runner.run_all(1);
+  const exp::RunOutcome& tiny = runner.outcome("tiny-lambda");
+  ASSERT_TRUE(tiny.ok()) << tiny.error;
+  EXPECT_EQ(tiny.result.served_total, 0);
+  const exp::RunOutcome& long_window = runner.outcome("long-window");
+  EXPECT_TRUE(long_window.ok()) << long_window.error;
+}
+
 // ---------------------------------------------------------------------------
 // Malformed inputs: every error names the offending key or location.
 // ---------------------------------------------------------------------------

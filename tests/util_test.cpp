@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <new>
 
@@ -42,12 +45,29 @@ TEST(Duration, InfiniteIsHuge) {
   EXPECT_GT(Duration::infinite(), Duration::seconds(1e9));
 }
 
+// A draw like exponential(1e-11) is 1e11 s, whose nanoseconds do not fit in
+// int64: it saturates instead of overflowing the cast.
+TEST(Duration, SecondsSaturateOutsideInt64) {
+  EXPECT_EQ(Duration::seconds(9.2e9).ns(), 9'200'000'000'000'000'000);
+  EXPECT_EQ(Duration::seconds(1e11).ns(), INT64_MAX);
+  EXPECT_EQ(Duration::seconds(1e300).ns(), INT64_MAX);
+  EXPECT_EQ(Duration::seconds(-1e11).ns(), INT64_MIN);
+}
+
 TEST(SimTime, Ordering) {
   const SimTime t0 = SimTime::zero();
   const SimTime t1 = t0 + Duration::seconds(1.0);
   EXPECT_LT(t0, t1);
   EXPECT_EQ((t1 - t0).ns(), Duration::seconds(1.0).ns());
   EXPECT_DOUBLE_EQ(t1.sec(), 1.0);
+}
+
+TEST(SimTime, AdditionSaturates) {
+  const SimTime late = SimTime::from_ns(9'000'000'000'000'000'000);
+  EXPECT_EQ((late + Duration::seconds(9e9)).ns(), INT64_MAX);
+  EXPECT_EQ((late + Duration::nanos(INT64_MAX)).ns(), INT64_MAX);
+  EXPECT_EQ((SimTime::from_ns(-5) + Duration::nanos(INT64_MIN)).ns(), INT64_MIN);
+  EXPECT_EQ((late + Duration::seconds(1.0)).ns(), 9'000'000'001'000'000'000);
 }
 
 TEST(Bandwidth, Factories) {
@@ -146,6 +166,94 @@ TEST(RngStream, ChanceProbability) {
     if (r.chance(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+// --- CompactMt19937_64: the first block computed from the seed -------------
+//
+// The engine must return exactly what std::mt19937_64 returns for the same
+// seed, through block 0 (draws 0..311), across the spill to the heap engine
+// on draw 312, and after copies and moves at every boundary.
+
+static_assert(sizeof(util::RngStream) <= 64, "RngStream must stay compact");
+
+std::vector<std::uint64_t> differential_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 2, 5489, ~std::uint64_t{0}, 1ull << 63};
+  for (int n = 0; n < 8; ++n) {
+    const std::string name = "client." + std::to_string(n);
+    seeds.push_back(util::RngStream::mix(7, util::fnv1a(name)));
+    seeds.push_back(util::RngStream::mix(20061, util::fnv1a(name)));
+  }
+  for (std::uint64_t s = 0; seeds.size() < 80; ++s) seeds.push_back(util::RngStream::mix(s, s));
+  return seeds;
+}
+
+TEST(CompactMtEngine, MatchesStdEngineOnEverySeed) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    util::CompactMt19937_64 compact(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(compact(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(CompactMtEngine, CopiesAndMovesContinueTheSequence) {
+  const std::uint64_t seed = util::RngStream::mix(7, util::fnv1a("client.3"));
+  for (const int pos : {0, 1, 155, 156, 157, 310, 311, 312, 313}) {
+    util::CompactMt19937_64 original(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < pos; ++i) (void)original();
+    reference.discard(static_cast<unsigned long long>(pos));
+
+    util::CompactMt19937_64 copied(original);
+    util::CompactMt19937_64 assigned(1);
+    assigned = original;
+    util::CompactMt19937_64 moved_from(original);
+    util::CompactMt19937_64 moved(std::move(moved_from));
+    util::CompactMt19937_64 move_assigned(2);
+    move_assigned = std::move(moved);
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t want = reference();
+      ASSERT_EQ(original(), want) << "original at " << pos << "+" << i;
+      ASSERT_EQ(copied(), want) << "copy at " << pos << "+" << i;
+      ASSERT_EQ(assigned(), want) << "copy-assigned at " << pos << "+" << i;
+      ASSERT_EQ(move_assigned(), want) << "moved at " << pos << "+" << i;
+    }
+  }
+}
+
+// The distributions are libstdc++'s; given the same engine outputs they must
+// return the same values as over a std::mt19937_64 seeded the same way.
+TEST(CompactMtEngine, StreamDrawsMatchStdDistributions) {
+  for (const char* name : {"client.0", "client.41", "server"}) {
+    util::RngStream stream(7, name);
+    std::mt19937_64 ref(util::RngStream::mix(7, util::fnv1a(name)));
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(stream.uniform(), (std::uniform_real_distribution<double>(0.0, 1.0)(ref)));
+      ASSERT_EQ(stream.uniform(-2.5, 7.0),
+                (std::uniform_real_distribution<double>(-2.5, 7.0)(ref)));
+      ASSERT_EQ(stream.uniform_int(1, 6),
+                (std::uniform_int_distribution<std::int64_t>(1, 6)(ref)));
+      ASSERT_EQ(stream.uniform_int(-3, INT64_MAX / 3),
+                (std::uniform_int_distribution<std::int64_t>(-3, INT64_MAX / 3)(ref)));
+      ASSERT_EQ(stream.exponential(2.0), (std::exponential_distribution<double>(2.0)(ref)));
+      ASSERT_EQ(stream.chance(0.3),
+                (std::uniform_real_distribution<double>(0.0, 1.0)(ref) < 0.3));
+    }
+  }
+}
+
+TEST(CompactMtEngine, AllocatesOnlyOnTheSpill) {
+  if (!util::AllocGuard::counting()) {
+    GTEST_SKIP() << "speakup_counted_new not linked";
+  }
+  util::CompactMt19937_64 engine(util::RngStream::mix(7, util::fnv1a("client.0")));
+  const util::AllocGuard block0;
+  for (int i = 0; i < 312; ++i) (void)engine();
+  EXPECT_EQ(block0.delta(), 0) << "block 0 must not allocate";
+  const util::AllocGuard spill;
+  for (int i = 312; i < 10'000; ++i) (void)engine();
+  EXPECT_EQ(spill.delta(), 1) << "the spill allocates the heap engine once";
 }
 
 TEST(Fnv1a, StableKnownValues) {

@@ -18,6 +18,11 @@ that promise:
                ASLR-dependent; results that feed fingerprints, CSVs, or
                payoff matrices must never depend on it.
 
+  raw-engine   a <random> engine (mt19937, mt19937_64, minstd_rand*,
+               ranlux*, knuth_b, default_random_engine) named anywhere
+               under src/ but src/util/rng.hpp. Every stream goes through
+               util::RngStream's seeding and its compact engine.
+
   hot-path-alloc
                raw `new` (placement ::new is fine) and growing container
                calls (push_back / emplace_back / resize / reserve /
@@ -55,6 +60,10 @@ WALL_CLOCK_PATTERNS = [
     (re.compile(r"\bsrand\s*\("), "srand()"),
     (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0|&)"), "time()"),
 ]
+
+ENGINE_RE = re.compile(
+    r"\b(?:mt19937(?:_64)?|minstd_rand0?|ranlux\w*|knuth_b|default_random_engine)\b")
+ENGINE_HOME = "src/util/rng.hpp"
 
 UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s+(\w+)\s*[;{=]"
@@ -102,6 +111,8 @@ def scan(files: list[tuple[str, str]]) -> list[tuple[str, int, str, str]]:
                 if pat.search(line):
                     out.append((path, line_no, "wall-clock", raw.strip()))
                     break
+            if path != ENGINE_HOME and ENGINE_RE.search(line):
+                out.append((path, line_no, "raw-engine", raw.strip()))
             if any(r.search(line) for r in range_for_res):
                 out.append((path, line_no, "unordered-iteration", raw.strip()))
             if hot and (RAW_NEW_RE.search(line) or GROWTH_RE.search(line)):
@@ -175,6 +186,7 @@ SELF_TEST_FILE = (
 // speakup-lint: hot-path
 struct Seeded {
   std::unordered_map<int, int> table_;
+  std::mt19937_64 engine_{42};
   void wall() { auto t = std::chrono::system_clock::now(); (void)t; }
   void iterate() { for (auto& [k, v] : table_) { (void)k; (void)v; } }
   void alloc() { auto* p = new int(7); delete p; }
@@ -186,10 +198,14 @@ struct Seeded {
 def run_self_test() -> int:
     violations = scan([SELF_TEST_FILE])
     rules = {rule for _, _, rule, _ in violations}
-    expected = {"wall-clock", "unordered-iteration", "hot-path-alloc"}
+    expected = {"wall-clock", "unordered-iteration", "raw-engine", "hot-path-alloc"}
     missing = expected - rules
     if missing:
         print(f"self-test FAILED: rules not detected: {sorted(missing)}")
+        return 1
+    # The same text in the engine's home file is not a raw-engine finding.
+    if any(rule == "raw-engine" for _, _, rule, _ in scan([(ENGINE_HOME, SELF_TEST_FILE[1])])):
+        print(f"self-test FAILED: raw-engine flagged in {ENGINE_HOME}")
         return 1
     # One entry covering the seeded allocation, one left behind by a rewrite
     # of a growth site: the first must silence its line, the second must be
