@@ -1,9 +1,12 @@
 #include "exp/scenario_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "client/strategy.hpp"
 #include "core/front_end_factory.hpp"
@@ -694,14 +697,24 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
     }
   }
 
-  for (std::size_t i = 0; i < out.scenarios.size(); ++i) {
-    for (std::size_t j = i + 1; j < out.scenarios.size(); ++j) {
-      if (out.scenarios[i].label == out.scenarios[j].label) {
-        fail("scenarios", "duplicate label \"" + out.scenarios[i].label +
-                              "\" — give the colliding entries distinct \"label\" "
-                              "templates");
-      }
+  // Sorting row indices by (label, index) finds every repeat in O(n log n);
+  // the diagnostic names the earliest row whose label repeats later.
+  const std::vector<LabeledScenario>& rows = out.scenarios;
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&rows](std::size_t a, std::size_t b) {
+    return std::tie(rows[a].label, a) < std::tie(rows[b].label, b);
+  });
+  std::size_t first_dup = rows.size();
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    if (rows[order[k - 1]].label == rows[order[k]].label) {
+      first_dup = std::min(first_dup, order[k - 1]);
     }
+  }
+  if (first_dup < rows.size()) {
+    fail("scenarios", "duplicate label \"" + rows[first_dup].label +
+                          "\" — give the colliding entries distinct \"label\" "
+                          "templates");
   }
   return out;
 }

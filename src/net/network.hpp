@@ -1,6 +1,8 @@
 // The topology container: owns nodes and links, computes shortest-path
 // routes, and moves packets hop by hop. It also owns the PacketPool that
-// holds every packet its links carry.
+// holds every packet its links carry, and one object a higher layer keeps
+// per network (transport's connection slab), held type-erased because net/
+// does not know transport types.
 #pragma once
 
 #include <memory>
@@ -75,6 +77,19 @@ class Network {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] Link* link_between(NodeId a, NodeId b) const;
 
+  /// The one object of type T a higher layer keeps for this network, made
+  /// on first use. It is destroyed after every node, so a node's destructor
+  /// may still reach it. One type per network: asking for a second type
+  /// asserts.
+  template <typename T>
+  [[nodiscard]] T& attachment() {
+    if (!attachment_) [[unlikely]] {
+      attachment_ = Attachment(std::make_unique<T>().release(), &destroy_attachment<T>);
+    }
+    SPEAKUP_ASSERT(attachment_.get_deleter() == &destroy_attachment<T>);
+    return *static_cast<T*>(attachment_.get());
+  }
+
   /// Packets dropped because no route / unroutable destination.
   [[nodiscard]] std::int64_t unroutable_drops() const { return unroutable_drops_; }
 
@@ -107,8 +122,16 @@ class Network {
     Node* node = nullptr;           // set by add_node
   };
 
+  template <typename T>
+  static void destroy_attachment(void* p) {
+    delete static_cast<T*>(p);
+  }
+  using Attachment = std::unique_ptr<void, void (*)(void*)>;
+
   sim::EventLoop* loop_;
   PacketPool packets_;
+  // Declared before nodes_ so that it outlives them.
+  Attachment attachment_{nullptr, nullptr};
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   // adjacency_[n] lists (neighbor, link index)

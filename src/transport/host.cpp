@@ -2,17 +2,17 @@
 // be amortized and allowlisted in tools/lint_allowlist.txt)
 #include "transport/host.hpp"
 
-#include <algorithm>
-
 #include "util/log.hpp"
 
 namespace speakup::transport {
 
 Host::~Host() {
-  for (std::uint32_t slot = 0; slot < states_.size(); ++slot) {
+  for (const TableEntry& e : table_) {
+    if (e.slot == kNilSlot) continue;
     // A destroy event left pending would fire into a dead host.
-    if (states_[slot] == SlotState::kReleasing) loop().cancel(release_ev_[slot]);
-    if (states_[slot] != SlotState::kEmpty) conn_at(slot)->~TcpConnection();
+    ConnectionSlab::Record& rec = slab()[e.slot];
+    if (rec.state == SlotState::kReleasing) loop().cancel(rec.release_ev);
+    slab().destroy(e.slot);
   }
 }
 
@@ -26,34 +26,6 @@ void Host::listen(std::uint32_t port, std::function<void(TcpConnection&)> on_acc
   util::require(listeners_.find(port) == listeners_.end(),
                 "port already has a listener on host " + name());
   listeners_[port] = std::move(on_accept);
-}
-
-std::uint32_t Host::acquire_slot() {
-  if (!free_.empty()) {
-    const std::uint32_t slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(states_.size());
-  if (slot % kChunk == 0) {
-    chunks_.push_back(std::make_unique<RawSlot[]>(kChunk));
-    // Reserve at least the whole chunk's metadata now: the slot high-water
-    // mark can rise mid-run (a deferred release overlapping an immediate
-    // reconnect), and that moment must not touch the allocator — only chunk
-    // boundaries may (the client pool's steady state stays
-    // allocation-free). Growth is geometric, so a host holding thousands of
-    // connections does not recopy its metadata every kChunk slots.
-    const std::size_t need = chunks_.size() * kChunk;
-    const auto reserve = [need](auto& v) {
-      if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
-    };
-    reserve(states_);
-    reserve(release_ev_);
-    reserve(free_);
-  }
-  states_.push_back(SlotState::kEmpty);
-  release_ev_.emplace_back();
-  return slot;
 }
 
 std::size_t Host::find_index(std::uint32_t local_port, net::NodeId remote,
@@ -118,16 +90,22 @@ void Host::table_erase(std::uint32_t local_port, net::NodeId remote,
 
 #if SPEAKUP_AUDIT_ENABLED
 void Host::audit() const {
+  audit_table();
+  slab().audit();
+}
+
+void Host::audit_table() const {
   SPEAKUP_AUDIT_CHECK(table_.empty() || (table_.size() & (table_.size() - 1)) == 0,
                       "Host: demux table size must be a power of two");
-  std::vector<std::uint8_t> tabled(states_.size(), 0);
+  const ConnectionSlab& slab = this->slab();
+  std::vector<std::uint8_t> tabled(slab.size(), 0);
   std::size_t occupied = 0;
   for (std::size_t i = 0; i < table_.size(); ++i) {
     const TableEntry& e = table_[i];
     if (e.slot == kNilSlot) continue;
     ++occupied;
-    SPEAKUP_AUDIT_CHECK(e.slot < states_.size(), "Host: table entry slot out of range");
-    SPEAKUP_AUDIT_CHECK(states_[e.slot] != SlotState::kEmpty,
+    SPEAKUP_AUDIT_CHECK(e.slot < slab.size(), "Host: table entry slot out of range");
+    SPEAKUP_AUDIT_CHECK(slab[e.slot].state != SlotState::kEmpty,
                         "Host: table entry must point at a constructed connection");
     SPEAKUP_AUDIT_CHECK(!tabled[e.slot], "Host: slot tabled more than once");
     tabled[e.slot] = 1;
@@ -136,38 +114,13 @@ void Host::audit() const {
     SPEAKUP_AUDIT_CHECK(find_index(e.local_port, e.remote, e.remote_port) == i,
                         "Host: table entry unreachable from its home probe");
     const TcpConnection* conn = conn_at(e.slot);
+    SPEAKUP_AUDIT_CHECK(&conn->host() == this, "Host: tabled connection must belong to this host");
     SPEAKUP_AUDIT_CHECK(conn->local_port() == e.local_port && conn->remote_node() == e.remote &&
                             conn->remote_port() == e.remote_port,
                         "Host: table key must match the connection's endpoints");
   }
   SPEAKUP_AUDIT_CHECK(occupied == table_size_,
                       "Host: table_size_ must count the occupied entries");
-  std::size_t empty_slots = 0;
-  for (std::uint32_t slot = 0; slot < states_.size(); ++slot) {
-    switch (states_[slot]) {
-      case SlotState::kEmpty:
-        ++empty_slots;
-        SPEAKUP_AUDIT_CHECK(!tabled[slot], "Host: empty slot must not be tabled");
-        break;
-      case SlotState::kLive:
-        SPEAKUP_AUDIT_CHECK(tabled[slot], "Host: live slot must be tabled");
-        break;
-      case SlotState::kReleasing:
-        SPEAKUP_AUDIT_CHECK(tabled[slot], "Host: releasing slot stays tabled until destroyed");
-        SPEAKUP_AUDIT_CHECK(release_ev_[slot].pending(),
-                            "Host: releasing slot must hold a pending destroy event");
-        break;
-    }
-  }
-  std::vector<std::uint8_t> freed(states_.size(), 0);
-  for (const std::uint32_t slot : free_) {
-    SPEAKUP_AUDIT_CHECK(slot < states_.size(), "Host: free-list slot out of range");
-    SPEAKUP_AUDIT_CHECK(states_[slot] == SlotState::kEmpty, "Host: free-list slot must be empty");
-    SPEAKUP_AUDIT_CHECK(!freed[slot], "Host: slot freed more than once");
-    freed[slot] = 1;
-  }
-  SPEAKUP_AUDIT_CHECK(free_.size() == empty_slots,
-                      "Host: free list must cover exactly the empty slots");
 }
 
 void Host::corrupt_table_for_test() {
@@ -179,18 +132,25 @@ void Host::corrupt_table_for_test() {
     }
   }
 }
+
+void Host::corrupt_slab_for_test() {
+  for (const TableEntry& e : table_) {
+    if (e.slot != kNilSlot) {
+      slab().destroy(e.slot);
+      return;
+    }
+  }
+}
 #endif
 
 TcpConnection& Host::emplace_connection(std::uint32_t local_port, net::NodeId remote,
                                         std::uint32_t remote_port, bool initiator) {
   SPEAKUP_ASSERT(find_connection(local_port, remote, remote_port) == nullptr);
-  const std::uint32_t slot = acquire_slot();
-  TcpConnection* conn = ::new (static_cast<void*>(chunks_[slot / kChunk][slot % kChunk].bytes))
-      TcpConnection(*this, local_port, remote, remote_port, tcp_cfg_, initiator);
-  states_[slot] = SlotState::kLive;
+  const std::uint32_t slot =
+      slab().emplace(*this, local_port, remote, remote_port, tcp_cfg_, initiator);
   table_insert(local_port, remote, remote_port, slot);
   ++connections_created_;
-  return *conn;
+  return *conn_at(slot);
 }
 
 TcpConnection* Host::find_connection(std::uint32_t local_port, net::NodeId remote,
@@ -237,18 +197,18 @@ void Host::release(TcpConnection* conn) {
       find_index(conn->local_port(), conn->remote_node(), conn->remote_port());
   SPEAKUP_ASSERT(table_[i].slot != kNilSlot && conn_at(table_[i].slot) == conn);
   const std::uint32_t slot = table_[i].slot;
-  SPEAKUP_ASSERT(states_[slot] == SlotState::kLive);
-  states_[slot] = SlotState::kReleasing;
+  ConnectionSlab::Record& rec = slab()[slot];
+  SPEAKUP_ASSERT(rec.state == SlotState::kLive);
+  rec.state = SlotState::kReleasing;
   // Deferred: the connection may be deep in its own call stack right now.
   // The table entry stays until the event fires, exactly like the previous
   // map-based teardown, so demux keeps finding the closed connection.
-  release_ev_[slot] = loop().schedule(Duration::zero(), [this, slot] {
-    TcpConnection* victim = conn_at(slot);
+  rec.release_ev = loop().schedule(Duration::zero(), [this, slot] {
+    const TcpConnection* victim = conn_at(slot);
     table_erase(victim->local_port(), victim->remote_node(), victim->remote_port());
-    victim->~TcpConnection();
-    states_[slot] = SlotState::kEmpty;
-    free_.push_back(slot);
-    SPEAKUP_AUDIT_ONLY(maybe_audit();)
+    ConnectionSlab& slab = this->slab();
+    slab.destroy(slot);
+    SPEAKUP_AUDIT_ONLY(maybe_audit(); slab.maybe_audit();)
   });
 }
 

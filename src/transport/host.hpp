@@ -3,26 +3,27 @@
 // them (listen). A packet that matches no connection and no listener is
 // answered with RST, which lets half-dead connections clean themselves up.
 //
-// Connections live in a chunked in-place slab addressed by dense slot ids
-// (stable addresses — the rest of the stack holds TcpConnection&), with an
-// open-addressing (local_port, remote, remote_port) -> slot table doing the
-// demux. Steady-state connect/teardown churn — one connection per request
-// and per payment POST at 10^5-client scale — reuses slots and probes a
-// flat array: no allocator traffic, no tree walks.
+// The connections themselves live in the network's one ConnectionSlab
+// (stable addresses: the rest of the stack holds TcpConnection&). A host
+// keeps only its demux table: open addressing from (local_port, remote,
+// remote_port) to a slab slot id. A client host that once connected thus
+// costs its table, not a slot for every connection it ever held at once.
+// Steady-state connect/teardown churn (one connection per request and per
+// payment POST at 10^5-client scale) reuses slab records and probes a flat
+// array: no allocator traffic, no tree walks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "sim/event_loop.hpp"
+#include "transport/connection_slab.hpp"
 #include "transport/tcp_connection.hpp"
 #include "util/assert.hpp"
 #include "util/audit.hpp"
@@ -34,6 +35,8 @@ class Host : public net::Node {
   Host(net::Network& net, net::NodeId id, std::string name)
       : Node(net, id, std::move(name)) {}
 
+  /// Destroys the connections this host holds, cancelling any pending
+  /// deferred destroy, and returns their slots to the slab.
   ~Host() override;
 
   /// Replaces the TCP tunables for connections this host opens or accepts.
@@ -71,31 +74,24 @@ class Host : public net::Node {
   [[nodiscard]] std::size_t live_connections() const { return table_size_; }
 
 #if SPEAKUP_AUDIT_ENABLED
-  /// Structural audit (SPEAKUP_AUDIT builds only): demux-table vs slot-state
-  /// agreement — every table entry reachable from its home probe and backed
-  /// by a constructed connection, every non-empty slot tabled exactly once,
-  /// free list covering exactly the empty slots, releasing slots holding a
-  /// pending destroy event. Runs every kAuditPeriod table mutations.
+  /// Structural audit (SPEAKUP_AUDIT builds only): every table entry
+  /// reachable from its home probe and pointing, at most once, to a
+  /// non-empty slab slot whose connection belongs to this host under the
+  /// entry's key; then the slab's own audit (ConnectionSlab::audit). The
+  /// table half runs every kAuditPeriod table mutations.
   void audit() const;
   /// Deliberate corruption for tests/audit_test.cpp: drops one live table
   /// entry without releasing its slot — the signature of a lost erase.
   void corrupt_table_for_test();
+  /// Deliberate corruption for tests/audit_test.cpp: returns one tabled
+  /// slot to the slab while the table still points to it — the signature
+  /// of a destroy that skipped the table erase.
+  void corrupt_slab_for_test();
 #endif
 
  private:
-  enum class SlotState : std::uint8_t { kEmpty, kLive, kReleasing };
-
-  /// Slab chunk size. A window-1 client's steady state is one live
-  /// connection plus one still waiting for its deferred release (the
-  /// overlap acquire_slot describes), so two slots carry it allocation-free
-  /// while every client host pays for two connections, not eight. Hosts
-  /// holding more (attackers, the thinner) just grow more chunks.
-  static constexpr std::size_t kChunk = 2;
-  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
-
-  struct alignas(TcpConnection) RawSlot {
-    std::byte bytes[sizeof(TcpConnection)];
-  };
+  using SlotState = ConnectionSlab::SlotState;
+  static constexpr std::uint32_t kNilSlot = ConnectionSlab::kNil;
 
   /// One open-addressing table entry; slot == kNilSlot marks it empty.
   struct TableEntry {
@@ -109,10 +105,8 @@ class Host : public net::Node {
                                     std::uint32_t remote_port, bool initiator);
   std::uint32_t alloc_port() { return next_port_++; }
 
-  [[nodiscard]] TcpConnection* conn_at(std::uint32_t slot) const {
-    return std::launder(reinterpret_cast<TcpConnection*>(
-        const_cast<std::byte*>(chunks_[slot / kChunk][slot % kChunk].bytes)));
-  }
+  [[nodiscard]] ConnectionSlab& slab() const { return ConnectionSlab::of(network()); }
+  [[nodiscard]] TcpConnection* conn_at(std::uint32_t slot) const { return slab()[slot].conn(); }
 
   static std::uint64_t key_hash(std::uint32_t local_port, net::NodeId remote,
                                 std::uint32_t remote_port) {
@@ -139,13 +133,7 @@ class Host : public net::Node {
                    std::uint32_t remote_port);
   void table_grow();
 
-  std::uint32_t acquire_slot();
-
   TcpConfig tcp_cfg_;
-  std::vector<std::unique_ptr<RawSlot[]>> chunks_;
-  std::vector<SlotState> states_;      // indexed by slot
-  std::vector<sim::EventId> release_ev_;  // pending destroy event per slot
-  std::vector<std::uint32_t> free_;
   std::vector<TableEntry> table_;      // power-of-two open addressing
   std::size_t table_size_ = 0;
   std::map<std::uint32_t, std::function<void(TcpConnection&)>> listeners_;
@@ -154,10 +142,11 @@ class Host : public net::Node {
 #if SPEAKUP_AUDIT_ENABLED
   static constexpr std::uint64_t kAuditPeriod = 64;
   std::uint64_t audit_countdown_ = kAuditPeriod;
+  void audit_table() const;
   void maybe_audit() {
     if (--audit_countdown_ == 0) {
       audit_countdown_ = kAuditPeriod;
-      audit();
+      audit_table();
     }
   }
 #endif

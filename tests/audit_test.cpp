@@ -6,9 +6,9 @@
 //     invariants must hold on live structures, not just empty ones;
 //   - death tests: each structure's corrupt_*_for_test() hook plants the
 //     signature of a real bug class (missed sift swap, lost table erase,
-//     stale bitmap bit, clobbered heap key, premature packet release) and
-//     audit() must catch it. Without these, a vacuously-true audit would
-//     pass forever.
+//     slab record freed while tabled, stale bitmap bit, clobbered heap key,
+//     premature packet release) and audit() must catch it. Without these,
+//     a vacuously-true audit would pass forever.
 //
 // The whole file GTEST_SKIPs unless built with -DSPEAKUP_AUDIT=ON in a
 // Debug build (SPEAKUP_AUDIT_ENABLED) — CI's audit job is the build that
@@ -215,6 +215,19 @@ TEST(AuditDeathTest, HostDetectsLostTableEntry) {
         transport::Host& b = rig.add_host("b");
         (void)a.connect(b.id(), 80);  // live slot + demux table entry on a
         a.corrupt_table_for_test();   // the signature of a lost erase
+        a.audit();
+      },
+      kDeathMsg);
+}
+
+TEST(AuditDeathTest, HostDetectsSlotFreedWhileTabled) {
+  EXPECT_DEATH(
+      {
+        Rig rig;
+        transport::Host& a = rig.add_host("a");
+        transport::Host& b = rig.add_host("b");
+        (void)a.connect(b.id(), 80);  // live slab record + demux table entry on a
+        a.corrupt_slab_for_test();    // record returned while a still tables it
         a.audit();
       },
       kDeathMsg);

@@ -140,8 +140,8 @@ TEST(ClientPool, SteadyStateZeroAllocationsAt100kClients) {
 }
 
 // The per-client memory budget: every byte a window-1 client's requests
-// make its host stack allocate (connection slab chunk, slot metadata, demux
-// table, link-queue rings), averaged over 10^4 clients, must stay under a
+// make its host stack allocate (demux table, its share of the connection
+// slab and the packet pool), averaged over 10^4 clients, must stay under a
 // bound set from measurement — so transport state that outgrows what a
 // client actually holds fails here, not only as peak RSS at 10^5 clients.
 TEST(ClientPool, PerHostBytesStayWithinBudget) {
@@ -176,16 +176,17 @@ TEST(ClientPool, PerHostBytesStayWithinBudget) {
   for (std::uint32_t i = 0; i < kClients; ++i) cold += pool.stats(i).started == 0;
   ASSERT_EQ(cold, 0) << "every host must have opened a connection";
   const double per_host = static_cast<double>(guard.bytes_delta()) / kClients;
-  // Measured 997 B per host: a two-slot connection chunk (2 x 408 B), a
-  // 4-entry demux table, slot metadata, and a share of the pool-wide and
-  // thinner-side growth; links hold no packet storage of their own (the
-  // network-wide packet pool is shared). The bound is that plus ~10%.
-  // Four-slot chunks (1,855 B), a TcpConfig copy in every connection
-  // (1,125 B) or a two-packet ring per link direction (1,189 B) break it;
-  // growth under ~100 B per host (one std::function per timer, a
-  // one-packet store per link) does not.
-  // sizeof(TcpConnection) has its own static_assert in transport_test.
-  EXPECT_LT(per_host, 1'100.0) << "bytes allocated per client host";
+  // Measured 137 B per host: a 4-entry demux table and a share of the
+  // network-wide connection slab, the pool-wide and the thinner-side
+  // growth. Connections live in the slab, whose size follows the
+  // connections live at once, not the 10^4 hosts; links hold no packet
+  // storage of their own (the network-wide packet pool is shared). The
+  // bound is that plus ~16%. Per-host two-slot connection chunks (997 B)
+  // or a two-packet ring per link direction (~330 B) break it; growth
+  // under ~20 B per host does not.
+  // sizeof(TcpConnection) and sizeof(Host) have static_asserts in
+  // transport_test.
+  EXPECT_LT(per_host, 160.0) << "bytes allocated per client host";
 }
 
 }  // namespace

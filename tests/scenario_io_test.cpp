@@ -492,6 +492,14 @@ TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {
   expect_parse_error(R"({"scenarios": [{"grid": {"capacity_rps": 5}}]})", "array");
 }
 
+// With labels A, B, B, A the earliest row whose label repeats later is the
+// first A, so the diagnostic names "A", not the adjacent pair "B".
+TEST(ScenarioIoErrors, DuplicateLabelNamesEarliestRepeatedRow) {
+  expect_parse_error(R"({"scenarios": [{"label": "A"}, {"label": "B"}, {"label": "B"}, )"
+                     R"({"label": "A"}]})",
+                     "duplicate label \"A\"");
+}
+
 TEST(ScenarioIoErrors, JsonSyntaxErrorsCarryLineInfo) {
   expect_parse_error("{\"scenarios\": [\n  {,}\n]}", "line 2");
   expect_parse_error("[]", "object");

@@ -4,10 +4,12 @@
 // guarantee of the loss path, and parameterized throughput sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -241,11 +243,12 @@ TEST(TcpEdge, SteadyStateLossPathIsAllocationFree) {
   EXPECT_GT(c.retransmits(), 0);
 }
 
-// The connection slab at server scale. One host grows to 40 and then 4,096
-// live connections: every earlier TcpConnection& must stay valid (chunks
-// never move), slot metadata must grow geometrically (O(log n)
-// reallocations, not one per chunk), and once warm the host must reopen a
-// full house on recycled slots without touching the allocator.
+// The network's connection slab at server scale. One host grows to 40 and
+// then 4,096 live connections: every earlier TcpConnection& must stay valid
+// (chunks never move), the slab must grow one chunk per ConnectionSlab::kChunk
+// connections with nothing allocated per connection, and once warm the
+// host must reopen a full house on recycled records without touching the
+// allocator.
 TEST(TcpEdge, HostSlabKeepsReferencesAndRecyclesSlots) {
   constexpr std::size_t kFew = 40;
   constexpr std::size_t kMany = 4096;
@@ -285,12 +288,14 @@ TEST(TcpEdge, HostSlabKeepsReferencesAndRecyclesSlots) {
   GTEST_SKIP() << "allocation counts are not measured in SPEAKUP_AUDIT builds";
 #endif
   ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
-  // Two slots per chunk make (kMany - kFew) / 2 chunk allocations. Every
-  // other growing vector on the path (slot metadata, demux table, event
-  // slab, timer pool, queue ring) doubles, so all of them together add a
-  // few dozen; per-chunk metadata growth would add three per chunk.
-  EXPECT_LT(growth_allocs, static_cast<std::int64_t>((kMany - kFew) / 2 + 128))
-      << "slot metadata must grow geometrically";
+  // One allocation per slab chunk. Every other growing vector on the path
+  // (the slab's chunk list, demux table, event slab, timer pool) doubles,
+  // so all of them together add a few dozen; per-host two-slot chunks would
+  // add (kMany - kFew) / 2.
+  const std::size_t chunks = ConnectionSlab::of(p.net).chunk_count();
+  EXPECT_EQ(chunks, (kMany + ConnectionSlab::kChunk - 1) / ConnectionSlab::kChunk);
+  EXPECT_LT(growth_allocs, static_cast<std::int64_t>(chunks + 128))
+      << "the connection slab must grow by whole chunks";
 
   // One more full cycle brings the event loop's own pools to their
   // high-water mark; the cycle after it is the steady state.
@@ -307,6 +312,67 @@ TEST(TcpEdge, HostSlabKeepsReferencesAndRecyclesSlots) {
   EXPECT_EQ(reuse.delta(), 0) << "reopening on released slots allocated";
   EXPECT_EQ(p.a->live_connections(), kMany);
   EXPECT_TRUE(all_valid());
+}
+
+// The slab's size follows the network's peak of live connections, not the
+// hosts that ever connected: 10^4 hosts each open a connection in turn, see
+// it reset (nothing listens) and released, and the whole network never
+// needs more than one record.
+TEST(TcpEdge, SlabFollowsLiveConnectionsNotHosts) {
+  constexpr int kHosts = 10'000;
+  sim::EventLoop loop;
+  net::Network net(loop);
+  const net::Switch& sw = net.add_switch("sw");
+  const Host& server = net.add_node<Host>("server");
+  net.connect(server, sw, net::LinkSpec{Bandwidth::gbps(1.0), Duration::micros(10), 4'000'000});
+  std::vector<Host*> hosts;
+  hosts.reserve(kHosts);
+  for (int i = 0; i < kHosts; ++i) {
+    hosts.push_back(&net.add_node<Host>("c" + std::to_string(i)));
+    net.connect(*hosts.back(), sw,
+                net::LinkSpec{Bandwidth::mbps(2.0), Duration::micros(500), 48'000});
+  }
+  const ConnectionSlab& slab = ConnectionSlab::of(net);
+  std::size_t max_chunks = 0;
+  for (Host* h : hosts) {
+    (void)h->connect(server.id(), 80);
+    loop.run();  // SYN, RST, reset, deferred destroy
+    ASSERT_EQ(h->live_connections(), 0u);
+    max_chunks = std::max(max_chunks, slab.chunk_count());
+  }
+  EXPECT_EQ(max_chunks, 1u);
+  EXPECT_EQ(slab.size(), 1u) << "one live connection at a time needs one record";
+  EXPECT_EQ(slab.in_use(), 0u);
+}
+
+// A host destroyed while it holds one live connection and one waiting for
+// its deferred destroy returns both records to the slab and cancels that
+// destroy. The records are reused at once, so an event that still fired
+// into the dead host would destroy a live connection (and, under ASan,
+// read freed memory).
+TEST(TcpEdge, DestroyedHostReturnsSlotsAndLeavesNoEvents) {
+  Pair p(net::LinkSpec{Bandwidth::mbps(10.0), Duration::millis(1), 96'000});
+  p.b->listen(80, [](TcpConnection&) {});
+  // The network does not own this host, so the test can destroy it. It
+  // borrows a's node id and routes; replies to it reach a, which holds no
+  // connection on port 81 and ignores them.
+  auto doomed = std::make_unique<Host>(p.net, p.a->id(), "doomed");
+  (void)doomed->connect(p.b->id(), 81);         // live
+  doomed->connect(p.b->id(), 81).abort();       // releasing: its destroy is pending
+  const ConnectionSlab& slab = ConnectionSlab::of(p.net);
+  ASSERT_EQ(slab.in_use(), 2u);
+  ASSERT_EQ(doomed->live_connections(), 2u);
+
+  doomed.reset();
+  EXPECT_EQ(slab.in_use(), 0u) << "the dead host's records must return to the slab";
+  TcpConnection& c1 = p.a->connect(p.b->id(), 80);  // reuse both records
+  TcpConnection& c2 = p.a->connect(p.b->id(), 80);
+  EXPECT_EQ(slab.size(), 2u);
+  p.run_for(1.0);
+  EXPECT_TRUE(c1.established());
+  EXPECT_TRUE(c2.established());
+  EXPECT_EQ(p.a->live_connections(), 2u);
+  EXPECT_EQ(slab.in_use(), 4u);  // a's two and b's two accepted ones
 }
 
 TEST(TcpEdge, ZeroByteWriteIsNoop) {
