@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,15 +85,13 @@ BenchResult bench_timer_churn(int repeat) {
   return best_of("timer_churn", "events_fired", repeat, [](BenchResult& out) {
     sim::EventLoop loop;
     std::int64_t fired = 0;
-    for (int c = 0; c < kChains; ++c) {
-      // Each chain reschedules itself 1 us out until the quota is met.
-      auto self = std::make_shared<std::function<void()>>();
-      *self = [&loop, &fired, self] {
-        if (++fired >= kTotalEvents) return;
-        loop.schedule(Duration::micros(1), *self);
-      };
-      loop.schedule(Duration::micros(1), *self);
-    }
+    // Each chain reschedules itself 1 us out until the quota is met. The
+    // loop stores a pointer to the chain's std::function, not the function.
+    std::function<void()> chain = [&loop, &fired, &chain] {
+      if (++fired >= kTotalEvents) return;
+      loop.schedule(Duration::micros(1), [&chain] { chain(); });
+    };
+    for (int c = 0; c < kChains; ++c) loop.schedule(Duration::micros(1), [&chain] { chain(); });
     loop.run();
     out.ops = static_cast<double>(fired);
     out.sim_seconds = loop.now().sec();
@@ -109,8 +108,7 @@ BenchResult bench_cancel_heavy(int repeat) {
     std::int64_t ops = 0;
     std::int64_t ticks = 0;
     std::vector<sim::EventId> armed;
-    auto driver = std::make_shared<std::function<void()>>();
-    *driver = [&loop, &ops, &ticks, &armed, driver] {
+    std::function<void()> driver = [&loop, &ops, &ticks, &armed, &driver] {
       // Cancel the previous tick's timeouts (the request "completed")...
       for (sim::EventId& id : armed) {
         loop.cancel(id);
@@ -123,11 +121,11 @@ BenchResult bench_cancel_heavy(int repeat) {
         ++ops;
       }
       if (++ticks < kTicks) {
-        loop.schedule(Duration::micros(1), *driver);
+        loop.schedule(Duration::micros(1), [&driver] { driver(); });
         ++ops;
       }
     };
-    loop.schedule(Duration::micros(1), *driver);
+    loop.schedule(Duration::micros(1), [&driver] { driver(); });
     loop.run();
     out.ops = static_cast<double>(ops);
     out.sim_seconds = loop.now().sec();

@@ -49,7 +49,6 @@ void ClientPool::reserve(std::size_t n) {
   arr_when_.reserve(n);
   arr_seq_.reserve(n);
   heap_.reserve(n);
-  heap_pos_.reserve(n);
 }
 
 void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
@@ -70,7 +69,6 @@ void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
   outstanding_.back().reserve(static_cast<std::size_t>(params_.window) + 1);
   arr_when_.emplace_back();
   arr_seq_.push_back(0);
-  heap_pos_.push_back(kNpos);
 }
 
 StrategyView ClientPool::view(std::uint32_t m) const {
@@ -87,7 +85,11 @@ int ClientPool::current_window(std::uint32_t m) {
 }
 
 void ClientPool::start_all() {
-  for (std::uint32_t m = 0; m < hosts_.size(); ++m) draw_next_arrival(m);
+  for (std::uint32_t m = 0; m < hosts_.size(); ++m) {
+    draw_next_arrival(m);
+    heap_.push_back(m);
+    heap_sift_up(heap_.size() - 1);
+  }
   arm_next();
   SPEAKUP_AUDIT_ONLY(audit();)
 }
@@ -98,30 +100,22 @@ void ClientPool::audit() const {
   SPEAKUP_AUDIT_CHECK(rngs_.size() == n && strategies_.size() == n && stats_.size() == n &&
                           next_seq_.size() == n && paused_.size() == n &&
                           backlogs_.size() == n && outstanding_.size() == n &&
-                          arr_when_.size() == n && arr_seq_.size() == n &&
-                          heap_pos_.size() == n,
+                          arr_when_.size() == n && arr_seq_.size() == n,
                       "ClientPool: per-member parallel arrays must stay aligned");
-  // Cohort heap: binary min-heap over (arr_when_, arr_seq_), heap_pos_ the
-  // exact inverse of heap_, members appearing at most once.
+  // Cohort heap: binary min-heap over (arr_when_, arr_seq_), members
+  // appearing at most once.
   SPEAKUP_AUDIT_CHECK(heap_.size() <= n, "ClientPool: heap larger than the member count");
+  std::vector<std::uint8_t> heaped(n, 0);
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const std::uint32_t m = heap_[i];
     SPEAKUP_AUDIT_CHECK(m < n, "ClientPool: heap member id out of range");
-    SPEAKUP_AUDIT_CHECK(heap_pos_[m] == i, "ClientPool: heap_pos_ must invert heap_");
+    SPEAKUP_AUDIT_CHECK(!heaped[m], "ClientPool: member heaped more than once");
+    heaped[m] = 1;
     if (i > 0) {
       SPEAKUP_AUDIT_CHECK(!heap_less(m, heap_[(i - 1) / 2]),
                           "ClientPool: cohort min-heap property violated");
     }
   }
-  std::size_t heaped = 0;
-  for (std::uint32_t m = 0; m < n; ++m) {
-    if (heap_pos_[m] == kNpos) continue;
-    ++heaped;
-    SPEAKUP_AUDIT_CHECK(heap_pos_[m] < heap_.size() && heap_[heap_pos_[m]] == m,
-                        "ClientPool: member's heap_pos_ must point at its heap entry");
-  }
-  SPEAKUP_AUDIT_CHECK(heaped == heap_.size(),
-                      "ClientPool: every heap entry owned by exactly one member");
   // The armed cohort event exists iff an arrival is pending, and it is
   // filed under the heap minimum's reserved key.
   SPEAKUP_AUDIT_CHECK(armed_ev_.pending() == !heap_.empty(),
@@ -159,7 +153,7 @@ void ClientPool::audit() const {
 }
 
 void ClientPool::corrupt_heap_for_test() {
-  if (heap_.size() >= 2) std::swap(heap_pos_[heap_[0]], heap_pos_[heap_[1]]);
+  if (heap_.size() >= 2) std::swap(heap_.front(), heap_.back());
 }
 #endif
 
@@ -167,7 +161,6 @@ void ClientPool::draw_next_arrival(std::uint32_t m) {
   const Duration gap = strategies_[m]->next_arrival(rngs_[m], view(m));
   arr_when_[m] = loop_->now() + gap;
   arr_seq_[m] = loop_->reserve_seq();
-  heap_insert(m);
 }
 
 void ClientPool::arm_next() {
@@ -179,8 +172,12 @@ void ClientPool::arm_next() {
 
 void ClientPool::fire() {
   const std::uint32_t m = heap_[0];
-  heap_pop_min();
-  on_arrival(m);
+  if (paused_[m]) {
+    heap_pop_min();  // the member's arrival chain stops here
+  } else {
+    on_arrival(m);  // re-keys m, which is still the heap's root
+    heap_sift_down(0);
+  }
   arm_next();
   SPEAKUP_AUDIT_ONLY(if (--audit_countdown_ == 0) {
     audit_countdown_ = kAuditPeriod;
@@ -189,7 +186,6 @@ void ClientPool::fire() {
 }
 
 void ClientPool::on_arrival(std::uint32_t m) {
-  if (paused_[m]) return;  // the member's arrival chain stops here
   ++stats_[m].arrivals;
   purge_backlog(m);
   if (outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {
@@ -414,47 +410,35 @@ ClientPool::Request* ClientPool::find_request(std::uint64_t id, std::uint32_t* o
   return nullptr;
 }
 
-void ClientPool::heap_insert(std::uint32_t m) {
-  heap_pos_[m] = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(m);
-  heap_sift_up(heap_.size() - 1);
-}
-
 void ClientPool::heap_pop_min() {
-  heap_pos_[heap_[0]] = kNpos;
   heap_[0] = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_pos_[heap_[0]] = 0;
-    heap_sift_down(0);
-  }
+  if (!heap_.empty()) heap_sift_down(0);
 }
 
 void ClientPool::heap_sift_up(std::size_t i) {
+  const std::uint32_t m = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!heap_less(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i);
-    heap_pos_[heap_[parent]] = static_cast<std::uint32_t>(parent);
+    if (!heap_less(m, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = m;
 }
 
 void ClientPool::heap_sift_down(std::size_t i) {
+  const std::uint32_t m = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
-    std::size_t best = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    if (l < n && heap_less(heap_[l], heap_[best])) best = l;
-    if (r < n && heap_less(heap_[r], heap_[best])) best = r;
-    if (best == i) return;
-    std::swap(heap_[i], heap_[best]);
-    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i);
-    heap_pos_[heap_[best]] = static_cast<std::uint32_t>(best);
-    i = best;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_less(heap_[child + 1], heap_[child])) ++child;
+    if (!heap_less(heap_[child], m)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
+  heap_[i] = m;
 }
 
 }  // namespace speakup::client

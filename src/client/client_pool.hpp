@@ -121,13 +121,14 @@ class ClientPool {
 
 #if SPEAKUP_AUDIT_ENABLED
   /// Structural audit (SPEAKUP_AUDIT builds only): parallel member arrays
-  /// aligned, cohort min-heap property + heap_pos_ inverse mapping, armed
+  /// aligned, cohort min-heap property with each member at most once, armed
   /// event agreement with the heap minimum, request-slab accounting, and
   /// outstanding lists holding exactly the live slots of their member.
   /// Runs every kAuditPeriod cohort fires (plus at start_all).
   void audit() const;
-  /// Deliberate corruption for tests/audit_test.cpp: desyncs the heap_pos_
-  /// inverse map — the signature of a missed swap during sift.
+  /// Deliberate corruption for tests/audit_test.cpp: swaps the heap's root
+  /// and last entry, breaking the min-heap order — the signature of a
+  /// missed sift.
   void corrupt_heap_for_test();
 #endif
 
@@ -174,7 +175,6 @@ class ClientPool {
   };
 
   static constexpr std::size_t kChunk = 64;
-  static constexpr std::uint32_t kNpos = UINT32_MAX;
 
   struct alignas(Request) RawSlot {
     std::byte bytes[sizeof(Request)];
@@ -211,10 +211,9 @@ class ClientPool {
   [[nodiscard]] Request* find_request(std::uint64_t id, std::uint32_t* out_slot);
 
   // --- cohort arrival heap ------------------------------------------------
-  /// Draws the member's next arrival gap, reserves the seq a per-member
-  /// schedule() would have consumed, and inserts into the heap.
+  /// Draws the member's next arrival gap and reserves the seq a per-member
+  /// schedule() would have consumed. The caller places m in the heap.
   void draw_next_arrival(std::uint32_t m);
-  void heap_insert(std::uint32_t m);
   void heap_pop_min();
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
@@ -242,11 +241,10 @@ class ClientPool {
   std::vector<BacklogRing> backlogs_;
   std::vector<std::vector<std::uint32_t>> outstanding_;  // request slot ids
 
-  // Pending-arrival keys + indexed min-heap over members.
+  // Pending-arrival keys + a min-heap over members.
   std::vector<SimTime> arr_when_;
   std::vector<std::uint64_t> arr_seq_;
-  std::vector<std::uint32_t> heap_;      // member ids, heap-ordered
-  std::vector<std::uint32_t> heap_pos_;  // member -> index in heap_, or kNpos
+  std::vector<std::uint32_t> heap_;  // member ids, heap-ordered
   sim::EventId armed_ev_;
 
   // Request slab.

@@ -3,14 +3,17 @@
 // A scheduled callback in this simulator is almost always a tiny closure —
 // `[this]`, `[this, slot]`, a couple of references — yet std::function heap-
 // allocates anything bigger than its two-pointer SBO. EventFn stores the
-// callable inline in a fixed 32-byte buffer and refuses (at compile time)
-// anything larger, so EventLoop::schedule never touches the allocator. A
-// call site that genuinely needs a big capture can wrap it in a
-// shared_ptr/unique_ptr and capture the pointer — making the allocation
-// explicit and visible at the call site instead of hidden in the loop.
+// callable inline in a 24-byte buffer and accepts only closures that are
+// trivially copyable and trivially destructible: moving one is a byte copy
+// and dropping one is a no-op, so the event slab copies callbacks in and
+// out and never calls back into the closure except to run it. A call site
+// that genuinely needs a big or owning capture keeps the state elsewhere
+// and captures a pointer to it — making the ownership explicit at the call
+// site instead of hidden in the loop.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -19,73 +22,53 @@ namespace speakup::sim {
 
 class EventFn {
  public:
-  /// Inline storage size. The audit (compile errors at every schedule site)
-  /// shows the whole tree's closures are <= 24 bytes — `[this]`,
-  /// `[this, slot]`, `[this, key]` — so 32 halves the event record versus
-  /// the previous 64 while still leaving one pointer of headroom.
-  static constexpr std::size_t kCapacity = 32;
+  /// Inline storage size: the whole tree's closures are <= 24 bytes —
+  /// `[this]`, `[this, slot]`, `[this, key]` — and 24 plus the invoke
+  /// pointer leaves the event record room for its wheel links.
+  static constexpr std::size_t kCapacity = 24;
+
+  /// What EventFn can hold. A constraint, not a static_assert, so
+  /// `std::is_constructible_v<EventFn, F>` reports a refused closure.
+  template <typename F, typename Fn = std::decay_t<F>>
+  static constexpr bool kStorable =
+      !std::is_same_v<Fn, EventFn> && std::is_invocable_r_v<void, Fn&> &&
+      std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn> &&
+      sizeof(Fn) <= kCapacity && alignof(Fn) <= alignof(void*);
 
   EventFn() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
+  template <typename F>
+    requires kStorable<F>
+  EventFn(F&& f) noexcept {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>, "EventFn callable must be invocable as void()");
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "closure too large for EventFn's inline buffer; capture a "
-                  "(shared_)ptr to the state instead of the state itself");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned closures are not supported");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "EventFn callables must be nothrow-movable (the event slab "
-                  "relocates records when it grows)");
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     invoke_ = [](void* b) { (*std::launder(static_cast<Fn*>(b)))(); };
-    relocate_ = [](void* src, void* dst) noexcept {
-      Fn* fn = std::launder(static_cast<Fn*>(src));
-      if (dst != nullptr) ::new (dst) Fn(std::move(*fn));
-      fn->~Fn();
-    };
   }
 
-  EventFn(EventFn&& other) noexcept { move_from(other); }
+  /// Moving copies the bytes and empties the source.
+  EventFn(EventFn&& other) noexcept : invoke_(other.invoke_) {
+    std::memcpy(buf_, other.buf_, kCapacity);
+    other.invoke_ = nullptr;
+  }
   EventFn& operator=(EventFn&& other) noexcept {
     if (this != &other) {
-      reset();
-      move_from(other);
+      std::memcpy(buf_, other.buf_, kCapacity);
+      invoke_ = other.invoke_;
+      other.invoke_ = nullptr;
     }
     return *this;
   }
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
 
   [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
 
   void operator()() { invoke_(buf_); }
 
-  /// Destroys the stored callable (no-op when empty).
-  void reset() {
-    if (relocate_ != nullptr) relocate_(buf_, nullptr);
-    invoke_ = nullptr;
-    relocate_ = nullptr;
-  }
-
  private:
-  void move_from(EventFn& other) noexcept {
-    invoke_ = other.invoke_;
-    relocate_ = other.relocate_;
-    if (other.relocate_ != nullptr) other.relocate_(other.buf_, buf_);
-    other.invoke_ = nullptr;
-    other.relocate_ = nullptr;
-  }
-
-  alignas(std::max_align_t) std::byte buf_[kCapacity];
+  // Zeroed so that copying a short capture never reads indeterminate bytes.
+  alignas(void*) std::byte buf_[kCapacity] = {};
   void (*invoke_)(void*) = nullptr;
-  // Moves the callable from src into dst (destroying src), or just destroys
-  // src when dst is nullptr. One pointer covers move + destroy.
-  void (*relocate_)(void* src, void* dst) noexcept = nullptr;
 };
 
 }  // namespace speakup::sim

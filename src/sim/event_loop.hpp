@@ -6,38 +6,56 @@
 // bit-reproducible.
 //
 // Hot-path design (this is the innermost loop of every experiment):
-//   - Callbacks live in a slab (vector) of pooled records recycled through
-//     a free list; EventIds address records by (slot, generation), so
-//     neither schedule nor cancel ever touches the allocator once the slab
-//     and queues have reached their steady-state size.
-//   - The callback type is sim::EventFn — a 64-byte in-place closure that
-//     refuses oversized captures at compile time (see event_fn.hpp).
-//   - Pending events live in one of two stores. Deadlines from the next
-//     wheel tick (~16 µs) out to ~4.9 h sit in a hierarchical timer wheel
-//     (timer_wheel.hpp): O(1) schedule, O(1) eager cancel — the protocol-
-//     timeout pattern (every TCP ack re-arms the RTO, every request arms a
-//     300 s timeout) never touches the heap. Everything else (within the
-//     current tick, or beyond the span) sits in a 4-ary implicit heap of
-//     24-byte POD entries — shallower and more cache-friendly than the
-//     binary heap it replaced. The wheel never fires
-//     anything: due slots are drained into the heap, where entries re-sort
-//     by their original (time, seq) key, so firing order is bit-identical
-//     to a single-heap loop by construction.
+//   - Every pending event is one 64-byte slab record: its callback, its
+//     (deadline, seq) key, its generation and its timer-wheel links.
+//     Records are recycled through a free list; EventIds address them by
+//     (slot, generation), so neither schedule nor cancel ever touches the
+//     allocator once the slab and heap have reached their steady-state size.
+//   - The callback type is sim::EventFn — 24 bytes of trivially copyable
+//     capture plus an invoke pointer, refused at compile time when larger
+//     (see event_fn.hpp). Filing and firing copy it; nothing relocates or
+//     destroys it.
+//   - Deadlines from the next wheel tick (~16 µs) out to ~4.9 h are filed
+//     in a hierarchical timer wheel threaded through the records' prev/next
+//     links: O(1) schedule, O(1) eager cancel — the protocol-timeout pattern
+//     (every TCP ack re-arms the RTO, every request arms a 300 s timeout)
+//     never touches the heap. Everything else (within the current tick, or
+//     beyond the span) sits in a 4-ary implicit heap of 24-byte
+//     (when, seq, slot, gen) keys — shallower and more cache-friendly than
+//     the binary heap it replaced. The wheel never fires anything: due
+//     slots are drained into the heap, where entries re-sort by their
+//     original (time, seq) key, so firing order is bit-identical to a
+//     single-heap loop by construction.
 //   - Heap cancellation is O(1): bump the record's generation and free the
-//     slot; the heap entry remains as a tombstone. Tombstones are shed when
+//     slot; the heap key remains as a tombstone. Tombstones are shed when
 //     they reach the top, and the heap is compacted whenever tombstones
 //     exceed half its size. Wheel cancellation unlinks eagerly and leaves
 //     no tombstone at all.
+//
+// The wheel: level 0 has 4096 one-tick slots (2^kTickBits ns ≈ 16.4 µs per
+// tick, so ~67 ms); levels 1–3 have 64 slots, each 64× as wide as a slot
+// of the level below. The span is 2^30 ticks ≈ 4.9 h — past the 300 s
+// default request timeout, so every protocol timer is wheel-resident, and
+// most packet and pacing deadlines land directly in their final level-0
+// slot instead of cascading down. A record's level is the bit-group of
+// the highest bit in which its deadline tick differs from the wheel clock
+// (`cur_tick_`), tokio-style. That keeps every occupied slot ahead of the
+// clock in the current rotation, so each level's earliest slot is its first
+// set occupancy bit. Levels are not ordered among themselves: a level-0
+// drain that carries the clock into the next 4096-tick group leaves the
+// coarser slot holding that group starting exactly at the clock, ahead of
+// any level-0 slot filed afterwards. So the drain compares the first slot
+// of each level, as the hierarchical wheel always has.
 //
 // speakup-lint: hot-path (allocation-free steady state; growth sites must
 // be amortized and allowlisted in tools/lint_allowlist.txt)
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/timer_wheel.hpp"
 #include "util/assert.hpp"
 #include "util/audit.hpp"
 #include "util/units.hpp"
@@ -71,7 +89,17 @@ class EventId {
 
 class EventLoop {
  public:
-  EventLoop() = default;
+  // --- wheel geometry (public so tests can aim at its boundaries) ----------
+  static constexpr int kTickBits = 14;    // 16.384 µs per tick
+  static constexpr int kLevel0Bits = 12;  // 4096 one-tick slots
+  static constexpr int kUpperBits = 6;    // 64 slots on each coarser level
+  static constexpr int kLevels = 4;
+  /// The wheel spans 2^kSpanBits ticks (2^30 ≈ 4.9 h).
+  static constexpr int kSpanBits = kLevel0Bits + (kLevels - 1) * kUpperBits;
+
+  EventLoop() {
+    for (std::uint32_t& head : heads_) head = kNil;
+  }
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -97,13 +125,7 @@ class EventLoop {
                                "ns is before now " + std::to_string(now_.ns()) +
                                "ns (negative times usually mean Duration overflow)");
     }
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = slab_[slot];
-    rec.fn = std::move(fn);
-    rec.armed = true;
-    file_entry(when, slot);
-    ++pending_;
-    return EventId{this, slot, rec.gen};
+    return arm(when, next_seq_++, std::move(fn));
   }
 
   /// Reserves the next position in the global tie-break order without
@@ -124,35 +146,28 @@ class EventLoop {
   EventId schedule_keyed(SimTime when, std::uint64_t seq, EventFn fn) {
     util::require(when >= now_, "EventLoop::schedule_keyed: time is before now");
     SPEAKUP_ASSERT(seq < next_seq_);  // must come from reserve_seq
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = slab_[slot];
-    rec.fn = std::move(fn);
-    rec.armed = true;
-    file_entry(when, seq, slot);
-    ++pending_;
-    return EventId{this, slot, rec.gen};
+    return arm(when, seq, std::move(fn));
   }
 
   /// Moves a still-pending event to a new deadline, keeping its callback.
   /// Exactly equivalent to cancel(id) + schedule(delay, <same callback>) —
   /// same generation bump, same (time, seq) ordering key, same slot-reuse
-  /// pattern — but skips destroying and re-creating the callback and the
-  /// free-list round-trip, which is what makes per-ack RTO re-arming cheap.
+  /// pattern — but skips re-copying the callback and the free-list
+  /// round-trip, which is what makes per-ack RTO re-arming cheap.
   /// Precondition: the event is pending (restart-style callers check).
   /// Invalidates `id` and every copy; returns the replacement handle.
   EventId reschedule(EventId id, Duration delay) {
     SPEAKUP_ASSERT(id.loop_ == this && slot_pending(id.slot_, id.gen_));
     const SimTime when = saturated_deadline(delay);
     Record& rec = slab_[id.slot_];
-    ++rec.gen;  // old handles (and any old heap entry) are now stale
-    bool tombstoned = false;
-    if (rec.wheel_node != TimerWheel::kNil) {
-      wheel_.remove(rec.wheel_node);
-    } else {
+    ++rec.gen;  // old handles (and any old heap key) are now stale
+    const bool tombstoned = rec.place == kInHeap;
+    if (tombstoned) {
       ++tombstones_;
-      tombstoned = true;
+    } else {
+      wheel_unlink(id.slot_);
     }
-    file_entry(when, id.slot_);
+    file_entry(when, next_seq_++, id.slot_);
     // Compact only after the record is re-filed: maybe_compact runs a full
     // audit in SPEAKUP_AUDIT builds, and between the gen bump and file_entry
     // the armed record is resident in neither store.
@@ -166,16 +181,12 @@ class EventLoop {
   void cancel(EventId& id) {
     if (id.loop_ == this && slot_pending(id.slot_, id.gen_)) {
       Record& rec = slab_[id.slot_];
-      rec.armed = false;
-      rec.fn.reset();  // release captured state promptly
+      const bool tombstoned = rec.place == kInHeap;
+      if (!tombstoned) wheel_unlink(id.slot_);
       ++rec.gen;
       --pending_;
-      if (rec.wheel_node != TimerWheel::kNil) {
-        wheel_.remove(rec.wheel_node);
-        rec.wheel_node = TimerWheel::kNil;
-        release_slot(id.slot_);
-      } else {
-        release_slot(id.slot_);
+      release_slot(id.slot_);
+      if (tombstoned) {
         ++tombstones_;
         maybe_compact();
       }
@@ -214,7 +225,7 @@ class EventLoop {
   /// Events currently filed in the timer wheel (introspection for tests;
   /// cancelled wheel events are unlinked eagerly, so this counts live
   /// events only).
-  [[nodiscard]] std::size_t wheel_size() const { return wheel_.size(); }
+  [[nodiscard]] std::size_t wheel_size() const { return wheel_size_; }
 
   // --- observability ---------------------------------------------------------
   // The loop is the one object every simulated component can already reach,
@@ -247,57 +258,96 @@ class EventLoop {
 
 #if SPEAKUP_AUDIT_ENABLED
   /// Full structural audit (SPEAKUP_AUDIT builds only): 4-ary heap property,
-  /// tombstone accounting, slab/free-list consistency, heap-vs-wheel
-  /// residency cross-checks, and the wheel's own audit. Runs automatically
-  /// every kAuditPeriod fired events and after each compaction; tests may
-  /// call it at any quiescent point (not from inside a callback — a firing
-  /// event's slot is released before its callback runs).
+  /// tombstone accounting, slab/free-list consistency, and the wheel's slot
+  /// lists walked through the slab links. Runs automatically every
+  /// kAuditPeriod fired events and after each compaction; tests may call it
+  /// at any quiescent point (not from inside a callback — a firing event's
+  /// slot is released before its callback runs).
   void audit() const {
     // 4-ary heap property over the (when, seq) total order.
     for (std::size_t i = 1; i < heap_.size(); ++i) {
       SPEAKUP_AUDIT_CHECK(!earlier(heap_[i], heap_[(i - 1) >> 2]),
                           "EventLoop: 4-ary heap property violated");
     }
-    // Tombstone accounting, and no event resident in both stores.
+    // Tombstone accounting; a live heap key's record says it is in the heap.
     std::size_t live_heap = 0;
     for (const HeapEntry& e : heap_) {
       SPEAKUP_AUDIT_CHECK(e.slot < slab_.size(), "EventLoop: heap entry slot out of range");
       if (live(e)) {
         ++live_heap;
-        SPEAKUP_AUDIT_CHECK(slab_[e.slot].wheel_node == TimerWheel::kNil,
-                            "EventLoop: live heap entry must not also be wheel-resident");
+        SPEAKUP_AUDIT_CHECK(slab_[e.slot].place == kInHeap,
+                            "EventLoop: live heap entry's record must be heap-resident");
       }
     }
     SPEAKUP_AUDIT_CHECK(heap_.size() - live_heap == tombstones_,
                         "EventLoop: tombstones_ must count the dead heap entries");
-    // Slab: armed records are exactly the pending events, and an armed
-    // record's wheel handle (when present) points to a linked node filed
-    // under this (slot, generation).
+    // Slab: armed records are exactly the pending events, split between the
+    // two stores.
     std::size_t armed = 0;
-    for (std::uint32_t s = 0; s < slab_.size(); ++s) {
-      const Record& rec = slab_[s];
-      if (!rec.armed) continue;
-      ++armed;
-      if (rec.wheel_node != TimerWheel::kNil) {
-        SPEAKUP_AUDIT_CHECK(wheel_.audit_node(rec.wheel_node, s, rec.gen),
-                            "EventLoop: armed record's wheel node must link back to it");
-      }
+    std::size_t in_heap = 0;
+    std::size_t in_wheel = 0;
+    for (const Record& rec : slab_) {
+      SPEAKUP_AUDIT_CHECK(rec.place <= kFree, "EventLoop: record place out of range");
+      armed += rec.place != kFree;
+      in_heap += rec.place == kInHeap;
+      in_wheel += rec.place < kLevels;
     }
     SPEAKUP_AUDIT_CHECK(armed == pending_, "EventLoop: pending_ must count the armed records");
-    SPEAKUP_AUDIT_CHECK(live_heap + wheel_.size() == pending_,
-                        "EventLoop: every pending event lives in exactly one store");
+    SPEAKUP_AUDIT_CHECK(in_heap == live_heap,
+                        "EventLoop: every heap-resident record has exactly one live heap key");
+    SPEAKUP_AUDIT_CHECK(in_wheel == wheel_size_,
+                        "EventLoop: wheel_size_ must count the wheel-resident records");
     // Free list: in range, unarmed, acyclic, and together with the armed
     // records it covers the whole slab.
     std::size_t free_len = 0;
-    for (std::uint32_t s = free_head_; s != kNilSlot; s = slab_[s].next_free) {
+    for (std::uint32_t s = free_head_; s != kNil; s = slab_[s].next) {
       SPEAKUP_AUDIT_CHECK(s < slab_.size(), "EventLoop: free-list slot out of range");
-      SPEAKUP_AUDIT_CHECK(!slab_[s].armed, "EventLoop: free-list slot must be unarmed");
+      SPEAKUP_AUDIT_CHECK(slab_[s].place == kFree, "EventLoop: free-list slot must be unarmed");
       ++free_len;
       SPEAKUP_AUDIT_CHECK(free_len <= slab_.size(), "EventLoop: free-list cycle");
     }
     SPEAKUP_AUDIT_CHECK(armed + free_len == slab_.size(),
                         "EventLoop: every slab slot is either armed or on the free list");
-    wheel_.audit();
+    // Wheel: summary bits vs bitmap words, bitmap bits vs slot lists, and
+    // every listed record linked symmetrically, placed where its level and
+    // slot say, and not behind the wheel clock.
+    for (std::uint32_t w = 0; w < kLevel0Words; ++w) {
+      SPEAKUP_AUDIT_CHECK(((summary_ >> w) & 1) == (bits_[w] != 0),
+                          "EventLoop: wheel summary word must agree with the level-0 bitmap");
+    }
+    std::size_t linked = 0;
+    std::int64_t min_start_ns = INT64_MAX;
+    for (std::uint32_t h = 0; h < kHeads; ++h) {
+      const bool bit = ((bits_[h >> 6] >> (h & 63)) & 1) != 0;
+      SPEAKUP_AUDIT_CHECK(bit == (heads_[h] != kNil),
+                          "EventLoop: wheel bitmap must agree with the slot lists");
+      std::uint32_t prev = kNil;
+      for (std::uint32_t s = heads_[h]; s != kNil; s = slab_[s].next) {
+        SPEAKUP_AUDIT_CHECK(s < slab_.size(), "EventLoop: wheel link out of range");
+        const Record& rec = slab_[s];
+        SPEAKUP_AUDIT_CHECK(rec.place == level_of(h) && rec.slot == h,
+                            "EventLoop: record's level/slot must match its wheel list");
+        SPEAKUP_AUDIT_CHECK(rec.prev == prev, "EventLoop: wheel prev/next links must be symmetric");
+        // >= not >: filing requires a strictly-future tick, but a level-0
+        // drain moves the clock one past the drained tick, onto a tick
+        // whose slot (or, after a carry into the next group, whose coarser
+        // slot) may still hold records.
+        SPEAKUP_AUDIT_CHECK((rec.when_ns >> kTickBits) >= cur_tick_,
+                            "EventLoop: wheel deadline must not be behind the wheel clock");
+        ++linked;
+        SPEAKUP_AUDIT_CHECK(linked <= wheel_size_,
+                            "EventLoop: wheel list cycle (more linked records than wheel_size_)");
+        prev = s;
+      }
+      if (heads_[h] != kNil) {
+        const std::int64_t start_ns = slot_start_tick(h) << kTickBits;
+        if (start_ns < min_start_ns) min_start_ns = start_ns;
+      }
+    }
+    SPEAKUP_AUDIT_CHECK(linked == wheel_size_,
+                        "EventLoop: wheel_size_ must count the linked records");
+    SPEAKUP_AUDIT_CHECK(lb_hint_ns_ <= min_start_ns,
+                        "EventLoop: wheel lower-bound hint must never exceed the true bound");
   }
 
   /// Deliberate corruption hooks for tests/audit_test.cpp: prove the audit
@@ -305,27 +355,48 @@ class EventLoop {
   void corrupt_heap_for_test() {
     if (!heap_.empty()) heap_.back().when_ns = -1;
   }
-  void corrupt_wheel_for_test() { wheel_.corrupt_bitmap_for_test(); }
+  /// Raises an occupancy bit with no list behind it — the signature of a
+  /// lost unlink.
+  void corrupt_wheel_for_test() { bits_[kWords - 1] |= 1; }
 #endif
 
  private:
   friend class EventId;
 
-  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
   /// Below this size the heap is left alone: compacting a few dozen entries
   /// buys nothing and would thrash on small workloads.
   static constexpr std::size_t kCompactMin = 64;
 
-  struct Record {
+  static constexpr std::uint32_t kLevel0Slots = 1u << kLevel0Bits;
+  static constexpr std::uint32_t kUpperSlots = 1u << kUpperBits;
+  /// Slot lists, level 0 first: head index h < 4096 is level-0 tick h mod
+  /// 4096; the rest are levels 1–3, 64 apiece. Occupancy bit h lives in
+  /// bits_[h / 64], one word per upper level; bit w of summary_ says
+  /// whether level-0 word bits_[w] is non-zero.
+  static constexpr std::uint32_t kHeads = kLevel0Slots + (kLevels - 1) * kUpperSlots;
+  static constexpr std::uint32_t kWords = kHeads / 64;
+  static constexpr std::uint32_t kLevel0Words = kLevel0Slots / 64;
+  static_assert(kLevel0Words == 64 && kUpperSlots == 64,
+                "one summary word, one bitmap word per upper level");
+
+  /// Record::place: a wheel level (0..kLevels-1), or one of these.
+  static constexpr std::uint8_t kInHeap = kLevels;
+  static constexpr std::uint8_t kFree = kLevels + 1;
+
+  /// The one per-event store. `next` doubles as the free-list link.
+  struct alignas(64) Record {
     EventFn fn;
+    std::int64_t when_ns = 0;
+    std::uint64_t seq = 0;
     std::uint32_t gen = 0;
-    bool armed = false;
-    std::uint32_t next_free = kNilSlot;
-    /// Wheel node handle while the event waits in the wheel; kNil once it
-    /// is heap-resident (within the current tick, beyond the span, or
-    /// drained).
-    std::uint32_t wheel_node = TimerWheel::kNil;
+    std::uint32_t prev = kNil;  // wheel slot list
+    std::uint32_t next = kNil;
+    std::uint16_t slot = 0;      // wheel head index while place < kLevels
+    std::uint8_t place = kFree;  // wheel level, kInHeap or kFree
+    std::uint8_t spare = 0;      // reserved for a per-event layer tag
   };
+  static_assert(sizeof(Record) == 64, "one cache line per pending event");
 
   struct HeapEntry {
     std::int64_t when_ns;
@@ -421,37 +492,49 @@ class EventLoop {
     return now_ + delay;  // SimTime addition saturates at max_time()
   }
 
-  /// Files `slot`'s (deadline, fresh seq) key into the wheel when the
-  /// deadline qualifies, else the heap. The single place the store-choice
-  /// policy lives — schedule_at and reschedule must not diverge.
-  void file_entry(SimTime when, std::uint32_t slot) {
-    file_entry(when, next_seq_++, slot);
+  EventId arm(SimTime when, std::uint64_t seq, EventFn&& fn) {
+    const std::uint32_t slot = acquire_slot();
+    Record& rec = slab_[slot];
+    rec.fn = std::move(fn);
+    file_entry(when, seq, slot);
+    ++pending_;
+    return EventId{this, slot, rec.gen};
   }
 
-  /// Keyed variant: files under a caller-supplied (reserved) seq. Store
-  /// choice cannot affect firing order — the wheel only ever drains into
-  /// the heap, where entries re-sort by (when, seq).
+  /// Files `slot` under (when, seq): into the wheel when the deadline lies
+  /// within its span, else into the heap. The single place the store-choice
+  /// policy lives. Store choice cannot affect firing order — the wheel only
+  /// ever drains into the heap, where entries re-sort by (when, seq).
   void file_entry(SimTime when, std::uint64_t seq, std::uint32_t slot) {
     Record& rec = slab_[slot];
-    const std::uint32_t node =
-        wheel_.insert(TimerWheel::Entry{when.ns(), seq, slot, rec.gen});
-    rec.wheel_node = node;
-    if (node == TimerWheel::kNil) {
-      heap_push(HeapEntry{when.ns(), seq, slot, rec.gen});
+    rec.when_ns = when.ns();
+    rec.seq = seq;
+    const std::int64_t when_tick = rec.when_ns >> kTickBits;
+    const std::uint32_t head = wheel_head(when_tick);
+    if (head == kNil) {
+      rec.place = kInHeap;
+      heap_push(HeapEntry{rec.when_ns, seq, slot, rec.gen});
+      return;
     }
+    wheel_link(slot, head);
+    ++wheel_size_;
+    // The slot's start: the deadline tick with the bits below its slot cleared.
+    const int shift = slot_shift(head);
+    const std::int64_t start_ns = (when_tick >> shift << shift) << kTickBits;
+    if (start_ns < lb_hint_ns_) lb_hint_ns_ = start_ns;
   }
 
   [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < slab_.size() && slab_[slot].gen == gen && slab_[slot].armed;
+    return slot < slab_.size() && slab_[slot].gen == gen && slab_[slot].place != kFree;
   }
   [[nodiscard]] bool live(const HeapEntry& e) const {
-    return slab_[e.slot].gen == e.gen && slab_[e.slot].armed;
+    return slab_[e.slot].gen == e.gen && slab_[e.slot].place != kFree;
   }
 
   std::uint32_t acquire_slot() {
-    if (free_head_ != kNilSlot) {
+    if (free_head_ != kNil) {
       const std::uint32_t slot = free_head_;
-      free_head_ = slab_[slot].next_free;
+      free_head_ = slab_[slot].next;
       return slot;
     }
     slab_.emplace_back();
@@ -459,32 +542,163 @@ class EventLoop {
   }
 
   void release_slot(std::uint32_t slot) {
-    slab_[slot].next_free = free_head_;
+    slab_[slot].place = kFree;
+    slab_[slot].next = free_head_;
     free_head_ = slot;
+  }
+
+  // --- timer wheel over the records' links ----------------------------------
+
+  static constexpr std::uint8_t level_of(std::uint32_t head) {
+    return head < kLevel0Slots
+               ? 0
+               : static_cast<std::uint8_t>(1 + ((head - kLevel0Slots) >> kUpperBits));
+  }
+  /// Bit offset, within a tick, of the slot index of list `head`'s level.
+  static constexpr int slot_shift(std::uint32_t head) {
+    return head < kLevel0Slots
+               ? 0
+               : kLevel0Bits + static_cast<int>((head - kLevel0Slots) >> kUpperBits) * kUpperBits;
+  }
+
+  /// The slot list a deadline tick files under, or kNil when it belongs in
+  /// the heap: not strictly ahead of the wheel clock, or beyond the span.
+  [[nodiscard]] std::uint32_t wheel_head(std::int64_t when_tick) const {
+    if (when_tick <= cur_tick_) return kNil;
+    const int hb = 63 - std::countl_zero(static_cast<std::uint64_t>(when_tick) ^
+                                         static_cast<std::uint64_t>(cur_tick_));
+    if (hb < kLevel0Bits) return static_cast<std::uint32_t>(when_tick & (kLevel0Slots - 1));
+    if (hb >= kSpanBits) return kNil;
+    const auto upper = static_cast<std::uint32_t>((hb - kLevel0Bits) / kUpperBits);  // level - 1
+    const int shift = kLevel0Bits + static_cast<int>(upper) * kUpperBits;
+    return kLevel0Slots + upper * kUpperSlots +
+           static_cast<std::uint32_t>((when_tick >> shift) & (kUpperSlots - 1));
+  }
+
+  /// Links `slot` at the front of slot list `head`.
+  void wheel_link(std::uint32_t slot, std::uint32_t head) {
+    Record& rec = slab_[slot];
+    rec.prev = kNil;
+    rec.next = heads_[head];
+    if (rec.next != kNil) slab_[rec.next].prev = slot;
+    heads_[head] = slot;
+    rec.slot = static_cast<std::uint16_t>(head);
+    rec.place = level_of(head);
+    const std::uint32_t w = head >> 6;
+    bits_[w] |= std::uint64_t{1} << (head & 63);
+    if (w < kLevel0Words) summary_ |= std::uint64_t{1} << w;
+  }
+
+  void clear_head_bit(std::uint32_t head) {
+    const std::uint32_t w = head >> 6;
+    bits_[w] &= ~(std::uint64_t{1} << (head & 63));
+    if (bits_[w] == 0 && w < kLevel0Words) summary_ &= ~(std::uint64_t{1} << w);
+  }
+
+  /// O(1) unlink of a wheel-resident record (cancel / reschedule).
+  void wheel_unlink(std::uint32_t slot) {
+    const Record& rec = slab_[slot];
+    SPEAKUP_ASSERT(rec.place < kLevels);
+    if (rec.prev != kNil) {
+      slab_[rec.prev].next = rec.next;
+    } else {
+      heads_[rec.slot] = rec.next;
+      if (rec.next == kNil) clear_head_bit(rec.slot);
+    }
+    if (rec.next != kNil) slab_[rec.next].prev = rec.prev;
+    if (--wheel_size_ == 0) lb_hint_ns_ = INT64_MAX;
+  }
+
+  /// First tick covered by slot list `head`. Occupied slots lie ahead of
+  /// the clock in the current rotation, so the start is the clock's high
+  /// bits with this level's group replaced by the slot index.
+  [[nodiscard]] std::int64_t slot_start_tick(std::uint32_t head) const {
+    const int shift = slot_shift(head);
+    const int group_bits = shift + (head < kLevel0Slots ? kLevel0Bits : kUpperBits);
+    const std::uint32_t index = head < kLevel0Slots ? head : head & (kUpperSlots - 1);
+    return (cur_tick_ & ~((std::int64_t{1} << group_bits) - 1)) |
+           (static_cast<std::int64_t>(index) << shift);
   }
 
   /// Moves every wheel slot that could precede the heap's next live entry
   /// (or `end_ns`) into the heap, where the entries re-sort by (when, seq).
   /// After this returns, the heap front — if due — is globally earliest.
+  ///
+  /// Draining a slot: records still ahead of the wheel clock cascade into
+  /// finer levels, and records due within the current tick become heap
+  /// keys. Records therefore reach the heap at most one tick (~16 µs)
+  /// before they fire, which keeps the heap holding only the imminent
+  /// frontier. The threshold tightens to the earliest drained record as
+  /// the drain proceeds — that record IS the new frontier, and stopping
+  /// there keeps a momentarily-empty heap from swallowing the whole wheel.
   void promote_due_wheel_slots(std::int64_t end_ns) {
-    while (!heap_.empty() && !live(heap_.front())) {  // shed tombstones
+    while (tombstones_ != 0 && !heap_.empty() && !live(heap_.front())) {  // shed tombstones
       heap_pop_front();
       --tombstones_;
     }
-    if (wheel_.empty()) return;
+    if (wheel_size_ == 0) return;
     const std::int64_t heap_top = heap_.empty() ? INT64_MAX : heap_.front().when_ns;
-    const std::int64_t threshold = heap_top < end_ns ? heap_top : end_ns;
-    // Hint first: a cheap field read rules out a poll on almost every
+    std::int64_t threshold = heap_top < end_ns ? heap_top : end_ns;
+    // Hint first: a cheap field read rules out a drain on almost every
     // step. The hint is never too high, so trusting it cannot fire a
     // heap event ahead of an earlier wheel entry.
-    if (wheel_.lower_bound_hint_ns() > threshold) return;
-    // poll drains every slot at or before the threshold, so afterwards no
-    // wheel entry can precede the (possibly new) heap front: drained
-    // entries are pushed live, and the heap top can only move earlier.
-    wheel_.poll(threshold, [this](const TimerWheel::Entry& e) {
-      slab_[e.slot].wheel_node = TimerWheel::kNil;
-      heap_push(HeapEntry{e.when_ns, e.seq, e.slot, e.gen});
-    });
+    if (lb_hint_ns_ > threshold) return;
+    for (;;) {
+      // The earliest occupied slot: each level's first set bit, then the
+      // earliest of those (see the header).
+      std::uint32_t head = kNil;
+      std::int64_t start = INT64_MAX;
+      if (summary_ != 0) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(summary_));
+        head = (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits_[w]));
+        start = slot_start_tick(head);
+      }
+      for (std::uint32_t w = kLevel0Words; w < kWords; ++w) {  // one word per upper level
+        if (bits_[w] == 0) continue;
+        const std::uint32_t h = (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits_[w]));
+        const std::int64_t s = slot_start_tick(h);
+        if (s < start) {
+          start = s;
+          head = h;
+        }
+      }
+      if (head == kNil) {
+        lb_hint_ns_ = INT64_MAX;
+        return;
+      }
+      lb_hint_ns_ = start << kTickBits;
+      if (lb_hint_ns_ > threshold) return;
+      // Detach the whole list, then advance the clock: a level-0 slot is
+      // one tick wide and fully consumed, so the clock moves past it; a
+      // coarser slot moves the clock to its start and its records re-file
+      // relative to the new clock.
+      std::uint32_t slot = heads_[head];
+      heads_[head] = kNil;
+      clear_head_bit(head);
+      cur_tick_ = head < kLevel0Slots ? start + 1 : start;
+      while (slot != kNil) {
+        Record& rec = slab_[slot];
+        const std::uint32_t next = rec.next;
+        const std::uint32_t finer = wheel_head(rec.when_ns >> kTickBits);
+        if (finer != kNil) {  // still ahead: re-file at a finer level
+          SPEAKUP_ASSERT(level_of(finer) < level_of(head));  // cascades strictly downward
+          wheel_link(slot, finer);
+        } else {  // due within the drained tick
+          if (rec.when_ns < threshold) threshold = rec.when_ns;
+          rec.place = kInHeap;
+          --wheel_size_;
+          heap_push(HeapEntry{rec.when_ns, rec.seq, slot, rec.gen});
+        }
+        slot = next;
+      }
+      // A level-0 slot sinks every record it holds, so the threshold is now
+      // inside the drained tick and no remaining slot (all start at or past
+      // the clock) can be due: skip the scan that would only say so.
+      if (head < kLevel0Slots) {
+        lb_hint_ns_ = cur_tick_ << kTickBits;
+        return;
+      }
+    }
   }
 
   /// Fires the next due event (<= end_ns); returns false if none.
@@ -497,9 +711,9 @@ class EventLoop {
     SPEAKUP_ASSERT(top.when_ns >= now_.ns());
     now_ = SimTime::from_ns(top.when_ns);
     // Retire the record before invoking: the callback may schedule (reusing
-    // this very slot), cancel, or destroy its own captures.
+    // this very slot, or growing the slab), cancel, or destroy the object
+    // that armed it.
     EventFn fn = std::move(rec.fn);
-    rec.armed = false;
     ++rec.gen;
     release_slot(top.slot);
     --pending_;
@@ -541,9 +755,15 @@ class EventLoop {
   std::size_t pending_ = 0;
   std::size_t tombstones_ = 0;
   std::vector<HeapEntry> heap_;
-  TimerWheel wheel_;
   std::vector<Record> slab_;
-  std::uint32_t free_head_ = kNilSlot;
+  std::uint32_t free_head_ = kNil;
+  // Wheel state. cur_tick_: every tick before it has drained.
+  std::int64_t cur_tick_ = 0;
+  std::int64_t lb_hint_ns_ = INT64_MAX;  // never above the earliest wheel slot's start
+  std::size_t wheel_size_ = 0;
+  std::uint64_t summary_ = 0;
+  std::uint64_t bits_[kWords] = {};
+  std::uint32_t heads_[kHeads];  // kNil-filled in the constructor
   obs::Observer* observer_ = nullptr;
   SampleHook sample_hook_ = nullptr;
   void* sample_ctx_ = nullptr;

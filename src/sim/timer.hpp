@@ -6,7 +6,7 @@
 // to restart(), and it lives only in the event slab's inline buffer while
 // the timer is armed. A Timer is therefore a loop pointer plus an EventId
 // (24 bytes), which matters for the objects that embed one per connection
-// or per request at 10^5-client scale. The event loop moves a callback out of the slab
+// or per request at 10^5-client scale. The event loop copies a callback out of the slab
 // before invoking it, so a callback may destroy the Timer that armed it.
 #pragma once
 

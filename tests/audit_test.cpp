@@ -90,10 +90,11 @@ TEST(Audit, EventLoopCleanUnderChurn) {
 
 TEST(Audit, EventLoopCleanWithEveryWheelLevelPopulated) {
   sim::EventLoop loop;
-  // From time 0: one deadline inside the first tick (heap), one per wheel
-  // level L0…L4 (L4 holds the 300 s request timeout), and one beyond the
-  // ~4.9 h span (heap). Each checkpoint drains one level's slot down
-  // through the finer levels, so the audit sees every cascade.
+  // From time 0: one deadline inside the first tick (heap), five across
+  // wheel levels L0…L3 (100 µs and 5 ms in L0, 300 ms in L1, 20 s in L2,
+  // the 300 s request timeout in L3), and one beyond the ~4.9 h span
+  // (heap). Each checkpoint drains one level's slot down through the
+  // finer levels, so the audit sees every cascade.
   for (const Duration d :
        {Duration::nanos(5'000), Duration::micros(100), Duration::millis(5),
         Duration::millis(300), Duration::seconds(20), Duration::seconds(300),
@@ -251,7 +252,7 @@ TEST(AuditDeathTest, NetworkDetectsPrematurePacketRelease) {
       kDeathMsg);
 }
 
-TEST(AuditDeathTest, ClientPoolDetectsHeapPosDesync) {
+TEST(AuditDeathTest, ClientPoolDetectsHeapOrderViolation) {
   EXPECT_DEATH(
       {
         Rig rig;
@@ -260,7 +261,7 @@ TEST(AuditDeathTest, ClientPoolDetectsHeapPosDesync) {
         pool.add_member(rig.add_host("c0"), util::RngStream(1, "c0"));
         pool.add_member(rig.add_host("c1"), util::RngStream(1, "c1"));
         pool.start_all();                // two members in the cohort heap
-        pool.corrupt_heap_for_test();    // missed swap during sift
+        pool.corrupt_heap_for_test();    // root and last swapped: a missed sift
         pool.audit();
       },
       kDeathMsg);

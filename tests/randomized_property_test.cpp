@@ -40,7 +40,7 @@ TEST(RandomizedProperty, EventLoopTimeIsMonotoneUnderRandomSchedules) {
     const int n = static_cast<int>(rng.uniform_int(0, 3));
     for (int i = 0; i < n; ++i) {
       sim::EventId id =
-          loop.schedule(Duration::nanos(rng.uniform_int(0, 5'000'000)), chaos);
+          loop.schedule(Duration::nanos(rng.uniform_int(0, 5'000'000)), [&chaos] { chaos(); });
       if (rng.chance(0.2)) cancellable.push_back(id);
     }
     if (!cancellable.empty() && rng.chance(0.3)) {
@@ -49,7 +49,7 @@ TEST(RandomizedProperty, EventLoopTimeIsMonotoneUnderRandomSchedules) {
     }
   };
   for (int i = 0; i < 20; ++i) {
-    loop.schedule(Duration::nanos(rng.uniform_int(0, 1'000'000)), chaos);
+    loop.schedule(Duration::nanos(rng.uniform_int(0, 1'000'000)), [&chaos] { chaos(); });
   }
   loop.run();
   EXPECT_GT(fired, 20);
@@ -80,27 +80,38 @@ TEST(RandomizedProperty, WheelAndHeapFireInGlobalTimeAndInsertionOrder) {
   int checked = 0;
   constexpr int kBudget = 4000;
 
-  // The wheel spans 2^kSpanBits ns (~4.9 h). While the clock is below
+  // The wheel spans 2^kSpanNsBits ns (~4.9 h). While the clock is below
   // that, the top level's last slot ends exactly at absolute time
-  // 2^kSpanBits ns: a deadline a few ticks before it is wheel-resident
-  // (and cascades down from L4), one at or after it is overflow-heap.
-  constexpr int kSpanBits = sim::TimerWheel::kLevels * sim::TimerWheel::kSlotBits +
-                            sim::TimerWheel::kTickBits;
-  constexpr std::int64_t kTickNs = std::int64_t{1} << sim::TimerWheel::kTickBits;
-  auto random_delay = [&rng, &loop]() -> Duration {
-    switch (rng.uniform_int(0, 7)) {
+  // 2^kSpanNsBits ns: a deadline a few ticks before it is wheel-resident
+  // (and cascades down from L3), one at or after it is overflow-heap.
+  constexpr int kSpanNsBits = sim::EventLoop::kSpanBits + sim::EventLoop::kTickBits;
+  constexpr std::int64_t kTickNs = std::int64_t{1} << sim::EventLoop::kTickBits;
+  // A deadline a few ticks either side of the next multiple of 2^bits
+  // ticks: bits = 6 straddles a level-0 bitmap word (slot 63 | 64), bits =
+  // kLevel0Bits the level-0 group edge (slot 4095 | 0), whose far side is
+  // filed in L1 and cascades back into level 0 when the clock crosses.
+  auto near_tick_edge = [&rng, &loop](int bits) -> Duration {
+    const std::int64_t edge = ((loop.now().ns() / kTickNs >> bits) + 1) << bits;
+    const std::int64_t at =
+        (edge + rng.uniform_int(-3, 2)) * kTickNs + rng.uniform_int(0, kTickNs - 1);
+    return Duration::nanos(std::max<std::int64_t>(0, at - loop.now().ns()));
+  };
+  auto random_delay = [&rng, &loop, &near_tick_edge]() -> Duration {
+    switch (rng.uniform_int(0, 9)) {
       case 0: return Duration::nanos(rng.uniform_int(0, 2'000));         // sub-tick: heap
-      case 1: return Duration::micros(rng.uniform_int(17, 1'000));       // wheel L0 (or L1)
-      case 2: return Duration::millis(rng.uniform_int(1, 60));           // wheel L1/L2
-      case 3: return Duration::millis(rng.uniform_int(60, 4'000));       // wheel L2
-      case 4: return Duration::seconds(static_cast<double>(rng.uniform_int(4, 250)));  // L3
-      case 5: return Duration::seconds(static_cast<double>(rng.uniform_int(300, 600)));  // L4
-      case 6: {  // straddles the span edge: last L4 slots or overflow heap
-        const std::int64_t at = (std::int64_t{1} << kSpanBits) +
+      case 1: return Duration::micros(rng.uniform_int(17, 1'000));       // wheel L0
+      case 2: return Duration::millis(rng.uniform_int(1, 60));           // wheel L0 (or L1)
+      case 3: return Duration::millis(rng.uniform_int(60, 4'000));       // wheel L1
+      case 4: return Duration::seconds(static_cast<double>(rng.uniform_int(4, 250)));  // L2
+      case 5: return Duration::seconds(static_cast<double>(rng.uniform_int(300, 600)));  // L3
+      case 6: {  // straddles the span edge: last L3 slots or overflow heap
+        const std::int64_t at = (std::int64_t{1} << kSpanNsBits) +
                                 rng.uniform_int(-4, 4) * kTickNs +
                                 rng.uniform_int(0, kTickNs - 1);
         return Duration::nanos(std::max<std::int64_t>(0, at - loop.now().ns()));
       }
+      case 7: return near_tick_edge(6);
+      case 8: return near_tick_edge(sim::EventLoop::kLevel0Bits);
       default:  // beyond the span (5–10 h): overflow heap
         return Duration::seconds(static_cast<double>(rng.uniform_int(5 * 3600, 10 * 3600)));
     }

@@ -70,8 +70,8 @@ UNORDERED_DECL_RE = re.compile(
 )
 
 # Container-growth tells. `insert`/`emplace` are deliberately absent: those
-# names collide with domain APIs in the hot-path files (TimerWheel::insert,
-# OooTracker::insert) and the slab engines grow via the vector calls below.
+# names collide with domain APIs in the hot-path files (OooTracker::insert)
+# and the slab engines grow via the vector calls below.
 RAW_NEW_RE = re.compile(r"(?<!:)\bnew\b")
 GROWTH_RE = re.compile(r"\.\s*(?:push_back|emplace_back|resize|reserve)\s*\(")
 
