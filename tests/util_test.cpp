@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <set>
 #include <string>
@@ -326,6 +327,46 @@ TEST(AllocGuard, CountsNothrowNew) {
   ::operator delete[](q, std::nothrow);
   EXPECT_EQ(guard.delta(), 2) << "nothrow operator new must be counted";
   EXPECT_EQ(guard.bytes_delta(), 128) << "and so must the bytes it requested";
+}
+
+// Types aligned past 16 B allocate through the std::align_val_t forms of
+// operator new (the event loop's 64 B slab record is one). Unless
+// counted_new.cpp replaces those too, the growth of such a store is
+// invisible to every zero-allocation test.
+TEST(AllocGuard, CountsOverAlignedNew) {
+  if (!util::AllocGuard::counting()) {
+    GTEST_SKIP() << "speakup_counted_new not linked";
+  }
+  struct alignas(64) Line {
+    char bytes[64];
+  };
+  std::vector<Line> lines;
+  const util::AllocGuard growth;
+  lines.resize(1);
+  lines.resize(100);
+  EXPECT_EQ(growth.delta(), 2) << "vector<alignas(64)> growth must be counted";
+  EXPECT_EQ(growth.bytes_delta(), 101 * 64);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lines.data()) % 64, 0u);
+  lines.clear();
+  lines.shrink_to_fit();
+
+  const util::AllocGuard forms;
+  void* a = ::operator new(100, std::align_val_t{128});
+  void* b = ::operator new[](192, std::align_val_t{64});
+  void* c = ::operator new(32, std::align_val_t{32}, std::nothrow);
+  void* d = ::operator new[](64, std::align_val_t{64}, std::nothrow);
+  ASSERT_NE(c, nullptr);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 128, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 32, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % 64, 0u);
+  ::operator delete(a, 100, std::align_val_t{128});
+  ::operator delete[](b, 192, std::align_val_t{64});
+  ::operator delete(c, std::align_val_t{32}, std::nothrow);
+  ::operator delete[](d, std::align_val_t{64});
+  EXPECT_EQ(forms.delta(), 4) << "every aligned form must be counted";
+  EXPECT_EQ(forms.bytes_delta(), 100 + 192 + 32 + 64);
 }
 
 }  // namespace
