@@ -99,21 +99,9 @@ class Bandwidth {
   [[nodiscard]] constexpr double mbits_per_sec() const { return static_cast<double>(bps_) / 1e6; }
   [[nodiscard]] constexpr double bytes_per_sec() const { return static_cast<double>(bps_) / 8.0; }
 
-  /// Time to serialize `bytes` onto a line of this rate: bytes·8e9/bps ns,
-  /// rounded half away from zero.
-  ///
-  /// Packet-sized inputs take an exact integer path. It returns what the
-  /// double formula below does: the exact quotient is either a tie k + ½
-  /// (which both round up) or at least 1/(2·bps) from one, and below 2^19
-  /// bytes (with bps below 2^53, so it converts exactly) that distance
-  /// exceeds half an ulp of the double quotient. tests/util_test.cpp pins
-  /// the agreement over a sweep of rates × sizes.
+  /// Time to serialize `bytes` onto a line of this rate.
   [[nodiscard]] Duration transmission_time(std::int64_t bytes) const {
     SPEAKUP_ASSERT(bps_ > 0);
-    if (static_cast<std::uint64_t>(bytes) < (std::uint64_t{1} << 19) &&
-        bps_ < (std::int64_t{1} << 53)) {
-      return Duration::nanos((bytes * 16'000'000'000 + bps_) / (2 * bps_));
-    }
     const double ns = static_cast<double>(bytes) * 8.0 * 1e9 / static_cast<double>(bps_);
     return Duration::nanos(static_cast<std::int64_t>(std::llround(ns)));
   }
