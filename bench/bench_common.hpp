@@ -1,58 +1,15 @@
-// Shared helpers for the per-figure benchmark harnesses.
-//
-// Every harness runs the paper's experiment at reduced duration by default
-// (60 s instead of §7.1's 600 s) so the whole bench/ directory executes in
-// minutes. Set SPEAKUP_FULL=1 to run the paper-length experiments.
-//
-// Harnesses queue their scenarios on an exp::Runner and call
-// bench::run_all(), which executes them on a thread pool (one core per
-// scenario); SPEAKUP_THREADS caps the pool. Results are deterministic per
-// seed regardless of thread count.
+// Scenario-file lookup for the benchmarks under bench/ (micro_hotpath,
+// tab1_thinner_capacity). The paper's figures are `speakup report` runs
+// (exp/report.hpp), not bench binaries.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
-#include "util/units.hpp"
 
 namespace speakup::bench {
-
-inline bool full_mode() {
-  const char* env = std::getenv("SPEAKUP_FULL");
-  return env != nullptr && env[0] == '1';
-}
-
-/// Experiment duration: the paper's 600 s in full mode, else `quick_sec`.
-inline Duration experiment_duration(double quick_sec = 60.0) {
-  return Duration::seconds(full_mode() ? 600.0 : quick_sec);
-}
-
-/// Sweep parallelism: SPEAKUP_THREADS when set, else hardware concurrency.
-inline int default_threads() {
-  if (const char* env = std::getenv("SPEAKUP_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;  // Runner resolves 0 to hardware concurrency
-}
-
-/// Runs every queued scenario on the bench thread pool; any failure is
-/// fatal (a bench with a missing data point would silently mislead).
-inline const std::vector<exp::RunOutcome>& run_all(exp::Runner& runner) {
-  const auto& outcomes = runner.run_all(default_threads());
-  for (const auto& o : outcomes) {
-    if (!o.ok()) {
-      std::fprintf(stderr, "scenario '%s' failed: %s\n", o.label.c_str(),
-                   o.error.c_str());
-      std::exit(1);
-    }
-  }
-  return outcomes;
-}
 
 /// Locates a checked-in scenario file (scenarios/<name> in the source tree;
 /// $SPEAKUP_SCENARIO_DIR overrides, e.g. for running from an install).
@@ -77,24 +34,5 @@ inline exp::ScenarioFile load_scenarios(const std::string& name) {
     std::exit(1);
   }
 }
-
-/// SPEAKUP_FULL=1: stretch every scenario in the file to the paper's 600 s
-/// (scenario files carry the quick durations).
-inline void apply_full_duration(exp::ScenarioFile& file) {
-  if (!full_mode()) return;
-  for (exp::LabeledScenario& s : file.scenarios) {
-    s.config.duration = Duration::seconds(600.0);
-  }
-}
-
-inline void print_banner(const char* figure, const char* description) {
-  std::printf("==============================================================================\n");
-  std::printf("%s — %s\n", figure, description);
-  std::printf("mode: %s (set SPEAKUP_FULL=1 for the paper's 600 s runs)\n",
-              full_mode() ? "FULL (600 s)" : "QUICK");
-  std::printf("==============================================================================\n");
-}
-
-inline void print_paper_note(const char* note) { std::printf("paper: %s\n\n", note); }
 
 }  // namespace speakup::bench

@@ -3,9 +3,9 @@
 // earliest-registered bidder).
 //
 // AuctionBook is the abstract model of §3.3's mechanism — the object that
-// Theorem 3.1 reasons about. The Theorem 3.1 validation suites (tests and
-// bench/abl5) drive it directly with adversarial payment schedules; it is
-// also the reference for the selection logic embedded in the thinners.
+// Theorem 3.1 reasons about. The Theorem 3.1 validation tests drive it
+// directly with adversarial payment schedules; it is also the reference for
+// the selection logic embedded in the thinners.
 #pragma once
 
 #include <cstdint>

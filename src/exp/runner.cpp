@@ -19,33 +19,6 @@ Runner& Runner::add(ScenarioConfig cfg, std::string label) {
   return *this;
 }
 
-Runner& Runner::add_seed_sweep(ScenarioConfig base, int n_seeds, const std::string& label) {
-  util::require(n_seeds > 0, "Runner: seed sweep needs at least one seed");
-  const std::string stem = label.empty() ? base.defense_name() : label;
-  for (int k = 0; k < n_seeds; ++k) {
-    ScenarioConfig cfg = base;
-    cfg.seed = base.seed + static_cast<std::uint64_t>(k);
-    add(std::move(cfg), stem + "/seed" + std::to_string(cfg.seed));
-  }
-  return *this;
-}
-
-Runner& Runner::sweep_good_fraction(int total_clients, const std::vector<int>& good_counts,
-                                    double capacity_rps, DefenseMode mode,
-                                    Duration duration, std::uint64_t seed,
-                                    const std::string& label) {
-  const std::string stem = label.empty() ? to_string(mode) : label;
-  for (const int good : good_counts) {
-    util::require(good >= 0 && good <= total_clients,
-                  "Runner: good count outside [0, total_clients]");
-    ScenarioConfig cfg =
-        lan_scenario(good, total_clients - good, capacity_rps, mode, seed);
-    cfg.duration = duration;
-    add(std::move(cfg), stem + "/g" + std::to_string(good));
-  }
-  return *this;
-}
-
 Runner& Runner::set_observability(const obs::Observer::Options& opts) {
   util::require(!ran_, "Runner: set_observability before run_all");
   obs_opts_ = opts;

@@ -9,7 +9,9 @@
 #include <tuple>
 
 #include "client/strategy.hpp"
+#include "core/auction_game.hpp"
 #include "core/front_end_factory.hpp"
+#include "exp/report.hpp"
 #include "util/json.hpp"
 
 namespace speakup::exp {
@@ -596,6 +598,11 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
   for (const auto& [key, val] : doc.as_object()) {
     if (key == "description") {
       out.description = str_of(val, "description");
+    } else if (key == "report") {
+      out.report = str_of(val, "report");
+      if (!is_report_name(out.report)) {
+        fail("report", "unknown report \"" + out.report + "\" (known: " + report_names() + ")");
+      }
     } else if (key == "defaults") {
       for (const auto& [dk, unused] : obj_of(val, "defaults")) {
         (void)unused;
@@ -719,58 +726,144 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
   return out;
 }
 
-ScenarioFile load_scenario_file(const std::string& path) {
+std::string read_spec(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ScenarioError(path + ": cannot open file");
   std::ostringstream buf;
   buf << in.rdbuf();
+  return buf.str();
+}
+
+ScenarioFile load_scenario_file(const std::string& path) {
+  const std::string text = read_spec(path);
   try {
-    return parse_scenario_file(buf.str());
+    return parse_scenario_file(text);
   } catch (const ScenarioError& e) {
     throw ScenarioError(path + ": " + e.what());
   }
 }
 
-CapacityBenchSpec load_capacity_bench_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ScenarioError(path + ": cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  util::json::Value doc;
+std::string file_kind(const std::string& path) {
+  json::Value doc;
   try {
-    doc = util::json::parse(buf.str());
-  } catch (const std::exception& e) {
+    doc = json::parse(read_spec(path));
+  } catch (const json::Error& e) {
     throw ScenarioError(path + ": " + e.what());
   }
-  const auto fail = [&](const std::string& what) {
-    throw ScenarioError(path + ": " + what);
-  };
-  if (!doc.is_object()) fail("top level must be a JSON object");
-  const util::json::Value* kind = doc.find("kind");
-  if (kind == nullptr || !kind->is_string() || kind->as_string() != "capacity_bench") {
-    fail("capacity_bench spec needs \"kind\": \"capacity_bench\"");
+  if (!doc.is_object()) return "scenarios";  // load_scenario_file says why
+  if (const json::Value* kind = doc.find("kind")) {
+    if (kind->is_string() &&
+        (kind->as_string() == "auction_game" || kind->as_string() == "capacity_bench")) {
+      return kind->as_string();
+    }
+    const std::string got = kind->is_string() ? "\"" + kind->as_string() + "\""
+                                              : json::type_name(kind->type());
+    throw ScenarioError(path + ": kind: must be \"auction_game\" or \"capacity_bench\" (got " +
+                        got + ")");
   }
-  CapacityBenchSpec spec;
-  if (const util::json::Value* d = doc.find("description")) {
-    spec.description = d->as_string();
+  return doc.find("base") != nullptr ? "tournament" : "scenarios";
+}
+
+namespace {
+
+/// Checks that the grid spec at `path` is of `kind` and hands its document
+/// to `parse`; every error comes back prefixed with the path.
+template <typename Parse>
+auto parse_grid_spec(const std::string& path, const std::string& kind, Parse parse) {
+  if (file_kind(path) != kind) throw ScenarioError(path + ": kind: must be \"" + kind + "\"");
+  try {
+    return parse(json::parse(read_spec(path)));
+  } catch (const ScenarioError& e) {
+    throw ScenarioError(path + ": " + e.what());
   }
-  const util::json::Value* clients = doc.find("clients");
-  if (clients == nullptr || !clients->is_number() || clients->as_int() < 2) {
-    fail("capacity_bench spec needs \"clients\" >= 2 (one occupies the server, "
-         "the rest pay)");
-  }
-  spec.clients = static_cast<int>(clients->as_int());
-  const util::json::Value* sizes = doc.find("packet_bytes");
-  if (sizes == nullptr || !sizes->is_array() || sizes->as_array().empty()) {
-    fail("capacity_bench spec needs a non-empty \"packet_bytes\" array");
-  }
-  for (const util::json::Value& v : sizes->as_array()) {
-    const int bytes = static_cast<int>(v.as_int());
-    // A wire packet must fit headers (40 bytes) plus at least 1 payload byte.
-    if (bytes <= 40) fail("packet_bytes entries must exceed the 40-byte header");
-    spec.packet_bytes.push_back(bytes);
-  }
-  return spec;
+}
+
+/// The required member `key` of object `obj`, named `<prefix><key>` in
+/// errors.
+const json::Value& member(const json::Value& obj, const std::string& key,
+                          const std::string& prefix = "") {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr) fail(prefix + key, "missing");
+  return *v;
+}
+
+std::string description_of(const json::Value& doc) {
+  const json::Value* d = doc.find("description");
+  return d != nullptr ? str_of(*d, "description") : std::string();
+}
+
+}  // namespace
+
+CapacityBenchSpec load_capacity_bench_file(const std::string& path) {
+  return parse_grid_spec(path, "capacity_bench", [](const json::Value& doc) {
+    CapacityBenchSpec spec;
+    spec.description = description_of(doc);
+    spec.clients = narrow(int_of(member(doc, "clients"), "clients"), "clients");
+    if (spec.clients < 2) {
+      fail("clients", "must be >= 2: one occupies the server, the rest pay (got " +
+                          std::to_string(spec.clients) + ")");
+    }
+    const json::Value::Array& sizes = arr_of(member(doc, "packet_bytes"), "packet_bytes");
+    if (sizes.empty()) fail("packet_bytes", "must list at least one wire packet size");
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const std::string ctx = "packet_bytes[" + std::to_string(i) + "]";
+      const int bytes = narrow(int_of(sizes[i], ctx), ctx);
+      // A wire packet must fit headers (40 bytes) plus at least 1 payload byte.
+      if (bytes <= 40) {
+        fail(ctx, "must exceed the 40-byte header (got " + std::to_string(bytes) + ")");
+      }
+      spec.packet_bytes.push_back(bytes);
+    }
+    return spec;
+  });
+}
+
+AuctionGameSpec load_auction_game_file(const std::string& path) {
+  return parse_grid_spec(path, "auction_game", [](const json::Value& doc) {
+    AuctionGameSpec spec;
+    spec.description = description_of(doc);
+    spec.seed = static_cast<std::uint64_t>(nonneg_int(member(doc, "seed"), "seed"));
+    spec.stream = str_of(member(doc, "stream"), "stream");
+    const auto ticks = [&doc](const std::string& key) {
+      return narrow(positive_int(member(doc, key), key), key);
+    };
+    spec.ticks_quick = ticks("ticks_quick");
+    spec.ticks_full = ticks("ticks_full");
+    const json::Value& grid = member(doc, "grid");
+    obj_of(grid, "grid");
+    // Each axis value must pass `in_range`; Theorem 3.1's jitter bound holds
+    // for delta in [0, 0.5].
+    const auto axis = [&grid](const std::string& key, const char* range, auto in_range) {
+      const std::string ctx = "grid." + key;
+      const json::Value::Array& values = arr_of(member(grid, key, "grid."), ctx);
+      if (values.empty()) fail(ctx, "must list at least one value");
+      std::vector<double> out;
+      for (const json::Value& v : values) {
+        const double d = num_of(v, ctx);
+        if (!in_range(d)) {
+          fail(ctx, std::string("values must lie in ") + range + " (got " +
+                        json::number_to_string(d) + ")");
+        }
+        out.push_back(d);
+      }
+      return out;
+    };
+    spec.eps = axis("eps", "(0, 1)", [](double e) { return e > 0.0 && e < 1.0; });
+    spec.delta = axis("delta", "[0, 0.5]", [](double d) { return d >= 0.0 && d <= 0.5; });
+    const json::Value::Array& names =
+        arr_of(member(grid, "adversary", "grid."), "grid.adversary");
+    if (names.empty()) fail("grid.adversary", "must list at least one adversary");
+    for (const json::Value& v : names) {
+      const std::string& name = str_of(v, "grid.adversary");
+      try {
+        static_cast<void>(core::adversary_fn(name));
+      } catch (const std::invalid_argument& e) {
+        fail("grid.adversary", e.what());
+      }
+      spec.adversaries.push_back(name);
+    }
+    return spec;
+  });
 }
 
 std::vector<LabeledScenario> ScenarioFile::shard(int index, int count) const {

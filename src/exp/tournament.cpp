@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -224,12 +223,9 @@ TournamentSpec parse_tournament_spec(std::string_view json_text) {
 }
 
 TournamentSpec load_tournament_spec(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ScenarioError(path + ": cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::string text = read_spec(path);
   try {
-    return parse_tournament_spec(buf.str());
+    return parse_tournament_spec(text);
   } catch (const ScenarioError& e) {
     throw ScenarioError(path + ": " + e.what());
   }

@@ -1,10 +1,9 @@
-// Aligned-column text tables for the benchmark harnesses. Every bench binary
-// prints the rows/series the corresponding paper table or figure reports;
-// this type keeps the output uniform and diff-friendly, and can also emit
-// CSV for plotting.
+// Aligned-column text tables. Every `speakup report` prints the rows/series
+// the corresponding paper table or figure reports (exp/report.cpp), and
+// `speakup run` its summary; this type keeps the output uniform and
+// diff-friendly. Machine-readable results are the CSVs of exp::ResultWriter.
 #pragma once
 
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -55,11 +54,6 @@ class Table {
     for (const auto& r : rows_) print_row(os, r, widths);
   }
 
-  void print_csv(std::ostream& os) const {
-    print_csv_row(os, headers_);
-    for (const auto& r : rows_) print_csv_row(os, r);
-  }
-
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
 
  private:
@@ -68,14 +62,6 @@ class Table {
     for (std::size_t c = 0; c < r.size(); ++c) {
       os << std::left << std::setw(static_cast<int>(widths[std::min(c, widths.size() - 1)]) + 2)
          << r[c];
-    }
-    os << "\n";
-  }
-
-  static void print_csv_row(std::ostream& os, const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c > 0) os << ",";
-      os << r[c];
     }
     os << "\n";
   }

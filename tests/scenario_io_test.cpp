@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <string>
 
 #include "exp/experiment.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
 
@@ -602,6 +604,117 @@ TEST(ScenarioFiles, Fig3AndTab1AndSmokeParse) {
   EXPECT_TRUE(labels.count("row4/on"));
   const ScenarioFile smoke = exp::load_scenario_file(checked_in("smoke.json"));
   EXPECT_EQ(smoke.scenarios.size(), 6u);  // 4 defenses + 2 seed replicas
+}
+
+// The optional "report" key names a registered exp/report.hpp reducer; a
+// non-string or an unknown name fails at parse, naming the key and listing
+// the reducers, so `validate`, `run` and `report` all refuse it.
+TEST(ScenarioIoErrors, ReportKeyMustNameARegisteredReducer) {
+  const std::string body = R"("scenarios": [{"duration_s": 1}]})";
+  EXPECT_EQ(parse_scenario_file(R"({"report": "fig3", )" + body).report, "fig3");
+  EXPECT_EQ(parse_scenario_file("{" + body).report, "");
+  expect_parse_error(R"({"report": 3, )" + body, "report: expected string, got number");
+  expect_parse_error(R"({"report": "fig10", )" + body,
+                     "report: unknown report \"fig10\" (known: " + exp::report_names() + ")");
+  EXPECT_NE(exp::report_names().find("fig2, fig3"), std::string::npos);
+}
+
+TEST(ScenarioFiles, CheckedInPaperFilesNameTheirReports) {
+  EXPECT_EQ(exp::load_scenario_file(checked_in("shared_bottleneck.json")).report, "fig8");
+  EXPECT_EQ(exp::load_scenario_file(checked_in("lossy.json")).report, "fig9");
+  EXPECT_EQ(exp::load_scenario_file(checked_in("smoke.json")).report, "");
+}
+
+/// Writes `text` to a fresh file under the test temp dir; returns its path.
+std::string write_spec(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+/// EXPECT that `load(path)` throws an exception whose message names both
+/// the file and `needle`.
+template <typename Load>
+void expect_spec_error(Load load, const std::string& path, const std::string& needle) {
+  try {
+    (void)load(path);
+    ADD_FAILURE() << "expected an error mentioning \"" << needle << "\"";
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+// `validate` and `report` dispatch on the "kind" key; a kind that is not a
+// string, or not a known kind, names the file and the key.
+TEST(ScenarioIoErrors, FileKindNamesTheKindKey) {
+  const std::string bad_type = write_spec("kind_number.json", R"({"kind": 3})");
+  expect_spec_error(exp::file_kind, bad_type,
+                    "kind: must be \"auction_game\" or \"capacity_bench\" (got number)");
+  const std::string unknown = write_spec("kind_unknown.json", R"({"kind": "sweep"})");
+  expect_spec_error(exp::file_kind, unknown, "got \"sweep\"");
+  EXPECT_EQ(exp::file_kind(checked_in("abl5.json")), "auction_game");
+  EXPECT_EQ(exp::file_kind(checked_in("tab1_capacity.json")), "capacity_bench");
+  EXPECT_EQ(exp::file_kind(checked_in("tournament_small.json")), "tournament");
+  EXPECT_EQ(exp::file_kind(checked_in("fig2.json")), "scenarios");
+  expect_spec_error(exp::file_kind, write_spec("not_json.json", "{oops"), "line 1");
+}
+
+// Capacity-bench ints past INT_MAX fail naming the key instead of wrapping.
+TEST(ScenarioIoErrors, CapacityBenchIntsPastIntMaxNameTheKey) {
+  const auto spec = [](const std::string& clients, const std::string& sizes) {
+    return R"({"kind": "capacity_bench", "clients": )" + clients +
+           R"(, "packet_bytes": [)" + sizes + "]}";
+  };
+  expect_spec_error(exp::load_capacity_bench_file,
+                    write_spec("cap_clients.json", spec("1e12", "1500")),
+                    "clients: must be <= 2147483647 (got 1000000000000)");
+  expect_spec_error(exp::load_capacity_bench_file,
+                    write_spec("cap_bytes.json", spec("32", "1500, 1e12")),
+                    "packet_bytes[1]: must be <= 2147483647");
+  expect_spec_error(exp::load_capacity_bench_file,
+                    write_spec("cap_frac.json", spec("2.5", "1500")),
+                    "clients: must be an integer");
+  expect_spec_error(exp::load_capacity_bench_file,
+                    write_spec("cap_one.json", spec("1", "1500")), "clients: must be >= 2");
+  expect_spec_error(exp::load_capacity_bench_file,
+                    write_spec("cap_hdr.json", spec("32", "40")),
+                    "packet_bytes[0]: must exceed the 40-byte header");
+  const exp::CapacityBenchSpec ok =
+      exp::load_capacity_bench_file(write_spec("cap_ok.json", spec("2147483647", "120")));
+  EXPECT_EQ(ok.clients, 2147483647);
+}
+
+// Auction-game grids: every value the Theorem 3.1 report would assert on or
+// narrow is refused at load, naming the key.
+TEST(ScenarioIoErrors, AuctionGameValuesOutOfRangeNameTheKey) {
+  const auto spec = [](const std::string& seed, const std::string& ticks,
+                       const std::string& delta) {
+    return R"({"kind": "auction_game", "seed": )" + seed +
+           R"(, "stream": "s", "ticks_quick": )" + ticks +
+           R"(, "ticks_full": 10, "grid": {"eps": [0.1], "delta": [)" + delta +
+           R"(], "adversary": ["single-saver"]}})";
+  };
+  const auto load = exp::load_auction_game_file;
+  expect_spec_error(load, write_spec("ag_delta.json", spec("1", "10", "0.0, 0.7")),
+                    "grid.delta: values must lie in [0, 0.5] (got 0.7)");
+  expect_spec_error(load, write_spec("ag_delta_neg.json", spec("1", "10", "-0.1")),
+                    "grid.delta: values must lie in [0, 0.5] (got -0.1)");
+  expect_spec_error(load, write_spec("ag_ticks.json", spec("1", "1e12", "0")),
+                    "ticks_quick: must be <= 2147483647 (got 1000000000000)");
+  expect_spec_error(load, write_spec("ag_ticks_zero.json", spec("1", "0", "0")),
+                    "ticks_quick: must be > 0 (got 0)");
+  expect_spec_error(load, write_spec("ag_seed_neg.json", spec("-1", "10", "0")),
+                    "seed: must be >= 0 (got -1)");
+  expect_spec_error(load, write_spec("ag_seed_frac.json", spec("1.5", "10", "0")),
+                    "seed: must be an integer (got 1.5)");
+  expect_spec_error(load, write_spec("ag_kind.json", R"({"kind": "capacity_bench"})"),
+                    "kind: must be \"auction_game\"");
+  const exp::AuctionGameSpec ok =
+      load(write_spec("ag_ok.json", spec("7", "2147483647", "0, 0.5")));
+  EXPECT_EQ(ok.ticks_quick, 2147483647);
+  EXPECT_EQ(ok.delta.back(), 0.5);
 }
 
 TEST(ScenarioFiles, MissingFileNamesThePath) {

@@ -136,13 +136,5 @@ TEST(Table, AlignedOutputContainsCells) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.row().add("x").add(2.25, 2);
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,2.25\n");
-}
-
 }  // namespace
 }  // namespace speakup::stats

@@ -8,6 +8,7 @@
 //   speakup dispatch scenarios/fig2.json --workers 4 --out results.csv
 //   speakup merge --out merged.csv shard0.csv shard1.csv
 //   speakup merge --json --out merged.json shard0.json shard1.json
+//   speakup report scenarios/fig2.json --jobs 4
 //   speakup validate scenarios/fig2.json
 //   speakup defenses
 //   speakup strategies
@@ -21,7 +22,8 @@
 // in, byte-identical to an uninterrupted run. `dispatch` is the
 // fault-tolerant multi-process driver built on the same shard slices: it
 // spawns `speakup worker` subprocesses (an internal mode, not for direct
-// use) and supervises them — see exp/dispatch.hpp and docs/cli.md. Full
+// use) and supervises them — see exp/dispatch.hpp and docs/cli.md. `report`
+// runs a paper file and prints its figure or table (exp/report.hpp). Full
 // usage notes live in docs/cli.md; the file format in
 // docs/scenario_format.md.
 #include <sys/stat.h>
@@ -38,9 +40,9 @@
 #include <vector>
 
 #include "client/strategy.hpp"
-#include "core/auction_game.hpp"
 #include "core/front_end_factory.hpp"
 #include "exp/dispatch.hpp"
+#include "exp/report.hpp"
 #include "exp/result_writer.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
@@ -86,6 +88,10 @@ int usage(std::FILE* to) {
                "    --quiet          suppress the pareto report on stdout\n"
                "  speakup merge --out FILE <shard.csv>...  merge sharded CSV outputs\n"
                "    --json           inputs/output are JSON result documents\n"
+               "  speakup report <scenarios.json> [--jobs N]\n"
+               "                                           run a file and print the paper\n"
+               "                                           figure its \"report\" key names\n"
+               "                                           (SPEAKUP_FULL=1: paper-length runs)\n"
                "  speakup validate <scenarios.json>        parse + list expanded scenarios\n"
                "  speakup defenses                         list registered defense names\n"
                "  speakup strategies                       list registered workload strategies\n"
@@ -580,70 +586,52 @@ int cmd_worker(const std::vector<std::string>& args) {
 
 int cmd_validate(const std::vector<std::string>& args) {
   if (args.size() != 1) throw std::runtime_error("validate takes one scenario file");
-  // A tournament spec (distinguished by its "base" key) validates through
-  // the tournament path: parse the spec, expand it, and re-validate the
-  // expansion as an ordinary scenario file.
-  {
-    util::json::Value doc;
-    bool parsed = false;
-    try {
-      doc = util::json::parse(read_file(args[0]));
-      parsed = true;
-    } catch (const std::exception&) {
-      // Not JSON at all: fall through so load_scenario_file reports it.
+  // Grid specs and tournament specs validate through their own loaders; a
+  // tournament spec is also expanded and re-validated as a scenario file.
+  const std::string kind = exp::file_kind(args[0]);
+  if (kind == "auction_game") {
+    const exp::AuctionGameSpec spec = exp::load_auction_game_file(args[0]);
+    std::printf("%s: OK, auction-game grid — %zu eps x %zu delta x %zu "
+                "adversary = %zu cell(s)\n",
+                args[0].c_str(), spec.eps.size(), spec.delta.size(),
+                spec.adversaries.size(),
+                spec.eps.size() * spec.delta.size() * spec.adversaries.size());
+    if (!spec.description.empty()) {
+      std::printf("description: %s\n", spec.description.c_str());
     }
-    // Grid-spec files carry a discriminating "kind" key: auction-game
-    // grids (bench/abl5_theorem31_bound) and capacity-bench grids
-    // (bench/tab1_thinner_capacity) validate through their own loaders.
-    if (parsed && doc.is_object() && doc.find("kind") != nullptr) {
-      const std::string& kind = doc.find("kind")->as_string();
-      if (kind == "auction_game") {
-        const core::AuctionGameSpec spec = core::load_auction_game_file(args[0]);
-        std::printf("%s: OK, auction-game grid — %zu eps x %zu delta x %zu "
-                    "adversary = %zu cell(s)\n",
-                    args[0].c_str(), spec.eps.size(), spec.delta.size(),
-                    spec.adversaries.size(),
-                    spec.eps.size() * spec.delta.size() * spec.adversaries.size());
-        if (!spec.description.empty()) {
-          std::printf("description: %s\n", spec.description.c_str());
-        }
-        for (const std::string& name : spec.adversaries) {
-          std::printf("  adversary %s\n", name.c_str());
-        }
-        return 0;
-      }
-      if (kind == "capacity_bench") {
-        const exp::CapacityBenchSpec spec = exp::load_capacity_bench_file(args[0]);
-        std::printf("%s: OK, capacity-bench grid — %d client(s), %zu packet "
-                    "size(s)\n",
-                    args[0].c_str(), spec.clients, spec.packet_bytes.size());
-        if (!spec.description.empty()) {
-          std::printf("description: %s\n", spec.description.c_str());
-        }
-        for (const int bytes : spec.packet_bytes) {
-          std::printf("  packet_bytes %d\n", bytes);
-        }
-        return 0;
-      }
-      throw std::runtime_error(args[0] + ": unknown spec \"kind\": \"" + kind +
-                               "\" (known: auction_game, capacity_bench)");
+    for (const std::string& name : spec.adversaries) {
+      std::printf("  adversary %s\n", name.c_str());
     }
-    if (parsed && doc.is_object() && doc.find("base") != nullptr) {
-      const exp::TournamentSpec spec = exp::load_tournament_spec(args[0]);
-      const exp::ScenarioFile grid =
-          exp::parse_scenario_file(exp::tournament_scenarios_json(spec));
-      std::printf("%s: OK, tournament spec — %zu defense(s) x %zu strategy(s) = "
-                  "%zu cell(s)\n",
-                  args[0].c_str(), spec.defenses.size(), spec.strategies.size(),
-                  grid.scenarios.size());
-      if (!spec.description.empty()) {
-        std::printf("description: %s\n", spec.description.c_str());
-      }
-      for (const exp::LabeledScenario& s : grid.scenarios) {
-        std::printf("  [%zu] %s\n", s.index, s.label.c_str());
-      }
-      return 0;
+    return 0;
+  }
+  if (kind == "capacity_bench") {
+    const exp::CapacityBenchSpec spec = exp::load_capacity_bench_file(args[0]);
+    std::printf("%s: OK, capacity-bench grid — %d client(s), %zu packet "
+                "size(s)\n",
+                args[0].c_str(), spec.clients, spec.packet_bytes.size());
+    if (!spec.description.empty()) {
+      std::printf("description: %s\n", spec.description.c_str());
     }
+    for (const int bytes : spec.packet_bytes) {
+      std::printf("  packet_bytes %d\n", bytes);
+    }
+    return 0;
+  }
+  if (kind == "tournament") {
+    const exp::TournamentSpec spec = exp::load_tournament_spec(args[0]);
+    const exp::ScenarioFile grid =
+        exp::parse_scenario_file(exp::tournament_scenarios_json(spec));
+    std::printf("%s: OK, tournament spec — %zu defense(s) x %zu strategy(s) = "
+                "%zu cell(s)\n",
+                args[0].c_str(), spec.defenses.size(), spec.strategies.size(),
+                grid.scenarios.size());
+    if (!spec.description.empty()) {
+      std::printf("description: %s\n", spec.description.c_str());
+    }
+    for (const exp::LabeledScenario& s : grid.scenarios) {
+      std::printf("  [%zu] %s\n", s.index, s.label.c_str());
+    }
+    return 0;
   }
   const exp::ScenarioFile file = exp::load_scenario_file(args[0]);
   std::printf("%s: OK, %zu scenario(s)\n", args[0].c_str(), file.scenarios.size());
@@ -654,6 +642,29 @@ int cmd_validate(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(s.config.seed), s.config.capacity_rps,
                 s.config.duration.sec());
   }
+  return 0;
+}
+
+// `speakup report scenarios/fig3.json --jobs 4`: run the file and print the
+// paper figure its "report" key names (exp/report.hpp).
+int cmd_report(const std::vector<std::string>& args) {
+  std::string path;
+  int jobs = 0;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] == "--jobs") {
+      if (i + 1 >= args.size()) throw std::runtime_error("option --jobs needs a value");
+      jobs = parse_int_arg("--jobs", args[++i]);
+      if (jobs < 1) throw std::runtime_error("--jobs must be >= 1");
+    } else if (!args[i].empty() && args[i][0] == '-') {
+      throw std::runtime_error("unknown option '" + args[i] + "' for report");
+    } else if (path.empty()) {
+      path = args[i];
+    } else {
+      throw std::runtime_error("report takes exactly one scenario file");
+    }
+  }
+  if (path.empty()) throw std::runtime_error("report needs a scenario file");
+  exp::write_report(path, jobs, std::cout);
   return 0;
 }
 
@@ -684,6 +695,7 @@ int main(int argc, char** argv) {
     if (cmd == "worker") return cmd_worker(args);
     if (cmd == "merge") return cmd_merge(args);
     if (cmd == "validate") return cmd_validate(args);
+    if (cmd == "report") return cmd_report(args);
     if (cmd == "defenses") return cmd_defenses();
     if (cmd == "strategies") return cmd_strategies();
     if (cmd == "help" || cmd == "--help" || cmd == "-h") return usage(stdout);
