@@ -46,6 +46,8 @@ struct Golden {
   const char* file;  // scenarios/<file>
 };
 
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.file; }
+
 class ReportGolden : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(ReportGolden, MatchesByteForByte) {

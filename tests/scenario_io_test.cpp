@@ -619,12 +619,6 @@ TEST(ScenarioIoErrors, ReportKeyMustNameARegisteredReducer) {
   EXPECT_NE(exp::report_names().find("fig2, fig3"), std::string::npos);
 }
 
-TEST(ScenarioFiles, CheckedInPaperFilesNameTheirReports) {
-  EXPECT_EQ(exp::load_scenario_file(checked_in("shared_bottleneck.json")).report, "fig8");
-  EXPECT_EQ(exp::load_scenario_file(checked_in("lossy.json")).report, "fig9");
-  EXPECT_EQ(exp::load_scenario_file(checked_in("smoke.json")).report, "");
-}
-
 /// Writes `text` to a fresh file under the test temp dir; returns its path.
 std::string write_spec(const std::string& name, const std::string& text) {
   const std::string path = ::testing::TempDir() + "/" + name;
