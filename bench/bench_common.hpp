@@ -1,5 +1,5 @@
-// Scenario-file lookup for the benchmarks under bench/ (micro_hotpath,
-// tab1_thinner_capacity). The paper's figures are `speakup report` runs
+// Scenario-file lookup for the hot-path benchmark under bench/
+// (micro_hotpath). The paper's figures are `speakup report` runs
 // (exp/report.hpp), not bench binaries.
 #pragma once
 

@@ -13,8 +13,6 @@
 // keeps its own rules, e.g. fig9 also restores 100 downloads).
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -26,17 +24,6 @@ namespace speakup::exp {
 
 /// Every reducer name, comma-separated in table order (for diagnostics).
 [[nodiscard]] std::string report_names();
-
-/// Table 1 row 3 / §7.1, the thinner's capacity: `clients` payers on
-/// 200 Mbit/s lines stream effectively endless POSTs (wire packets of `mss`
-/// + 40 header bytes) into an auction thinner whose server never finishes,
-/// so every byte they send is payment. After 1 s of simulated warm-up the
-/// simulation advances `step` seconds at a time while `more()` holds;
-/// returns the payment bytes the thinner sank meanwhile. The `tab1` report
-/// times it against the wall clock; bench/tab1_thinner_capacity runs it
-/// under google-benchmark.
-[[nodiscard]] std::int64_t sink_payment(std::int64_t mss, int clients, double step,
-                                        const std::function<bool()>& more);
 
 /// Loads `path`, runs it on a Runner with `jobs` threads (0 = hardware
 /// concurrency; the report is byte-identical for any value), and prints its

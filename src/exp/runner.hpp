@@ -52,8 +52,6 @@ class Runner {
   /// Labels must be unique (result() looks them up).
   Runner& add(ScenarioConfig cfg, std::string label = "");
 
-  [[nodiscard]] std::size_t size() const { return jobs_.size(); }
-
   /// Attaches an obs::Observer with these options to every run; each
   /// outcome's `telemetry` then carries that run's rendered output.
   /// Scenario results — including fingerprints — are identical with or
@@ -63,7 +61,7 @@ class Runner {
 
   /// External indices stamped into telemetry output (trace pid, timeseries
   /// rows) — e.g. global scenario indices when running a shard. Defaults to
-  /// the job position. Size must equal size() when run_all is called.
+  /// the job position. Must hold one index per queued scenario.
   Runner& set_telemetry_indices(std::vector<std::size_t> indices);
 
   /// Runs every queued scenario and returns the outcomes in insertion

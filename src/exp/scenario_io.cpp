@@ -1,6 +1,7 @@
 #include "exp/scenario_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -51,7 +52,9 @@ std::int64_t int_of(const json::Value& v, const std::string& ctx) {
   try {
     return v.as_int();
   } catch (const json::Error&) {
-    fail(ctx, "must be an integer (got " + json::number_to_string(v.as_number()) + ")");
+    const double d = v.as_number();
+    fail(ctx, std::string(std::floor(d) == d ? "must lie within int64" : "must be an integer") +
+                  " (got " + json::number_to_string(d) + ")");
   }
 }
 
@@ -614,6 +617,12 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
       defaults = val;
     } else if (key == "scenarios") {
       scenarios = &val;
+    } else if (doc.find("kind") != nullptr) {
+      throw ScenarioError(
+          "an auction_game grid spec is not a scenario file (use `speakup report`)");
+    } else if (doc.find("base") != nullptr) {
+      throw ScenarioError(
+          "a tournament spec is not a scenario file (use `speakup tournament`)");
     } else {
       fail("top level", "unknown key \"" + key + "\"");
     }
@@ -752,31 +761,15 @@ std::string file_kind(const std::string& path) {
   }
   if (!doc.is_object()) return "scenarios";  // load_scenario_file says why
   if (const json::Value* kind = doc.find("kind")) {
-    if (kind->is_string() &&
-        (kind->as_string() == "auction_game" || kind->as_string() == "capacity_bench")) {
-      return kind->as_string();
-    }
+    if (kind->is_string() && kind->as_string() == "auction_game") return "auction_game";
     const std::string got = kind->is_string() ? "\"" + kind->as_string() + "\""
                                               : json::type_name(kind->type());
-    throw ScenarioError(path + ": kind: must be \"auction_game\" or \"capacity_bench\" (got " +
-                        got + ")");
+    throw ScenarioError(path + ": kind: must be \"auction_game\" (got " + got + ")");
   }
   return doc.find("base") != nullptr ? "tournament" : "scenarios";
 }
 
 namespace {
-
-/// Checks that the grid spec at `path` is of `kind` and hands its document
-/// to `parse`; every error comes back prefixed with the path.
-template <typename Parse>
-auto parse_grid_spec(const std::string& path, const std::string& kind, Parse parse) {
-  if (file_kind(path) != kind) throw ScenarioError(path + ": kind: must be \"" + kind + "\"");
-  try {
-    return parse(json::parse(read_spec(path)));
-  } catch (const ScenarioError& e) {
-    throw ScenarioError(path + ": " + e.what());
-  }
-}
 
 /// The required member `key` of object `obj`, named `<prefix><key>` in
 /// errors.
@@ -794,32 +787,12 @@ std::string description_of(const json::Value& doc) {
 
 }  // namespace
 
-CapacityBenchSpec load_capacity_bench_file(const std::string& path) {
-  return parse_grid_spec(path, "capacity_bench", [](const json::Value& doc) {
-    CapacityBenchSpec spec;
-    spec.description = description_of(doc);
-    spec.clients = narrow(int_of(member(doc, "clients"), "clients"), "clients");
-    if (spec.clients < 2) {
-      fail("clients", "must be >= 2: one occupies the server, the rest pay (got " +
-                          std::to_string(spec.clients) + ")");
-    }
-    const json::Value::Array& sizes = arr_of(member(doc, "packet_bytes"), "packet_bytes");
-    if (sizes.empty()) fail("packet_bytes", "must list at least one wire packet size");
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      const std::string ctx = "packet_bytes[" + std::to_string(i) + "]";
-      const int bytes = narrow(int_of(sizes[i], ctx), ctx);
-      // A wire packet must fit headers (40 bytes) plus at least 1 payload byte.
-      if (bytes <= 40) {
-        fail(ctx, "must exceed the 40-byte header (got " + std::to_string(bytes) + ")");
-      }
-      spec.packet_bytes.push_back(bytes);
-    }
-    return spec;
-  });
-}
-
 AuctionGameSpec load_auction_game_file(const std::string& path) {
-  return parse_grid_spec(path, "auction_game", [](const json::Value& doc) {
+  if (file_kind(path) != "auction_game") {
+    throw ScenarioError(path + ": kind: must be \"auction_game\"");
+  }
+  try {
+    const json::Value doc = json::parse(read_spec(path));
     AuctionGameSpec spec;
     spec.description = description_of(doc);
     spec.seed = static_cast<std::uint64_t>(nonneg_int(member(doc, "seed"), "seed"));
@@ -863,7 +836,9 @@ AuctionGameSpec load_auction_game_file(const std::string& path) {
       spec.adversaries.push_back(name);
     }
     return spec;
-  });
+  } catch (const ScenarioError& e) {
+    throw ScenarioError(path + ": " + e.what());
+  }
 }
 
 std::vector<LabeledScenario> ScenarioFile::shard(int index, int count) const {

@@ -59,7 +59,9 @@ struct ScenarioFile {
   static void queue_on(Runner& runner, const std::vector<LabeledScenario>& slice);
 };
 
-/// Parses a scenario document from JSON text. Throws ScenarioError.
+/// Parses a scenario document from JSON text. Throws ScenarioError; for an
+/// auction_game grid or a tournament spec it names the command that takes
+/// the file.
 [[nodiscard]] ScenarioFile parse_scenario_file(std::string_view json_text);
 
 /// The whole text of the spec file at `path`; throws ScenarioError
@@ -69,22 +71,11 @@ struct ScenarioFile {
 /// Reads and parses `path`. Errors are prefixed with the file name.
 [[nodiscard]] ScenarioFile load_scenario_file(const std::string& path);
 
-/// What a spec file holds, by its discriminating key: "auction_game" or
-/// "capacity_bench" (its "kind"), "tournament" (it has a "base"), else
-/// "scenarios". Throws ScenarioError naming the file for text that is not
-/// JSON, and naming "kind" when that key is not one of the two kind strings.
+/// What a spec file holds, by its discriminating key: "auction_game" (its
+/// "kind"), "tournament" (it has a "base"), else "scenarios". Throws
+/// ScenarioError naming the file for text that is not JSON, and naming
+/// "kind" when that key is not "auction_game".
 [[nodiscard]] std::string file_kind(const std::string& path);
-
-/// Parsed scenarios/tab1_capacity.json (kind "capacity_bench"): the grid
-/// for the thinner sink-rate benchmark (bench/tab1_thinner_capacity).
-struct CapacityBenchSpec {
-  std::string description;
-  int clients = 0;                 // concurrent payers against the thinner
-  std::vector<int> packet_bytes;   // wire packet sizes (payload = size - 40)
-};
-
-/// Reads and validates a capacity-bench grid file. Throws ScenarioError.
-[[nodiscard]] CapacityBenchSpec load_capacity_bench_file(const std::string& path);
 
 /// Parsed scenarios/abl5.json (kind "auction_game"): the Theorem 3.1 grid
 /// the A5 report plays through core::run_auction_game.

@@ -54,8 +54,6 @@ class Table {
     for (const auto& r : rows_) print_row(os, r, widths);
   }
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-
  private:
   static void print_row(std::ostream& os, const std::vector<std::string>& r,
                         const std::vector<std::size_t>& widths) {

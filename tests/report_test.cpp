@@ -2,13 +2,10 @@
 // file must print its golden under tests/golden/report/ byte for byte. The
 // goldens are the quick-mode stdout of the per-figure bench harnesses the
 // reports replaced, so this pins every reducer's arithmetic and layout.
-// One figure is masked: Table 1 row 3 measures host speed, so its
-// "sinks <N> Mbit/s" number varies run to run and compares as "sinks # Mbit/s".
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,11 +24,6 @@ std::string read(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-std::string mask_host_speed(const std::string& report) {
-  static const std::regex sink_rate("sinks [0-9]+ Mbit/s");
-  return std::regex_replace(report, sink_rate, "sinks # Mbit/s");
 }
 
 std::string report_of(const std::string& path, int jobs) {
@@ -55,8 +47,7 @@ TEST_P(ReportGolden, MatchesByteForByte) {
   const std::string golden =
       read(kScenarioDir + "/../tests/golden/report/" + g.name + ".txt");
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(mask_host_speed(report_of(kScenarioDir + "/" + g.file, 0)),
-            mask_host_speed(golden));
+  EXPECT_EQ(report_of(kScenarioDir + "/" + g.file, 0), golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 // bit-identical to serial execution for fixed seeds.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -114,7 +115,15 @@ TEST(Runner, SummaryTableHasOneRowPerOutcome) {
   Runner r;
   r.add(tiny(DefenseMode::kNone), "a").add(tiny(DefenseMode::kAuction), "b");
   r.run_all(2);
-  EXPECT_EQ(r.summary_table().num_rows(), 2u);
+  std::ostringstream os;
+  r.summary_table().print(os);
+  // Header, rule, then one row per outcome in insertion order.
+  std::istringstream lines(os.str());
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 4u) << os.str();
+  EXPECT_EQ(rows[2].rfind("a ", 0), 0u) << rows[2];
+  EXPECT_EQ(rows[3].rfind("b ", 0), 0u) << rows[3];
 }
 
 }  // namespace

@@ -260,8 +260,8 @@ TEST(ScenarioIo, QueueOnRunnerPreservesLabels) {
   })");
   exp::Runner runner;
   f.queue_on(runner);
-  ASSERT_EQ(runner.size(), 2u);
   runner.run_all(2);
+  ASSERT_EQ(runner.outcomes().size(), 2u);
   EXPECT_TRUE(runner.outcome("none").ok()) << runner.outcome("none").error;
   EXPECT_TRUE(runner.outcome("retry").ok()) << runner.outcome("retry").error;
 }
@@ -362,6 +362,9 @@ TEST(ScenarioIoErrors, IntFieldsPastIntMaxNameTheKey) {
         R"({"scenarios": [{"lan": {")" + std::string(key) + R"(": )" + too_big + "}}]}",
         std::string("lan.") + key + ": must be <= 2147483647");
   }
+  // An integral value past int64 says so rather than "must be an integer".
+  expect_parse_error(R"({"scenarios": [{"lan": {"good": 1e20}}]})",
+                     "lan.good: must lie within int64 (got 1e+20)");
   // INT_MAX itself still fits.
   const ScenarioFile f = parse_scenario_file(group(R"("count": 2147483647)"));
   EXPECT_EQ(f.scenarios[0].config.groups[0].count, 2147483647);
@@ -645,39 +648,13 @@ void expect_spec_error(Load load, const std::string& path, const std::string& ne
 TEST(ScenarioIoErrors, FileKindNamesTheKindKey) {
   const std::string bad_type = write_spec("kind_number.json", R"({"kind": 3})");
   expect_spec_error(exp::file_kind, bad_type,
-                    "kind: must be \"auction_game\" or \"capacity_bench\" (got number)");
+                    "kind: must be \"auction_game\" (got number)");
   const std::string unknown = write_spec("kind_unknown.json", R"({"kind": "sweep"})");
   expect_spec_error(exp::file_kind, unknown, "got \"sweep\"");
   EXPECT_EQ(exp::file_kind(checked_in("abl5.json")), "auction_game");
-  EXPECT_EQ(exp::file_kind(checked_in("tab1_capacity.json")), "capacity_bench");
   EXPECT_EQ(exp::file_kind(checked_in("tournament_small.json")), "tournament");
   EXPECT_EQ(exp::file_kind(checked_in("fig2.json")), "scenarios");
   expect_spec_error(exp::file_kind, write_spec("not_json.json", "{oops"), "line 1");
-}
-
-// Capacity-bench ints past INT_MAX fail naming the key instead of wrapping.
-TEST(ScenarioIoErrors, CapacityBenchIntsPastIntMaxNameTheKey) {
-  const auto spec = [](const std::string& clients, const std::string& sizes) {
-    return R"({"kind": "capacity_bench", "clients": )" + clients +
-           R"(, "packet_bytes": [)" + sizes + "]}";
-  };
-  expect_spec_error(exp::load_capacity_bench_file,
-                    write_spec("cap_clients.json", spec("1e12", "1500")),
-                    "clients: must be <= 2147483647 (got 1000000000000)");
-  expect_spec_error(exp::load_capacity_bench_file,
-                    write_spec("cap_bytes.json", spec("32", "1500, 1e12")),
-                    "packet_bytes[1]: must be <= 2147483647");
-  expect_spec_error(exp::load_capacity_bench_file,
-                    write_spec("cap_frac.json", spec("2.5", "1500")),
-                    "clients: must be an integer");
-  expect_spec_error(exp::load_capacity_bench_file,
-                    write_spec("cap_one.json", spec("1", "1500")), "clients: must be >= 2");
-  expect_spec_error(exp::load_capacity_bench_file,
-                    write_spec("cap_hdr.json", spec("32", "40")),
-                    "packet_bytes[0]: must exceed the 40-byte header");
-  const exp::CapacityBenchSpec ok =
-      exp::load_capacity_bench_file(write_spec("cap_ok.json", spec("2147483647", "120")));
-  EXPECT_EQ(ok.clients, 2147483647);
 }
 
 // Auction-game grids: every value the Theorem 3.1 report would assert on or
@@ -703,12 +680,24 @@ TEST(ScenarioIoErrors, AuctionGameValuesOutOfRangeNameTheKey) {
                     "seed: must be >= 0 (got -1)");
   expect_spec_error(load, write_spec("ag_seed_frac.json", spec("1.5", "10", "0")),
                     "seed: must be an integer (got 1.5)");
-  expect_spec_error(load, write_spec("ag_kind.json", R"({"kind": "capacity_bench"})"),
+  expect_spec_error(load, write_spec("ag_seed_huge.json", spec("1e20", "10", "0")),
+                    "seed: must lie within int64 (got 1e+20)");
+  expect_spec_error(load, write_spec("ag_kind.json", R"({"scenarios": []})"),
                     "kind: must be \"auction_game\"");
   const exp::AuctionGameSpec ok =
       load(write_spec("ag_ok.json", spec("7", "2147483647", "0, 0.5")));
   EXPECT_EQ(ok.ticks_quick, 2147483647);
   EXPECT_EQ(ok.delta.back(), 0.5);
+}
+
+// `run`, `dispatch` and `worker` load their file as a scenario file; an
+// auction_game grid or a tournament spec names the command that takes it
+// instead of reporting its first unknown key.
+TEST(ScenarioFiles, SpecFilesNameTheCommandThatTakesThem) {
+  expect_spec_error(exp::load_scenario_file, checked_in("abl5.json"),
+                    "an auction_game grid spec is not a scenario file (use `speakup report`)");
+  expect_spec_error(exp::load_scenario_file, checked_in("tournament_small.json"),
+                    "a tournament spec is not a scenario file (use `speakup tournament`)");
 }
 
 TEST(ScenarioFiles, MissingFileNamesThePath) {

@@ -586,7 +586,7 @@ int cmd_worker(const std::vector<std::string>& args) {
 
 int cmd_validate(const std::vector<std::string>& args) {
   if (args.size() != 1) throw std::runtime_error("validate takes one scenario file");
-  // Grid specs and tournament specs validate through their own loaders; a
+  // Auction-game grids and tournament specs validate through their own loaders; a
   // tournament spec is also expanded and re-validated as a scenario file.
   const std::string kind = exp::file_kind(args[0]);
   if (kind == "auction_game") {
@@ -601,19 +601,6 @@ int cmd_validate(const std::vector<std::string>& args) {
     }
     for (const std::string& name : spec.adversaries) {
       std::printf("  adversary %s\n", name.c_str());
-    }
-    return 0;
-  }
-  if (kind == "capacity_bench") {
-    const exp::CapacityBenchSpec spec = exp::load_capacity_bench_file(args[0]);
-    std::printf("%s: OK, capacity-bench grid — %d client(s), %zu packet "
-                "size(s)\n",
-                args[0].c_str(), spec.clients, spec.packet_bytes.size());
-    if (!spec.description.empty()) {
-      std::printf("description: %s\n", spec.description.c_str());
-    }
-    for (const int bytes : spec.packet_bytes) {
-      std::printf("  packet_bytes %d\n", bytes);
     }
     return 0;
   }
