@@ -255,6 +255,28 @@ TEST(HotPathFingerprint, PaperAndAdversarySweepsMatchPerObjectEnginePins) {
   check.run();
 }
 
+TEST(HotPathFingerprint, ReconAndSwitcherSweepMatchesPerMemberStrategyPins) {
+  // Captured while every pool member owned its own Strategy object, just
+  // before the members of a group came to share one.
+  PinCheck check;
+  check.expect_pins("adversary_recon_switcher.json", {
+      {"recon/auction", "99b5520ffc1da801"},
+      {"recon/retry", "777e4f3baeacd505"},
+      {"recon/none", "50ebfc21c68a4651"},
+      {"recon/probes40", "ba0fd7f194dd933a"},
+      {"switcher/auction", "07b7ce6e80ec7500"},
+      {"switcher/quantum", "4984039f3c445b05"},
+  });
+  check.run();
+  const std::vector<RunOutcome>& out = check.outcomes();
+  ASSERT_EQ(out.size(), 6U);
+  // The pins guard the per-member strategy state only if the attackers
+  // refuse payments in the rows that ask them to pay.
+  for (const std::size_t row : {0, 3, 4, 5}) {
+    EXPECT_GT(out[row].result.groups[1].totals.payments_declined, 0) << out[row].label;
+  }
+}
+
 TEST(HotPathFingerprint, DefenseSweepMatchesPerDefenseFrontEndPins) {
   // Captured from the per-defense front ends, each with its own copy of the
   // thinner plumbing, just before they came to share one skeleton.
