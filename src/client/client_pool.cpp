@@ -21,6 +21,7 @@ ClientPool::ClientPool(sim::EventLoop& loop, net::NodeId thinner,
       thinner_(thinner),
       params_(params),
       base_index_(base_index),
+      strategy_(StrategyFactory::instance().create(params_.strategy, strategy_params(params_))),
       session_pool_(loop) {
   util::require(params.lambda > 0, "client lambda must be positive");
   util::require(params.window >= 1, "client window must be >= 1");
@@ -40,7 +41,6 @@ ClientPool::~ClientPool() {
 void ClientPool::reserve(std::size_t n) {
   hosts_.reserve(n);
   rngs_.reserve(n);
-  strategies_.reserve(n);
   stats_.reserve(n);
   next_seq_.reserve(n);
   paused_.reserve(n);
@@ -54,8 +54,6 @@ void ClientPool::reserve(std::size_t n) {
 void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
   hosts_.push_back(&host);
   rngs_.push_back(std::move(rng));
-  strategies_.push_back(
-      StrategyFactory::instance().create(params_.strategy, strategy_params(params_)));
   stats_.emplace_back();
   next_seq_.push_back(0);
   paused_.push_back(0);
@@ -81,7 +79,7 @@ StrategyView ClientPool::view(std::uint32_t m) const {
 }
 
 int ClientPool::current_window(std::uint32_t m) {
-  return std::max(1, strategies_[m]->window(view(m)));
+  return std::max(1, strategy_->window(view(m)));
 }
 
 void ClientPool::start_all() {
@@ -97,7 +95,7 @@ void ClientPool::start_all() {
 #if SPEAKUP_AUDIT_ENABLED
 void ClientPool::audit() const {
   const std::size_t n = hosts_.size();
-  SPEAKUP_AUDIT_CHECK(rngs_.size() == n && strategies_.size() == n && stats_.size() == n &&
+  SPEAKUP_AUDIT_CHECK(rngs_.size() == n && stats_.size() == n &&
                           next_seq_.size() == n && paused_.size() == n &&
                           backlogs_.size() == n && outstanding_.size() == n &&
                           arr_when_.size() == n && arr_seq_.size() == n,
@@ -158,7 +156,7 @@ void ClientPool::corrupt_heap_for_test() {
 #endif
 
 void ClientPool::draw_next_arrival(std::uint32_t m) {
-  const Duration gap = strategies_[m]->next_arrival(rngs_[m], view(m));
+  const Duration gap = strategy_->next_arrival(rngs_[m], view(m));
   arr_when_[m] = loop_->now() + gap;
   arr_seq_[m] = loop_->reserve_seq();
 }
@@ -238,7 +236,7 @@ void ClientPool::on_message(Request& r, const Message& m) {
   switch (m.type) {
     case MessageType::kPleasePay: {
       if (r.payment.has_value()) break;  // already paying (or defected)
-      if (!strategies_[mem]->pay(rngs_[mem], view(mem))) {
+      if (!strategy_->pay(rngs_[mem], view(mem))) {
         ++stats_[mem].payments_declined;
         if (auto* o = loop_->observer()) o->on_payment_declined(global_index(mem));
         break;  // sit out the auction; the request rides on its timeout
@@ -252,7 +250,7 @@ void ClientPool::on_message(Request& r, const Message& m) {
       pc.post_size = params_.post_size;
       r.payment.emplace(*hosts_[mem], session_pool_, pc, r.id, params_.cls);
       r.payment->start();
-      if (const auto patience = strategies_[mem]->payment_patience(rngs_[mem], view(mem))) {
+      if (const auto patience = strategy_->payment_patience(rngs_[mem], view(mem))) {
         const std::uint64_t id = r.id;
         r.defect_timer.emplace(*loop_);
         r.defect_timer->restart(*patience, [this, id] { abandon_payment(id); });
@@ -269,9 +267,6 @@ void ClientPool::on_message(Request& r, const Message& m) {
     case MessageType::kResponse: {
       ++stats_[mem].served;
       stats_[mem].response_time.add((loop_->now() - r.sent).sec());
-      if (r.paying) {
-        stats_[mem].payment_time_client.add((loop_->now() - r.pay_started).sec());
-      }
       finish(r.id, Disposition::kServed);
       break;
     }
@@ -301,7 +296,7 @@ void ClientPool::pump_retries(Request& r) {
   const transport::TcpConnection& conn = *r.stream->connection();
   const Bytes per_msg = Message{.type = MessageType::kRequest}.wire_bytes();
   const auto acked_msgs = conn.bytes_acked() / per_msg;
-  const int pipeline = strategies_[r.member]->retry_pipeline(view(r.member));
+  const int pipeline = strategy_->retry_pipeline(view(r.member));
   while (r.retries_sent - acked_msgs < pipeline) {
     Message msg = request_template_;
     msg.request_id = r.id;

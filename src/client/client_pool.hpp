@@ -20,11 +20,12 @@
 // (strategy.hpp), so new attacker behaviors need no client edits.
 //
 // One ClientPool runs an entire client group (one WorkloadParams, N
-// members; a lone client is a one-member pool). Per-member state lives in
-// dense parallel arrays indexed by member id: stats, strategy, RNG stream,
-// request-id counter, backlog ring. Outstanding requests live in a
-// pool-wide chunked slab (stable addresses, generation-counted slots), and
-// all members share one http::SessionPool.
+// members; a lone client is a one-member pool) with one Strategy, which
+// every member shares. Per-member state lives in dense parallel arrays
+// indexed by member id: stats, RNG stream, request-id counter, backlog
+// ring. Outstanding requests live in a pool-wide chunked slab (stable
+// addresses, generation-counted slots), and all members share one
+// http::SessionPool.
 //
 // Arrival batching keeps 10^5-10^6-client groups cheap: instead of one
 // pending event-loop entry per member, the pool keeps ONE armed event per
@@ -228,13 +229,13 @@ class ClientPool {
   net::NodeId thinner_;
   WorkloadParams params_;
   std::uint32_t base_index_;
+  std::unique_ptr<Strategy> strategy_;  // shared by every member
   http::Message request_template_;  // interned kRequest header; id set per send
   http::SessionPool session_pool_;
 
   // Per-member parallel arrays (index = member id).
   std::vector<transport::Host*> hosts_;
   std::vector<util::RngStream> rngs_;
-  std::vector<std::unique_ptr<Strategy>> strategies_;
   std::vector<ClientStats> stats_;
   std::vector<std::uint32_t> next_seq_;
   std::vector<std::uint8_t> paused_;

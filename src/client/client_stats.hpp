@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "stats/sample_set.hpp"
+#include "stats/online_stats.hpp"
 #include "util/units.hpp"
 
 namespace speakup::client {
@@ -18,8 +18,7 @@ struct ClientStats {
   std::int64_t payments_declined = 0;   // strategy refused a kPleasePay
   std::int64_t payments_abandoned = 0;  // strategy defected mid-payment
   Bytes payment_bytes_acked = 0;   // dummy bytes delivered (client view)
-  stats::SampleSet response_time;        // request sent -> response, served only
-  stats::SampleSet payment_time_client;  // kPleasePay -> response, served only
+  stats::OnlineStats response_time;  // request sent -> response, served only
 
   /// Requests that reached a disposition.
   [[nodiscard]] std::int64_t resolved() const { return served + denied + busy_rejected; }
@@ -41,7 +40,6 @@ struct ClientStats {
     payments_abandoned += o.payments_abandoned;
     payment_bytes_acked += o.payment_bytes_acked;
     response_time.merge(o.response_time);
-    payment_time_client.merge(o.payment_time_client);
   }
 };
 

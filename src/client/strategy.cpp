@@ -59,7 +59,7 @@ class PoissonStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "poisson"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     (void)v;
     return Duration::seconds(rng.exponential(params_.lambda));
   }
@@ -87,7 +87,7 @@ class OnOffStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "onoff"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     double need = rng.exponential(params_.lambda);  // on-time to consume
     if (duty_ >= 1.0) return Duration::seconds(need);  // always on: plain Poisson
     const double on_len = period_ * duty_;
@@ -138,18 +138,18 @@ class DefectorStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "defector"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     (void)v;
     return Duration::seconds(rng.exponential(params_.lambda));
   }
 
-  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) override {
+  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) const override {
     (void)rng;
     return static_cast<double>(v.stats->served) < defect_after_served_;
   }
 
   [[nodiscard]] std::optional<Duration> payment_patience(util::RngStream& rng,
-                                                         const StrategyView& v) override {
+                                                         const StrategyView& v) const override {
     (void)rng;
     (void)v;
     if (patience_ <= 0) return std::nullopt;
@@ -184,12 +184,12 @@ class AdaptiveWindowStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "adaptive-window"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     (void)v;
     return Duration::seconds(rng.exponential(params_.lambda));
   }
 
-  [[nodiscard]] int window(const StrategyView& v) override {
+  [[nodiscard]] int window(const StrategyView& v) const override {
     const std::int64_t resolved = v.stats->resolved();
     const double denial_rate =
         resolved == 0 ? 0.0
@@ -229,7 +229,7 @@ class FlashCrowdStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "flash-crowd"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     // `need` is measured in base-rate time; a surge second consumes
     // factor_ of it.
     double need = rng.exponential(params_.lambda);
@@ -268,7 +268,10 @@ class FlashCrowdStrategy final : public Strategy {
 // any bandwidth. After the probe budget is spent it behaves exactly like
 // "poisson" (pays, base rate). With probes = 0 the probe phase never
 // exists, so the strategy is bit-for-bit identical to "poisson": one
-// exponential draw per arrival, no other RNG consumption.
+// exponential draw per arrival, no other RNG consumption. A member's
+// arrival count stands in for the gaps it has drawn: the pool draws one
+// gap at start and one after counting each arrival, so a draw follows
+// `arrivals` gaps and pay() is asked after `arrivals + 1`.
 // ---------------------------------------------------------------------------
 
 class ReconStrategy final : public Strategy {
@@ -285,33 +288,24 @@ class ReconStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "recon"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
-    (void)v;
-    const double rate =
-        probing() && probe_lambda_ > 0 ? probe_lambda_ : params_.lambda;
-    const Duration gap = Duration::seconds(rng.exponential(rate));
-    ++arrivals_drawn_;
-    return gap;
+                                      const StrategyView& v) const override {
+    // True while the gap being drawn still leads to a probe.
+    const bool probing = static_cast<double>(v.stats->arrivals) < probes_;
+    const double rate = probing && probe_lambda_ > 0 ? probe_lambda_ : params_.lambda;
+    return Duration::seconds(rng.exponential(rate));
   }
 
-  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) override {
+  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) const override {
     (void)rng;
-    (void)v;
     // Probe requests collect behavior without committing bandwidth. The
     // payment decision keys off how many arrivals have been drawn, which is
     // deterministic per seed.
-    return arrivals_drawn_ > probes_;
+    return static_cast<double>(v.stats->arrivals + 1) > probes_;
   }
 
  private:
-  /// True while the next arrival to draw is still a probe.
-  [[nodiscard]] bool probing() const {
-    return static_cast<double>(arrivals_drawn_) < probes_;
-  }
-
   const double probes_;
   const double probe_lambda_;
-  std::int64_t arrivals_drawn_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -340,27 +334,25 @@ class SwitcherStrategy final : public Strategy {
   [[nodiscard]] std::string_view name() const override { return "switcher"; }
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     (void)v;
     return Duration::seconds(rng.exponential(params_.lambda));
   }
 
-  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) override {
+  [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) const override {
     (void)rng;
-    if (defected_) return false;
+    // Sticky: detection signals don't un-ring. Defecting is the only way
+    // this strategy refuses, and the client counts every refusal, so a
+    // member has defected exactly when it has declined a payment.
+    if (v.stats->payments_declined > 0) return false;
     const std::int64_t resolved = v.stats->resolved();
-    if (static_cast<double>(resolved) >= min_obs_ &&
-        v.stats->fraction_served() < threshold_) {
-      defected_ = true;  // sticky: detection signals don't un-ring
-      return false;
-    }
-    return true;
+    return static_cast<double>(resolved) < min_obs_ ||
+           v.stats->fraction_served() >= threshold_;
   }
 
  private:
   const double min_obs_;
   const double threshold_;
-  bool defected_ = false;
 };
 
 }  // namespace

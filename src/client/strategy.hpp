@@ -12,8 +12,11 @@
 //   - payment_patience(): how long to keep paying before defecting;
 //   - retry_pipeline(): §3.2 retry aggressiveness.
 //
-// Strategies are per-client and may keep state, but all randomness MUST
-// come from the RngStream passed into each hook (the client's own seeded
+// A Strategy is shared by every member of its client group and keeps no
+// per-member state: its hooks are const, and whatever a decision needs to
+// know about one member's history it reads from that member's
+// StrategyView (its ClientStats, load and the clock). All randomness MUST
+// come from the RngStream passed into each hook (the member's own seeded
 // stream): that is what keeps parallel and sharded sweeps bit-identical to
 // serial runs. Phase schedules (on-off periods, surge windows) are derived
 // from StrategyView::now instead of wall timers for the same reason.
@@ -49,7 +52,7 @@
 namespace speakup::client {
 
 /// What a strategy may observe when deciding: the simulation clock, the
-/// client's own accounting, and its current load. Everything here is
+/// member's own accounting, and its current load. Everything here is
 /// deterministic per (scenario, seed).
 struct StrategyView {
   SimTime now;
@@ -91,11 +94,11 @@ class Strategy {
   /// Gap until the next request arrival. Called once at start() and again
   /// after every arrival.
   [[nodiscard]] virtual Duration next_arrival(util::RngStream& rng,
-                                              const StrategyView& v) = 0;
+                                              const StrategyView& v) const = 0;
 
   /// Maximum outstanding requests at this instant (clamped to >= 1 by the
   /// client). Default: the fixed base window.
-  [[nodiscard]] virtual int window(const StrategyView& v) {
+  [[nodiscard]] virtual int window(const StrategyView& v) const {
     (void)v;
     return params_.window;
   }
@@ -103,7 +106,7 @@ class Strategy {
   /// Whether to answer kPleasePay by opening a payment channel. Returning
   /// false leaves the request waiting without a bid (it will be denied
   /// unless the thinner admits it anyway). Default: always pay.
-  [[nodiscard]] virtual bool pay(util::RngStream& rng, const StrategyView& v) {
+  [[nodiscard]] virtual bool pay(util::RngStream& rng, const StrategyView& v) const {
     (void)rng;
     (void)v;
     return true;
@@ -112,15 +115,15 @@ class Strategy {
   /// Called when a payment channel opens. A value means "abandon the
   /// channel after this long if still unserved" — §7.4-style defection
   /// mid-window. Default: pay until the auction resolves.
-  [[nodiscard]] virtual std::optional<Duration> payment_patience(util::RngStream& rng,
-                                                                 const StrategyView& v) {
+  [[nodiscard]] virtual std::optional<Duration> payment_patience(
+      util::RngStream& rng, const StrategyView& v) const {
     (void)rng;
     (void)v;
     return std::nullopt;
   }
 
   /// §3.2 retry mode: target number of unacked retries kept in flight.
-  [[nodiscard]] virtual int retry_pipeline(const StrategyView& v) {
+  [[nodiscard]] virtual int retry_pipeline(const StrategyView& v) const {
     (void)v;
     return params_.retry_pipeline;
   }

@@ -205,14 +205,16 @@ void hash_double(std::uint64_t& h, double v) {
   hash_u64(h, bits);
 }
 
-void hash_samples(std::uint64_t& h, const stats::SampleSet& s) {
-  hash_u64(h, s.count());
+void hash_samples(std::uint64_t& h, const stats::OnlineStats& s) {
+  hash_u64(h, static_cast<std::uint64_t>(s.count()));
   hash_double(h, s.sum());
-  if (!s.empty()) {
+  if (s.count() > 0) {
     hash_double(h, s.min());
     hash_double(h, s.max());
   }
 }
+
+void hash_samples(std::uint64_t& h, const stats::SampleSet& s) { hash_samples(h, s.summary()); }
 
 }  // namespace
 

@@ -147,7 +147,7 @@ TcpConnection& Host::emplace_connection(std::uint32_t local_port, net::NodeId re
                                         std::uint32_t remote_port, bool initiator) {
   SPEAKUP_ASSERT(find_connection(local_port, remote, remote_port) == nullptr);
   const std::uint32_t slot =
-      slab().emplace(*this, local_port, remote, remote_port, tcp_cfg_, initiator);
+      slab().emplace(*this, local_port, remote, remote_port, tcp_config(), initiator);
   table_insert(local_port, remote, remote_port, slot);
   ++connections_created_;
   return *conn_at(slot);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,9 +47,11 @@ class Host : public net::Node {
     util::require(table_size_ == 0, "set_tcp_config: host " + name() +
                                         " holds live connections, which read its TCP "
                                         "config in place");
-    tcp_cfg_ = cfg;
+    own_tcp_cfg_ = std::make_unique<const TcpConfig>(cfg);
   }
-  [[nodiscard]] const TcpConfig& tcp_config() const { return tcp_cfg_; }
+  [[nodiscard]] const TcpConfig& tcp_config() const {
+    return own_tcp_cfg_ ? *own_tcp_cfg_ : kDefaultTcpConfig;
+  }
 
   /// Opens a connection to (dst, dst_port). The returned reference stays
   /// valid until the connection closes (teardown destroys it on the next
@@ -133,7 +136,10 @@ class Host : public net::Node {
                    std::uint32_t remote_port);
   void table_grow();
 
-  TcpConfig tcp_cfg_;
+  /// Shared by every host that never calls set_tcp_config, so a client
+  /// host does not carry its own copy.
+  static inline const TcpConfig kDefaultTcpConfig{};
+  std::unique_ptr<const TcpConfig> own_tcp_cfg_;  // null: kDefaultTcpConfig
   std::vector<TableEntry> table_;      // power-of-two open addressing
   std::size_t table_size_ = 0;
   std::map<std::uint32_t, std::function<void(TcpConnection&)>> listeners_;

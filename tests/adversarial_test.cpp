@@ -157,14 +157,18 @@ TEST(AdversarialBehavior, SwitcherDefectsOnLowAdmissionRateAndStaysDefected) {
   v.stats = &starved;
   EXPECT_FALSE(s->pay(rng, v));
 
-  // Sticky: once defected, a rosier view does not win it back.
+  // Sticky: once defected, a rosier view does not win it back. The pool
+  // counts that refusal in the member's stats, which is where the switcher
+  // reads that it has defected.
   client::ClientStats healthy;
   healthy.served = 40;
+  healthy.payments_declined = 1;
   v.stats = &healthy;
   EXPECT_FALSE(s->pay(rng, v));
 
   // A fresh switcher with a healthy admission rate keeps paying.
   auto fresh = client::StrategyFactory::instance().create("switcher", p);
+  healthy.payments_declined = 0;
   EXPECT_TRUE(fresh->pay(rng, v));
 
   // Too few observations to judge: keeps paying.

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "client/client_pool.hpp"
 #include "client/workload_params.hpp"
@@ -187,6 +188,36 @@ TEST(ClientPool, PerHostBytesStayWithinBudget) {
   // sizeof(TcpConnection) and sizeof(Host) have static_asserts in
   // transport_test.
   EXPECT_LT(per_host, 160.0) << "bytes allocated per client host";
+}
+
+// The per-member build budget: every byte reserve() and add_member()
+// allocate for a group of 10^4 members, averaged per member. The hosts are
+// built before the measured region, so this is the pool's own share of a
+// client's memory once the topology stands.
+TEST(ClientPool, BuildBytesPerMemberStayWithinBudget) {
+  constexpr int kClients = 10'000;
+  Rig rig;
+  std::vector<transport::Host*> hosts;
+  hosts.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) hosts.push_back(&rig.add_host("c" + std::to_string(i)));
+  ClientPool pool(rig.loop, rig.thinner_host->id(), good_client_params(), 0);
+#if SPEAKUP_AUDIT_ENABLED
+  GTEST_SKIP() << "allocation budgets are not measured in SPEAKUP_AUDIT builds";
+#endif
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  pool.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    pool.add_member(*hosts[i], util::RngStream(5, "client." + std::to_string(i)));
+  }
+  const double per_member = static_cast<double>(guard.bytes_delta()) / kClients;
+  // Measured 329 B per member: 257 B of parallel-array entries (a 120-B
+  // ClientStats and a 40-B RNG stream the largest), the backlog ring's
+  // 8 slots (64 B) and a window-1 outstanding list (8 B). The bound is
+  // that plus ~10%. A heap-allocated Strategy per member (~56 B with its
+  // pointer) or a ClientStats that keeps raw samples (+32 B per SampleSet)
+  // breaks it.
+  EXPECT_LT(per_member, 360.0) << "bytes allocated per pool member";
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ class MetronomeStrategy final : public Strategy {
   }
   [[nodiscard]] std::string_view name() const override { return "metronome"; }
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
-                                      const StrategyView& v) override {
+                                      const StrategyView& v) const override {
     (void)rng;
     (void)v;
     return Duration::seconds(1.0 / params_.lambda);
@@ -321,6 +321,59 @@ TEST(Strategy, AdaptiveWindowRampsWithDenialRate) {
   EXPECT_EQ(strat->window(v), 35);
   stats.served = 0;                 // 100% denial: full ramp
   EXPECT_EQ(strat->window(v), 60);
+}
+
+// Every member of a group shares one Strategy object, so an answer may
+// depend only on the asking member's view: interleaved calls for two
+// members must each get the answer their own view implies.
+TEST(Strategy, OneSharedInstanceAnswersEachMemberByItsView) {
+  const auto recon = StrategyFactory::instance().create(
+      "recon", params_with(40.0, 20, {{"probes", 3.0}, {"probe_lambda", 5.0}}));
+  client::ClientStats probing;  // no arrival yet: its requests are probes
+  client::ClientStats committed;
+  committed.arrivals = 7;
+  StrategyView a;
+  a.stats = &probing;
+  StrategyView b;
+  b.stats = &committed;
+  // The same draw, scaled by the rate each member's view selects.
+  const auto gap = [&](const StrategyView& v) {
+    util::RngStream r(1, "gap");
+    return recon->next_arrival(r, v);
+  };
+  const auto expected_gap = [](double rate) {
+    util::RngStream r(1, "gap");
+    return Duration::seconds(r.exponential(rate));
+  };
+  util::RngStream rng(1, "test");
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(recon->pay(rng, a));
+    EXPECT_TRUE(recon->pay(rng, b));
+    EXPECT_EQ(gap(a), expected_gap(5.0));   // probe_lambda
+    EXPECT_EQ(gap(b), expected_gap(40.0));  // base lambda
+  }
+
+  const auto switcher = StrategyFactory::instance().create(
+      "switcher", params_with(40.0, 20, {{"min_observations", 5.0}}));
+  client::ClientStats defected;  // declined once: the switch has happened
+  defected.served = 10;
+  defected.payments_declined = 1;
+  client::ClientStats starved;
+  starved.served = 1;
+  starved.denied = 9;
+  client::ClientStats healthy;
+  healthy.served = 10;
+  StrategyView d;
+  d.stats = &defected;
+  StrategyView s;
+  s.stats = &starved;
+  StrategyView h;
+  h.stats = &healthy;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(switcher->pay(rng, d));
+    EXPECT_FALSE(switcher->pay(rng, s));
+    EXPECT_TRUE(switcher->pay(rng, h));
+  }
 }
 
 TEST(Strategy, FlashCrowdSurgeAddsArrivals) {
