@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/auction_game.hpp"
@@ -19,6 +20,7 @@ namespace speakup::exp {
 namespace {
 
 using Group = std::vector<const RunOutcome*>;
+using Rows = std::span<const RunOutcome>;
 
 bool full_mode() {
   const char* env = std::getenv("SPEAKUP_FULL");
@@ -46,10 +48,10 @@ void banner(std::ostream& os, const char* title, const char* description, const 
 /// The outcomes grouped by `key`: groups in first-seen order, each group in
 /// outcome order. This is how a report finds its x-axis in what ran.
 template <typename Key>
-std::vector<Group> group_by(const Runner& runner, Key key) {
+std::vector<Group> group_by(Rows rows, Key key) {
   std::vector<Group> groups;
-  std::vector<decltype(key(runner.outcomes().front()))> keys;
-  for (const RunOutcome& o : runner.outcomes()) {
+  std::vector<decltype(key(rows.front()))> keys;
+  for (const RunOutcome& o : rows) {
     const auto k = key(o);
     const std::size_t at = std::find(keys.begin(), keys.end(), k) - keys.begin();
     if (at == keys.size()) {
@@ -61,6 +63,11 @@ std::vector<Group> group_by(const Runner& runner, Key key) {
   return groups;
 }
 
+/// Fails the report when row `o` lacks `what`, which the reducer reads.
+void require(bool has, const RunOutcome& o, const std::string& what) {
+  if (!has) throw ScenarioError("row '" + o.label + "' has no " + what);
+}
+
 /// The result of the outcome in `group` that is `what` (per `pred`); a file
 /// that ran none cannot fill this row.
 template <typename Pred>
@@ -68,8 +75,27 @@ const ExperimentResult& pick(const Group& group, Pred pred, const char* what) {
   for (const RunOutcome* o : group) {
     if (pred(*o)) return o->result;
   }
-  throw std::runtime_error(std::string("report needs a ") + what + " scenario next to '" +
-                           group.front()->label + "'");
+  throw ScenarioError(std::string("no ") + what + " row next to '" + group.front()->label +
+                      "'");
+}
+
+/// The result of the row labelled `label`.
+const ExperimentResult& row(Rows rows, std::string_view label) {
+  for (const RunOutcome& o : rows) {
+    if (o.label == label) return o.result;
+  }
+  throw ScenarioError("no row '" + std::string(label) + "'");
+}
+
+/// Client group `i` of row `o`, as configured and as it fared.
+struct GroupRow {
+  const ClientGroupSpec& spec;
+  const GroupResult& result;
+};
+GroupRow group(const RunOutcome& o, std::size_t i) {
+  require(i < o.config.groups.size() && i < o.result.groups.size(), o,
+          "client group " + std::to_string(i));
+  return {o.config.groups[i], o.result.groups[i]};
 }
 
 double capacity(const RunOutcome& o) { return o.config.capacity_rps; }
@@ -100,12 +126,12 @@ double good_share(const RunOutcome& o) {
       class_bytes_per_sec(o.config, http::ClientClass::kBad));
 }
 
-void fig2(const Runner& runner, std::ostream& os) {
+void fig2(Rows rows, std::ostream& os) {
   const auto defense = [](const char* name) {
     return [name](const RunOutcome& o) { return o.config.defense_name() == name; };
   };
   stats::Table table({"f=G/(G+B)", "without-speakup", "with-speakup", "ideal"});
-  for (const Group& point : group_by(runner, good_share)) {
+  for (const Group& point : group_by(rows, good_share)) {
     const double f = good_share(*point.front());
     table.row()
         .add(f, 2)
@@ -116,10 +142,10 @@ void fig2(const Runner& runner, std::ostream& os) {
   table.print(os);
 }
 
-void fig3(const Runner& runner, std::ostream& os) {
+void fig3(Rows rows, std::ostream& os) {
   stats::Table table({"capacity", "defense", "alloc(good)", "alloc(bad)",
                       "frac-good-served", "ideal-alloc(good)"});
-  for (const Group& point : group_by(runner, capacity)) {
+  for (const Group& point : group_by(rows, capacity)) {
     for (const RunOutcome* o : point) {
       table.row()
           .add(static_cast<std::int64_t>(o->config.capacity_rps))
@@ -133,9 +159,9 @@ void fig3(const Runner& runner, std::ostream& os) {
   table.print(os);
 }
 
-void fig4(const Runner& runner, std::ostream& os) {
+void fig4(Rows rows, std::ostream& os) {
   stats::Table table({"capacity", "mean-payment-s", "p90-payment-s", "samples"});
-  for (const RunOutcome& o : runner.outcomes()) {
+  for (const RunOutcome& o : rows) {
     const stats::SampleSet& t = o.result.thinner.payment_time_good;
     table.row()
         .add(static_cast<std::int64_t>(o.config.capacity_rps))
@@ -146,9 +172,9 @@ void fig4(const Runner& runner, std::ostream& os) {
   table.print(os);
 }
 
-void fig5(const Runner& runner, std::ostream& os) {
+void fig5(Rows rows, std::ostream& os) {
   stats::Table table({"capacity", "price-good-KB", "price-bad-KB", "upper-bound-KB"});
-  for (const RunOutcome& o : runner.outcomes()) {
+  for (const RunOutcome& o : rows) {
     const double upper = core::theory::average_price_bytes(
         class_bytes_per_sec(o.config, http::ClientClass::kGood),
         class_bytes_per_sec(o.config, http::ClientClass::kBad), o.config.capacity_rps);
@@ -161,9 +187,9 @@ void fig5(const Runner& runner, std::ostream& os) {
   table.print(os);
 }
 
-void fig6(const Runner& runner, std::ostream& os) {
+void fig6(Rows rows, std::ostream& os) {
   stats::Table table({"category", "bandwidth-Mbit/s", "observed-alloc", "ideal-alloc"});
-  for (const RunOutcome& o : runner.outcomes()) {
+  for (const RunOutcome& o : rows) {
     for (std::size_t i = 0; i < o.result.groups.size(); ++i) {
       table.row()
           .add(o.result.groups[i].label)
@@ -176,31 +202,32 @@ void fig6(const Runner& runner, std::ostream& os) {
 }
 
 // One column per scenario (all-good, all-bad), one row per RTT category.
-void fig7(const Runner& runner, std::ostream& os) {
-  const std::vector<RunOutcome>& runs = runner.outcomes();
+void fig7(Rows rows, std::ostream& os) {
   std::vector<std::string> headers = {"RTT-ms"};
-  for (const RunOutcome& o : runs) headers.push_back(o.label + "-alloc");
+  for (const RunOutcome& o : rows) headers.push_back(o.label + "-alloc");
   headers.push_back("ideal");
   stats::Table table(std::move(headers));
-  const ScenarioConfig& cfg = runs.front().config;
+  const ScenarioConfig& cfg = rows.front().config;
   for (std::size_t i = 0; i < cfg.groups.size(); ++i) {
     const Duration one_way = cfg.groups[i].access_delay + cfg.thinner_delay;
     table.row().add(static_cast<std::int64_t>(2 * one_way.ns() / 1'000'000));
-    for (const RunOutcome& o : runs) table.add(o.result.groups.at(i).allocation, 3);
+    for (const RunOutcome& o : rows) table.add(group(o, i).result.allocation, 3);
     table.add(proportional_share(cfg, i), 3);
   }
   table.print(os);
 }
 
 // Groups 2 and 3 are the good and bad clients behind the bottleneck l.
-void fig8(const Runner& runner, std::ostream& os) {
+void fig8(Rows rows, std::ostream& os) {
   stats::Table table({"mix(bn-good/bn-bad)", "bn-share-good", "bn-share-bad",
                       "ideal-good", "ideal-bad", "frac-bn-good-served"});
-  for (const RunOutcome& o : runner.outcomes()) {
-    const int good = o.config.groups.at(2).count;
-    const int bad = o.config.groups.at(3).count;
-    const double bn_good_alloc = o.result.groups.at(2).allocation;
-    const double bn_bad_alloc = o.result.groups.at(3).allocation;
+  for (const RunOutcome& o : rows) {
+    const GroupRow bn_good = group(o, 2);
+    const GroupRow bn_bad = group(o, 3);
+    const int good = bn_good.spec.count;
+    const int bad = bn_bad.spec.count;
+    const double bn_good_alloc = bn_good.result.allocation;
+    const double bn_bad_alloc = bn_bad.result.allocation;
     const double bn_total = bn_good_alloc + bn_bad_alloc;
     table.row()
         .add(std::to_string(good) + "/" + std::to_string(bad))
@@ -208,21 +235,22 @@ void fig8(const Runner& runner, std::ostream& os) {
         .add(bn_total > 0 ? bn_bad_alloc / bn_total : 0.0, 3)
         .add(static_cast<double>(good) / (good + bad), 3)
         .add(static_cast<double>(bad) / (good + bad), 3)
-        .add(o.result.groups[2].totals.fraction_served(), 3);
+        .add(bn_good.result.totals.fraction_served(), 3);
   }
   table.print(os);
 }
 
 // Each file size ran twice: "off" without speak-up clients, "on" with them.
-void fig9(const Runner& runner, std::ostream& os) {
+void fig9(Rows rows, std::ostream& os) {
   const auto file_size = [](const RunOutcome& o) {
-    return o.config.collateral.value().file_size;
+    require(o.config.collateral.has_value(), o, "collateral download");
+    return o.config.collateral->file_size;
   };
   const auto speakup_off = [](const RunOutcome& o) { return o.config.groups.empty(); };
   const auto speakup_on = [](const RunOutcome& o) { return !o.config.groups.empty(); };
   stats::Table table({"size-KB", "no-speakup-mean-s", "no-speakup-sd", "speakup-mean-s",
                       "speakup-sd", "inflation"});
-  for (const Group& point : group_by(runner, file_size)) {
+  for (const Group& point : group_by(rows, file_size)) {
     const stats::SampleSet& off =
         pick(point, speakup_off, "speak-up-off").collateral_latencies;
     const stats::SampleSet& on = pick(point, speakup_on, "speak-up-on").collateral_latencies;
@@ -239,17 +267,17 @@ void fig9(const Runner& runner, std::ostream& os) {
 
 // Two sweeps: "c<capacity>" labels look for the capacity that serves all
 // good demand, the others sweep the bad clients' window w at c = 100.
-void sec7_4(const Runner& runner, std::ostream& os) {
+void sec7_4(Rows rows, std::ostream& os) {
   const double c_id = core::theory::ideal_provisioning(50.0, 50.0, 50.0);
   os << strf("c_id (ideal provisioning, G=B, g=50/s): %.0f req/s\n\n", c_id);
   stats::Table sweep({"capacity", "frac-good-served", "alloc(good)", "verdict"});
   stats::Table wsweep({"bad-window-w", "alloc(bad)", "alloc(good)"});
   double satisfied_at = -1.0;
-  for (const RunOutcome& o : runner.outcomes()) {
+  for (const RunOutcome& o : rows) {
     const ExperimentResult& r = o.result;
     if (o.label[0] != 'c') {
       wsweep.row()
-          .add(static_cast<std::int64_t>(o.config.groups.at(1).workload.window))
+          .add(static_cast<std::int64_t>(group(o, 1).spec.workload.window))
           .add(r.allocation_bad, 3)
           .add(r.allocation_good, 3);
       continue;
@@ -273,16 +301,16 @@ void sec7_4(const Runner& runner, std::ostream& os) {
   wsweep.print(os);
 }
 
-void tab1(const Runner& runner, std::ostream& os) {
+void tab1(Rows rows, std::ostream& os) {
   os << strf("1. proportional allocation:   alloc(good) = %.2f for G=B (ideal 0.50,\n"
              "   paper ~0.42-0.48 measured)  [details: fig2, fig6, fig7]\n",
-             runner.result("row1").allocation_good);
+             row(rows, "row1").allocation_good);
 
   // Row 2: the first "row2/*" capacity, in file order, that serves all
   // good demand.
   double satisfied_at = -1.0;
   double swept_max = 0.0;
-  for (const RunOutcome& o : runner.outcomes()) {
+  for (const RunOutcome& o : rows) {
     if (o.label.rfind("row2/", 0) != 0) continue;
     swept_max = std::max(swept_max, o.config.capacity_rps);
     if (satisfied_at < 0 && o.result.fraction_good_served >= 0.99) {
@@ -305,18 +333,18 @@ void tab1(const Runner& runner, std::ostream& os) {
         "(3 GHz Xeon);\n   a simulated thinner costs no CPU per byte, so only its link "
         "bounds its sink rate  [host speed: micro_hotpath thinner_sink]\n";
 
-  const double off = runner.result("row4/off").collateral_latencies.mean();
-  const double on = runner.result("row4/on").collateral_latencies.mean();
+  const double off = row(rows, "row4/off").collateral_latencies.mean();
+  const double on = row(rows, "row4/on").collateral_latencies.mean();
   os << strf("4. bottleneck crowding:       8 KB downloads inflate %.1fx when sharing\n"
              "   a 1 Mbit/s link with speak-up traffic (paper: ~4.5-6x)  [details: "
              "fig8, fig9]\n",
              off > 0 ? on / off : 0.0);
 }
 
-void abl1(const Runner& runner, std::ostream& os) {
+void abl1(Rows rows, std::ostream& os) {
   stats::Table table({"capacity", "mechanism", "alloc(good)", "price-good", "price-bad",
                       "price-unit"});
-  for (const Group& point : group_by(runner, capacity)) {
+  for (const Group& point : group_by(rows, capacity)) {
     for (const RunOutcome* o : point) {
       const ExperimentResult& r = o->result;
       const bool retry = o->config.defense_name() == "retry";
@@ -335,14 +363,15 @@ void abl1(const Runner& runner, std::ostream& os) {
 }
 
 // Group 0 sits at LAN RTT, group 1 at a long RTT; both send the swept POST.
-void abl3(const Runner& runner, std::ostream& os) {
+void abl3(Rows rows, std::ostream& os) {
   stats::Table table({"post-size-KB", "lan-rtt-alloc", "long-rtt-alloc",
                       "long-rtt-share-of-ideal"});
-  for (const RunOutcome& o : runner.outcomes()) {
-    const double long_rtt = o.result.groups.at(1).allocation;
+  for (const RunOutcome& o : rows) {
+    const GroupRow lan = group(o, 0);
+    const double long_rtt = group(o, 1).result.allocation;
     table.row()
-        .add(o.config.groups[0].workload.post_size / 1000)
-        .add(o.result.groups[0].allocation, 3)
+        .add(lan.spec.workload.post_size / 1000)
+        .add(lan.result.allocation, 3)
         .add(long_rtt, 3)
         .add(long_rtt / proportional_share(o.config, 1), 3);
   }
@@ -350,13 +379,13 @@ void abl3(const Runner& runner, std::ostream& os) {
 }
 
 // Group 1 holds the attackers; the x-axis is their request difficulty.
-void abl4(const Runner& runner, std::ostream& os) {
+void abl4(Rows rows, std::ostream& os) {
   const auto difficulty = [](const RunOutcome& o) {
-    return o.config.groups.at(1).workload.difficulty;
+    return group(o, 1).spec.workload.difficulty;
   };
   stats::Table table({"bad-difficulty", "mechanism", "server-time-good", "server-time-bad",
                       "suspensions"});
-  for (const Group& point : group_by(runner, difficulty)) {
+  for (const Group& point : group_by(rows, difficulty)) {
     for (const RunOutcome* o : point) {
       const bool quantum = o->config.defense_name() == "quantum";
       table.row()
@@ -418,7 +447,7 @@ struct Reducer {
   const char* title;
   const char* description;
   const char* note;  // the paper's expectation; "" prints no "paper:" line
-  void (*print)(const Runner&, std::ostream&);
+  void (*print)(Rows, std::ostream&);
   void (*stretch)(LabeledScenario&) = paper_duration;
 };
 
@@ -486,6 +515,16 @@ const Reducer* find_reducer(std::string_view name) {
   return nullptr;
 }
 
+/// The reducer `file`'s "report" key names; `where` prefixes the diagnostic.
+const Reducer& reducer_of(const ScenarioFile& file, const std::string& where) {
+  const Reducer* r = find_reducer(file.report);
+  if (r == nullptr) {
+    throw ScenarioError(where + "no \"report\" key names the reducer to print (known: " +
+                        report_names() + ")");
+  }
+  return *r;
+}
+
 }  // namespace
 
 bool is_report_name(std::string_view name) { return find_reducer(name) != nullptr; }
@@ -508,21 +547,30 @@ void write_report(const std::string& path, int jobs, std::ostream& os) {
                         "auction_game grids)");
   }
   ScenarioFile file = load_scenario_file(path);
-  const Reducer* it = find_reducer(file.report);
-  if (it == nullptr) {
-    throw ScenarioError(path + ": no \"report\" key names the reducer to print (known: " +
-                        report_names() + ")");
-  }
+  const Reducer& r = reducer_of(file, path + ": ");
   if (full_mode()) {
-    for (LabeledScenario& s : file.scenarios) it->stretch(s);
+    for (LabeledScenario& s : file.scenarios) r.stretch(s);
   }
-  banner(os, it->title, it->description, it->note);
   Runner runner;
   file.queue_on(runner);
-  for (const RunOutcome& o : runner.run_all(jobs)) {
+  print_report(file, runner.run_all(jobs), os);
+}
+
+void print_report(const ScenarioFile& file, std::span<const RunOutcome> outcomes,
+                  std::ostream& os) {
+  const Reducer& r = reducer_of(file, "");
+  for (const RunOutcome& o : outcomes) {
     if (!o.ok()) throw std::runtime_error("scenario '" + o.label + "' failed: " + o.error);
   }
-  it->print(runner, os);
+  std::ostringstream body;  // a report that cannot be reduced prints nothing
+  try {
+    if (outcomes.empty()) throw ScenarioError("no rows ran");
+    r.print(outcomes, body);
+  } catch (const ScenarioError& e) {
+    throw ScenarioError(std::string(r.name) + " report: " + e.what());
+  }
+  banner(os, r.title, r.description, r.note);
+  os << body.str();
 }
 
 }  // namespace speakup::exp

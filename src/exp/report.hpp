@@ -3,7 +3,7 @@
 // A3-A5) from a checked-in scenario file.
 //
 // A scenario file names its reducer with a top-level "report" key; the
-// reducer reads the finished Runner's outcomes and prints a banner, the
+// reducer reads the file's finished outcomes and prints a banner, the
 // paper's expectation, and a stats::Table. Every x-axis comes from the
 // outcomes (labels, configs, groups), so trimming or extending the file's
 // grid changes the rows, never breaks the report. An auction_game file
@@ -14,10 +14,14 @@
 #pragma once
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 
 namespace speakup::exp {
+
+struct RunOutcome;
+struct ScenarioFile;
 
 /// Whether a scenario file's "report" key may name `name`.
 [[nodiscard]] bool is_report_name(std::string_view name);
@@ -25,10 +29,18 @@ namespace speakup::exp {
 /// Every reducer name, comma-separated in table order (for diagnostics).
 [[nodiscard]] std::string report_names();
 
-/// Loads `path`, runs it on a Runner with `jobs` threads (0 = hardware
-/// concurrency; the report is byte-identical for any value), and prints its
-/// report to `os`. Throws ScenarioError for a file without a "report" key
-/// and std::runtime_error when a scenario fails.
+/// Prints the report of `file` from `outcomes`, the finished runs of its
+/// scenarios in file order and with the file's labels. Throws ScenarioError
+/// for a file without a "report" key and for a row that lacks what the
+/// reducer reads (naming the reducer, the row and what is missing), and
+/// std::runtime_error when a scenario failed.
+void print_report(const ScenarioFile& file, std::span<const RunOutcome> outcomes,
+                  std::ostream& os);
+
+/// Loads `path`, stretches it under SPEAKUP_FULL=1, runs it on a Runner with
+/// `jobs` threads (0 = hardware concurrency; the report is byte-identical for
+/// any value), and prints its report to `os`. An auction_game file prints the
+/// Theorem 3.1 table. Throws as print_report does.
 void write_report(const std::string& path, int jobs, std::ostream& os);
 
 }  // namespace speakup::exp

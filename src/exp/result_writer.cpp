@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -185,12 +186,17 @@ std::vector<CsvLine> scan_csv(const std::string& csv, const std::string& what) {
   if (!std::getline(in, line) || line != ResultWriter::csv_header()) {
     throw std::invalid_argument(what + " does not start with the speakup CSV header");
   }
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
     std::size_t pos = 0;
     std::size_t index = 0;
     while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-      index = index * 10 + static_cast<std::size_t>(line[pos] - '0');
+      const auto digit = static_cast<std::size_t>(line[pos] - '0');
+      if (index > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
+        throw std::invalid_argument(what + " line " + std::to_string(line_no) +
+                                    ": row index is too large: " + line);
+      }
+      index = index * 10 + digit;
       ++pos;
     }
     if (pos == 0 || pos >= line.size() || line[pos] != ',') {

@@ -163,12 +163,16 @@ std::string scalar_to_string(const json::Value& v) {
 // array, so grids can sweep per-group knobs.
 // ---------------------------------------------------------------------------
 
+/// An all-digit segment's index; nullopt for any other segment and for one
+/// past size_t, which would otherwise wrap onto a real element.
 std::optional<std::size_t> as_array_index(std::string_view seg) {
   if (seg.empty()) return std::nullopt;
   std::size_t idx = 0;
   for (const char c : seg) {
     if (c < '0' || c > '9') return std::nullopt;
-    idx = idx * 10 + static_cast<std::size_t>(c - '0');
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (idx > (std::numeric_limits<std::size_t>::max() - digit) / 10) return std::nullopt;
+    idx = idx * 10 + digit;
   }
   return idx;
 }

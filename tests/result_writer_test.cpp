@@ -366,6 +366,28 @@ TEST(ResultWriter, MergeDuplicateDiagnosticsNameTheInputs) {
   }
 }
 
+// A row index past 2^64 - 1 must be refused, not wrapped onto a real index
+// (18446744073709551619 would read as 3 and clash with the genuine row 3).
+TEST(ResultWriter, RowIndexPast64BitsNamesTheInputAndLine) {
+  ResultWriter w;
+  w.add(0, synthetic_outcome("a", 0));
+  w.add(3, synthetic_outcome("d", 3));
+  std::ostringstream os;
+  w.write_csv(os);
+  const std::string genuine = os.str();
+  std::string wrapped = genuine;
+  const std::size_t row3 = wrapped.find("\n3,") + 1;
+  wrapped.replace(row3, 1, "18446744073709551619");
+  try {
+    (void)ResultWriter::merge_csv({wrapped, genuine}, {"a.csv", "b.csv"});
+    FAIL() << "wrapping row index not rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'a.csv' line 3: row index is too large"), std::string::npos) << msg;
+  }
+  EXPECT_THROW((void)ResultWriter::csv_indices(wrapped), std::invalid_argument);
+}
+
 TEST(ResultWriter, CsvIndicesRoundTrip) {
   ResultWriter w;
   w.add(4, synthetic_outcome("e", 4));

@@ -497,6 +497,20 @@ TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {
   expect_parse_error(R"({"scenarios": [{"grid": {"capacity_rps": 5}}]})", "array");
 }
 
+// An array index past 2^64 - 1 names no element; it must not wrap onto one
+// (groups.18446744073709551617 would otherwise sweep group 1).
+TEST(ScenarioIoErrors, ArrayIndexPast64BitsNamesTheKey) {
+  const std::string groups =
+      R"("groups": [{"label": "g", "count": 1, "workload": "good"},)"
+      R"( {"label": "b", "count": 1, "workload": {"preset": "bad", "window": 20}}])";
+  expect_parse_error(R"({"scenarios": [{)" + groups +
+                         R"(, "grid": {"groups.18446744073709551617.workload.window": [5]}}]})",
+                     "\"18446744073709551617\" does not index the array");
+  expect_parse_error(
+      R"({"scenarios": [{)" + groups + R"(, "label": "{groups.18446744073709551617.count}"}]})",
+      "placeholder {groups.18446744073709551617.count}");
+}
+
 // With labels A, B, B, A the earliest row whose label repeats later is the
 // first A, so the diagnostic names "A", not the adjacent pair "B".
 TEST(ScenarioIoErrors, DuplicateLabelNamesEarliestRepeatedRow) {
