@@ -1,10 +1,11 @@
 // Checks every checked-in scenario file from one run of it: each file's
 // ExperimentResult fingerprints against its pins, and each paper file's
 // report (`speakup report`, exp/report.hpp) against its golden under
-// tests/golden/report/, byte for byte. The pass enumerates scenarios/*.json,
-// so a new scenario file without pins, a "report" key without a golden, and
-// a golden that no file prints all fail here. million_clients.json is left
-// out for its 10^5-client cost.
+// tests/golden/report/, byte for byte; report_test checks the auction_game
+// files' goldens and the run half, write_report. The pass enumerates
+// scenarios/*.json, so a new scenario file without pins, a "report" key
+// without a golden, and a golden that no file prints all fail here.
+// million_clients.json is left out for its 10^5-client cost.
 //
 // The pins guard behavior-invisibility: rewriting the event representation,
 // the timer store, the TCP out-of-order tracker, the Link packet pipeline or
@@ -212,7 +213,7 @@ struct CheckedFile {
 
 struct Pass {
   std::map<std::string, CheckedFile> files;  // by file name
-  std::set<std::string> auction_games;       // printed by write_report
+  std::set<std::string> auction_games;       // goldens checked in report_test
 };
 
 /// Every checked-in scenario file but million_clients.json, loaded once,
@@ -339,81 +340,6 @@ TEST(ReportGolden, EveryReportMatchesByteForByte) {
     print_report(f.file, f.rows, os);
     EXPECT_EQ(os.str(), read(kGoldenDir + f.file.report + ".txt"))
         << "the report of " << name << " drifted from its golden";
-  }
-  for (const std::string& name : pass().auction_games) {
-    std::ostringstream os;
-    write_report(kScenarioDir + "/" + name, 1, os);
-    EXPECT_EQ(os.str(), read(kGoldenDir + golden_of(name) + ".txt"))
-        << "the report of " << name << " drifted from its golden";
-  }
-}
-
-std::string report_of(const std::string& path, int jobs) {
-  ::unsetenv("SPEAKUP_FULL");
-  std::ostringstream os;
-  write_report(path, jobs, os);
-  return os.str();
-}
-
-// A report reads its axes from what ran: a grid trimmed to one capacity
-// prints that capacity's rows instead of looking up the missing ones.
-TEST(Report, TrimmedGridPrintsTheRowsThatRan) {
-  std::string text = read(kScenarioDir + "/abl1.json");
-  const auto edit = [&text](const std::string& from, const std::string& to) {
-    ASSERT_NE(text.find(from), std::string::npos) << from;
-    text.replace(text.find(from), from.size(), to);
-  };
-  edit("\"capacity_rps\": [50, 100, 200]", "\"capacity_rps\": [50]");
-  edit("\"duration_s\": 60", "\"duration_s\": 10");  // keeps the test quick
-  const std::string path = ::testing::TempDir() + "/abl1_trimmed.json";
-  std::ofstream(path, std::ios::binary) << text;
-
-  std::istringstream out(report_of(path, 2));
-  std::string line;
-  while (std::getline(out, line) && line.rfind("---", 0) != 0) {
-  }
-  std::vector<std::string> rows;
-  while (std::getline(out, line)) rows.push_back(line);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].rfind("50        retries (3.2)", 0), 0u) << rows[0];
-  EXPECT_EQ(rows[1].rfind("50        auction (3.3)", 0), 0u) << rows[1];
-}
-
-TEST(Report, FileWithoutReportKeyListsTheReducers) {
-  const std::string path = ::testing::TempDir() + "/no_report.json";
-  std::ofstream(path, std::ios::binary) << R"({"scenarios": [{"duration_s": 1}]})";
-  try {
-    (void)report_of(path, 1);
-    FAIL() << "expected ScenarioError";
-  } catch (const ScenarioError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no \"report\" key"), std::string::npos) << what;
-    EXPECT_NE(what.find(report_names()), std::string::npos) << what;
-  }
-}
-
-// A reducer that reads a client group, a collateral download or a row the
-// file did not run names itself, the row and what is missing, and prints
-// nothing.
-TEST(Report, ReducerNamesTheRowAndWhatItLacks) {
-  for (const auto& [report, want] :
-       {std::pair{"fig8", "fig8 report: row 'solo' has no client group 2"},
-        std::pair{"fig9", "fig9 report: row 'solo' has no collateral download"},
-        std::pair{"abl4", "abl4 report: row 'solo' has no client group 1"},
-        std::pair{"tab1", "tab1 report: no row 'row1'"}}) {
-    const ScenarioFile file = parse_scenario_file(
-        std::string(R"({"report": ")") + report + R"(", "scenarios": [{"label": "solo", )" +
-        R"("groups": [{"label": "g", "count": 1, "workload": "good"}]}]})");
-    RunOutcome solo{"solo", file.scenarios.front().config, {}, {}, ""};
-    solo.result.groups.resize(1);
-    std::ostringstream os;
-    try {
-      print_report(file, {&solo, 1}, os);
-      ADD_FAILURE() << report << ": expected ScenarioError";
-    } catch (const ScenarioError& e) {
-      EXPECT_EQ(std::string(e.what()), want);
-      EXPECT_EQ(os.str(), "") << report << " printed part of a report";
-    }
   }
 }
 

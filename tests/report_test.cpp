@@ -1,22 +1,31 @@
-// Paper reports (`speakup report`, exp/report.hpp): each checked-in paper
-// file must print its golden under tests/golden/report/ byte for byte. The
-// goldens are the quick-mode stdout of the per-figure bench harnesses the
-// reports replaced, so this pins every reducer's arithmetic and layout.
+// Paper reports (`speakup report`, exp/report.hpp) through their run half,
+// write_report: a trimmed grid, a file without a "report" key, and each
+// auction_game file's Theorem 3.1 table against its golden under
+// tests/golden/report/ (golden-named by its file stem). The reduce half,
+// print_report, is checked here on hand-made outcomes; the simulated paper
+// files' goldens are checked in hotpath_fingerprint_test, from the same one
+// run of each file that checks its fingerprint pins.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/report.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
 
 namespace speakup::exp {
 namespace {
 
+namespace fs = std::filesystem;
+
 const std::string kScenarioDir = SPEAKUP_SCENARIO_DIR;
+const std::string kGoldenDir = kScenarioDir + "/../tests/golden/report/";
 
 std::string read(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -33,33 +42,19 @@ std::string report_of(const std::string& path, int jobs) {
   return os.str();
 }
 
-struct Golden {
-  const char* name;  // tests/golden/report/<name>.txt
-  const char* file;  // scenarios/<file>
-};
-
-void PrintTo(const Golden& g, std::ostream* os) { *os << g.file; }
-
-class ReportGolden : public ::testing::TestWithParam<Golden> {};
-
-TEST_P(ReportGolden, MatchesByteForByte) {
-  const Golden& g = GetParam();
-  const std::string golden =
-      read(kScenarioDir + "/../tests/golden/report/" + g.name + ".txt");
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(report_of(kScenarioDir + "/" + g.file, 0), golden);
+TEST(ReportGolden, AuctionGameReportsMatchByteForByte) {
+  int checked = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(kScenarioDir)) {
+    if (e.path().extension() != ".json" || file_kind(e.path().string()) != "auction_game") {
+      continue;
+    }
+    EXPECT_EQ(report_of(e.path().string(), 1),
+              read(kGoldenDir + e.path().stem().string() + ".txt"))
+        << "the report of " << e.path().filename() << " drifted from its golden";
+    ++checked;
+  }
+  EXPECT_GT(checked, 0) << "no auction_game file under " << kScenarioDir;
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    PaperFiles, ReportGolden,
-    ::testing::Values(Golden{"fig2", "fig2.json"}, Golden{"fig3", "fig3.json"},
-                      Golden{"fig4", "fig4.json"}, Golden{"fig5", "fig5.json"},
-                      Golden{"fig6", "fig6.json"}, Golden{"fig7", "fig7.json"},
-                      Golden{"fig8", "shared_bottleneck.json"}, Golden{"fig9", "lossy.json"},
-                      Golden{"sec7_4", "sec7_4.json"}, Golden{"tab1", "tab1.json"},
-                      Golden{"abl1", "abl1.json"}, Golden{"abl3", "abl3.json"},
-                      Golden{"abl4", "abl4.json"}, Golden{"abl5", "abl5.json"}),
-    [](const ::testing::TestParamInfo<Golden>& info) { return std::string(info.param.name); });
 
 // A report reads its axes from what ran: a grid trimmed to one capacity
 // prints that capacity's rows instead of looking up the missing ones.
@@ -95,6 +90,31 @@ TEST(Report, FileWithoutReportKeyListsTheReducers) {
     const std::string what = e.what();
     EXPECT_NE(what.find("no \"report\" key"), std::string::npos) << what;
     EXPECT_NE(what.find(report_names()), std::string::npos) << what;
+  }
+}
+
+// A reducer that reads a client group, a collateral download or a row the
+// file did not run names itself, the row and what is missing, and prints
+// nothing.
+TEST(Report, ReducerNamesTheRowAndWhatItLacks) {
+  for (const auto& [report, want] :
+       {std::pair{"fig8", "fig8 report: row 'solo' has no client group 2"},
+        std::pair{"fig9", "fig9 report: row 'solo' has no collateral download"},
+        std::pair{"abl4", "abl4 report: row 'solo' has no client group 1"},
+        std::pair{"tab1", "tab1 report: no row 'row1'"}}) {
+    const ScenarioFile file = parse_scenario_file(
+        std::string(R"({"report": ")") + report + R"(", "scenarios": [{"label": "solo", )" +
+        R"("groups": [{"label": "g", "count": 1, "workload": "good"}]}]})");
+    RunOutcome solo{"solo", file.scenarios.front().config, {}, {}, ""};
+    solo.result.groups.resize(1);
+    std::ostringstream os;
+    try {
+      print_report(file, {&solo, 1}, os);
+      ADD_FAILURE() << report << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+      EXPECT_EQ(os.str(), "") << report << " printed part of a report";
+    }
   }
 }
 
