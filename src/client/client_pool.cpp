@@ -57,14 +57,11 @@ void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
   stats_.emplace_back();
   next_seq_.push_back(0);
   paused_.push_back(0);
-  // Preallocate the per-member dynamic state (a member's FIRST backlog
-  // push or outstanding request can land arbitrarily late in a run, and
-  // the steady-state request cycle must never touch the allocator —
-  // tests/client_pool_test.cpp pins that with a counted operator new).
+  // A member owns no heap object: its backlog and outstanding lists are
+  // heads into the pool-wide slabs, so its first backlog push or request,
+  // however late in a run, allocates only at a new pool-wide peak.
   backlogs_.emplace_back();
-  backlogs_.back().grow();  // ring capacity 8 up front
   outstanding_.emplace_back();
-  outstanding_.back().reserve(static_cast<std::size_t>(params_.window) + 1);
   arr_when_.emplace_back();
   arr_seq_.push_back(0);
 }
@@ -73,7 +70,7 @@ StrategyView ClientPool::view(std::uint32_t m) const {
   StrategyView v;
   v.now = loop_->now();
   v.stats = &stats_[m];
-  v.outstanding = outstanding_[m].size();
+  v.outstanding = outstanding_[m].count;
   v.backlog = backlogs_[m].count;
   return v;
 }
@@ -135,8 +132,10 @@ void ClientPool::audit() const {
                       "ClientPool: every slot is either live or free-listed");
   std::size_t outstanding_total = 0;
   for (std::uint32_t m = 0; m < n; ++m) {
-    for (const std::uint32_t slot : outstanding_[m]) {
-      ++outstanding_total;
+    std::uint32_t count = 0;
+    for (std::uint32_t slot = outstanding_[m].head; slot != kNilSlot; ++count) {
+      SPEAKUP_AUDIT_CHECK(count < live_requests_,
+                          "ClientPool: outstanding list longer than the live requests");
       SPEAKUP_AUDIT_CHECK(slot < slot_live_.size() && slot_live_[slot],
                           "ClientPool: outstanding entry must reference a live slot");
       // request_at is non-const only because of std::launder plumbing; the
@@ -144,10 +143,15 @@ void ClientPool::audit() const {
       const Request* r = const_cast<ClientPool*>(this)->request_at(slot);
       SPEAKUP_AUDIT_CHECK(r->member == m,
                           "ClientPool: outstanding slot must belong to its member");
+      slot = r->next_outstanding;
     }
+    SPEAKUP_AUDIT_CHECK(count == outstanding_[m].count,
+                        "ClientPool: outstanding count must match its list");
+    outstanding_total += count;
   }
   SPEAKUP_AUDIT_CHECK(outstanding_total == live_requests_,
                       "ClientPool: every live request is outstanding for exactly one member");
+  backlog_slab_.audit(backlogs_);
 }
 
 void ClientPool::corrupt_heap_for_test() {
@@ -186,10 +190,10 @@ void ClientPool::fire() {
 void ClientPool::on_arrival(std::uint32_t m) {
   ++stats_[m].arrivals;
   purge_backlog(m);
-  if (outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {
+  if (outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
     start_request(m);
   } else {
-    backlogs_[m].push_back(loop_->now());
+    backlog_slab_.push_back(backlogs_[m], loop_->now());
   }
   draw_next_arrival(m);
 }
@@ -227,7 +231,9 @@ void ClientPool::start_request(std::uint32_t m) {
     if (req.retry_pumping) pump_retries(req);
   };
   r.stream->set_callbacks(std::move(cbs));
-  outstanding_[m].push_back(slot);
+  r.next_outstanding = outstanding_[m].head;
+  outstanding_[m].head = slot;
+  ++outstanding_[m].count;
   ++stats_[m].started;
 }
 
@@ -337,23 +343,20 @@ void ClientPool::finish(std::uint64_t id, Disposition d) {
     r.stream = nullptr;
     session_pool_.retire(s);
   }
-  std::vector<std::uint32_t>& out = outstanding_[mem];
-  for (std::uint32_t& e : out) {
-    if (e == slot) {
-      e = out.back();
-      out.pop_back();
-      break;
-    }
-  }
+  OutstandingList& out = outstanding_[mem];
+  std::uint32_t* link = &out.head;
+  while (*link != slot) link = &request_at(*link)->next_outstanding;
+  *link = r.next_outstanding;
+  --out.count;
   release_request(slot);
   drain_backlog(mem);
 }
 
 void ClientPool::purge_backlog(std::uint32_t m) {
   const SimTime now = loop_->now();
-  BacklogRing& bl = backlogs_[m];
-  while (bl.count > 0 && now - bl.front() > params_.backlog_timeout) {
-    bl.pop_front();
+  BacklogSlab::Queue& bl = backlogs_[m];
+  while (bl.count > 0 && now - backlog_slab_.front(bl) > params_.backlog_timeout) {
+    backlog_slab_.pop_front(bl);
     ++stats_[m].denied;  // §7.1: queued longer than 10 s -> service denial
   }
 }
@@ -361,8 +364,8 @@ void ClientPool::purge_backlog(std::uint32_t m) {
 void ClientPool::drain_backlog(std::uint32_t m) {
   purge_backlog(m);
   while (backlogs_[m].count > 0 &&
-         outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {
-    backlogs_[m].pop_front();
+         outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
+    backlog_slab_.pop_front(backlogs_[m]);
     start_request(m);
   }
 }
@@ -395,12 +398,13 @@ void ClientPool::release_request(std::uint32_t slot) {
 ClientPool::Request* ClientPool::find_request(std::uint64_t id, std::uint32_t* out_slot) {
   const auto global = static_cast<std::uint32_t>((id >> 32) - 1);
   if (global < base_index_ || global - base_index_ >= outstanding_.size()) return nullptr;
-  for (const std::uint32_t slot : outstanding_[global - base_index_]) {
+  for (std::uint32_t slot = outstanding_[global - base_index_].head; slot != kNilSlot;) {
     Request* r = request_at(slot);
     if (r->id == id) {
       *out_slot = slot;
       return r;
     }
+    slot = r->next_outstanding;
   }
   return nullptr;
 }

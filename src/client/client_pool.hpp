@@ -22,10 +22,12 @@
 // One ClientPool runs an entire client group (one WorkloadParams, N
 // members; a lone client is a one-member pool) with one Strategy, which
 // every member shares. Per-member state lives in dense parallel arrays
-// indexed by member id: stats, RNG stream, request-id counter, backlog
-// ring. Outstanding requests live in a pool-wide chunked slab (stable
-// addresses, generation-counted slots), and all members share one
-// http::SessionPool.
+// indexed by member id: stats, RNG stream, request-id counter, and the
+// heads of the member's backlog and outstanding lists. No member owns a
+// heap object: backlogged arrival times live in one pool-wide BacklogSlab,
+// outstanding requests in a pool-wide chunked slab (stable addresses,
+// generation-counted slots) threaded into per-member lists, and all
+// members share one http::SessionPool.
 //
 // Arrival batching keeps 10^5-10^6-client groups cheap: instead of one
 // pending event-loop entry per member, the pool keeps ONE armed event per
@@ -55,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "client/backlog_slab.hpp"
 #include "client/client_stats.hpp"
 #include "client/payment_channel.hpp"
 #include "client/strategy.hpp"
@@ -103,7 +106,7 @@ class ClientPool {
     return stats_[member];
   }
   [[nodiscard]] std::size_t outstanding(std::uint32_t member) const {
-    return outstanding_[member].size();
+    return outstanding_[member].count;
   }
   [[nodiscard]] std::size_t backlog(std::uint32_t member) const {
     return backlogs_[member].count;
@@ -134,6 +137,8 @@ class ClientPool {
 #endif
 
  private:
+  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
+
   struct Request {
     std::uint64_t id = 0;  // (global_index + 1) << 32 | per-client seq
     std::uint32_t member = 0;
@@ -146,33 +151,16 @@ class ClientPool {
     SimTime pay_started;
     bool retry_pumping = false;
     std::int64_t retries_sent = 0;
+    std::uint32_t next_outstanding = kNilSlot;  // the member's next request slot
   };
 
   enum class Disposition { kServed, kDenied, kBusyRejected };
 
-  /// Growable FIFO ring of backlogged arrival timestamps.
-  struct BacklogRing {
-    std::vector<SimTime> buf;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] const SimTime& front() const { return buf[head]; }
-    void push_back(SimTime t) {
-      if (count == buf.size()) grow();
-      buf[(head + count) % buf.size()] = t;
-      ++count;
-    }
-    void pop_front() {
-      head = (head + 1) % buf.size();
-      --count;
-    }
-    void grow() {
-      const std::size_t old_cap = buf.size();
-      std::vector<SimTime> bigger(old_cap == 0 ? 8 : old_cap * 2);
-      for (std::size_t i = 0; i < count; ++i) bigger[i] = buf[(head + i) % old_cap];
-      buf.swap(bigger);
-      head = 0;
-    }
+  /// A member's outstanding requests: a list threaded through the request
+  /// slab's `next_outstanding` indices (order carries no meaning).
+  struct OutstandingList {
+    std::uint32_t head = kNilSlot;
+    std::uint32_t count = 0;
   };
 
   static constexpr std::size_t kChunk = 64;
@@ -239,14 +227,16 @@ class ClientPool {
   std::vector<ClientStats> stats_;
   std::vector<std::uint32_t> next_seq_;
   std::vector<std::uint8_t> paused_;
-  std::vector<BacklogRing> backlogs_;
-  std::vector<std::vector<std::uint32_t>> outstanding_;  // request slot ids
+  std::vector<BacklogSlab::Queue> backlogs_;
+  std::vector<OutstandingList> outstanding_;
 
   // Pending-arrival keys + a min-heap over members.
   std::vector<SimTime> arr_when_;
   std::vector<std::uint64_t> arr_seq_;
   std::vector<std::uint32_t> heap_;  // member ids, heap-ordered
   sim::EventId armed_ev_;
+
+  BacklogSlab backlog_slab_;
 
   // Request slab.
   std::vector<std::unique_ptr<RawSlot[]>> chunks_;

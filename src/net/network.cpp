@@ -9,15 +9,32 @@ Switch& Network::add_switch(std::string name) { return add_node<Switch>(std::mov
 Link& Network::connect(const Node& a, const Node& b, const LinkSpec& ab, const LinkSpec& ba) {
   SPEAKUP_ASSERT(a.id() != b.id());
   SPEAKUP_ASSERT(link_between(a.id(), b.id()) == nullptr);  // single link per pair
-  auto link = std::make_unique<Link>(*this, a.id(), b.id(), ab, ba);
-  Link& ref = *link;
-  const std::size_t idx = links_.size();
-  links_.push_back(std::move(link));
-  if (adjacency_.size() < nodes_.size()) adjacency_.resize(nodes_.size());
-  adjacency_[static_cast<std::size_t>(a.id())].emplace_back(b.id(), idx);
-  adjacency_[static_cast<std::size_t>(b.id())].emplace_back(a.id(), idx);
+  const std::uint32_t idx = links_.size();
+  Link& ref = links_.emplace_back(*this, a.id(), b.id(), ab, ba);
+  add_edge(a.id(), Edge{b.id(), idx});
+  add_edge(b.id(), Edge{a.id(), idx});
   routes_valid_ = false;
   return ref;
+}
+
+void Network::add_edge(NodeId v, Edge e) {
+  Adjacency& adj = adjacency_[static_cast<std::size_t>(v)];
+  if (adj.first.nbr == kInvalidNode) {
+    adj.first = e;
+    return;
+  }
+  if (adj.more == kNoOverflow) {  // degree 1 -> 2: the node becomes core
+    adj.more = static_cast<std::uint32_t>(overflow_.size());
+    overflow_.push_back({adj.first});
+  }
+  overflow_[adj.more].push_back(e);
+}
+
+std::span<const Network::Edge> Network::edges(NodeId v) const {
+  const Adjacency& adj = adjacency_[static_cast<std::size_t>(v)];
+  if (adj.more != kNoOverflow) return overflow_[adj.more];
+  if (adj.first.nbr == kInvalidNode) return {};
+  return {&adj.first, 1};
 }
 
 // Leaf-compressed shortest-path build. A degree-1 node (a client host, the
@@ -30,8 +47,6 @@ Link& Network::connect(const Node& a, const Node& b, const LinkSpec& ab, const L
 // handful of switches this is O(N + C^2) instead of the old O(N^2) matrix.
 void Network::build_routes() {
   const std::size_t n = nodes_.size();
-  adjacency_.resize(n);
-
   core_index_.assign(n, -1);
   core_nodes_.clear();
   for (std::size_t v = 0; v < n; ++v) {
@@ -39,10 +54,11 @@ void Network::build_routes() {
     r.component = -1;
     r.gateway = kInvalidNode;
     r.uplink = nullptr;
-    if (adjacency_[v].size() == 1) {
-      r.gateway = adjacency_[v][0].first;
-      r.uplink = links_[adjacency_[v][0].second].get();
-    } else if (adjacency_[v].size() >= 2) {
+    const std::span<const Edge> out = edges(static_cast<NodeId>(v));
+    if (out.size() == 1) {
+      r.gateway = out[0].nbr;
+      r.uplink = &links_[out[0].link];
+    } else if (out.size() >= 2) {
       core_index_[v] = static_cast<std::int32_t>(core_nodes_.size());
       core_nodes_.push_back(static_cast<NodeId>(v));
     }
@@ -59,11 +75,10 @@ void Network::build_routes() {
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop_front();
-      for (const auto& [v, link_idx] : adjacency_[static_cast<std::size_t>(u)]) {
-        (void)link_idx;
-        if (route_[static_cast<std::size_t>(v)].component == -1) {
-          route_[static_cast<std::size_t>(v)].component = comp;
-          frontier.push_back(v);
+      for (const Edge& e : edges(u)) {
+        if (route_[static_cast<std::size_t>(e.nbr)].component == -1) {
+          route_[static_cast<std::size_t>(e.nbr)].component = comp;
+          frontier.push_back(e.nbr);
         }
       }
     }
@@ -83,12 +98,12 @@ void Network::build_routes() {
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop_front();
-      for (const auto& [v, link_idx] : adjacency_[static_cast<std::size_t>(u)]) {
-        const std::int32_t v_ci = core_index_[static_cast<std::size_t>(v)];
+      for (const Edge& e : edges(u)) {
+        const std::int32_t v_ci = core_index_[static_cast<std::size_t>(e.nbr)];
         if (v_ci < 0 || seen[static_cast<std::size_t>(v_ci)]) continue;
         seen[static_cast<std::size_t>(v_ci)] = true;
-        core_next_link_[static_cast<std::size_t>(v_ci) * c + dst_ci] = links_[link_idx].get();
-        frontier.push_back(v);
+        core_next_link_[static_cast<std::size_t>(v_ci) * c + dst_ci] = &links_[e.link];
+        frontier.push_back(e.nbr);
       }
     }
   }
@@ -130,9 +145,9 @@ void Network::forward(NodeId from, Packet p) {
 }
 
 Link* Network::link_between(NodeId a, NodeId b) const {
-  if (static_cast<std::size_t>(a) >= adjacency_.size()) return nullptr;
-  for (const auto& [nbr, idx] : adjacency_[static_cast<std::size_t>(a)]) {
-    if (nbr == b) return links_[idx].get();
+  if (a < 0 || static_cast<std::size_t>(a) >= adjacency_.size()) return nullptr;
+  for (const Edge& e : edges(a)) {
+    if (e.nbr == b) return &links_[e.link];
   }
   return nullptr;
 }
@@ -152,8 +167,8 @@ void Network::audit() const {
   }
   std::size_t queued = 0;
   std::size_t in_flight = 0;
-  for (const auto& link : links_) {
-    in_flight += link->audit(packets_, seen);
+  for (std::uint32_t i = 0; i < links_.size(); ++i) {
+    in_flight += links_[i].audit(packets_, seen);
   }
   for (std::size_t r = 0; r < cap; ++r) {
     if (packets_[static_cast<std::uint32_t>(r)].where == PacketPool::Where::kQueued) ++queued;
@@ -169,9 +184,10 @@ void Network::audit() const {
 }
 
 void Network::corrupt_pool_for_test() {
-  for (const auto& link : links_) {
-    for (const NodeId from : {link->endpoint_a(), link->endpoint_b()}) {
-      const std::uint32_t head = link->queue_from(from).head();
+  for (std::uint32_t i = 0; i < links_.size(); ++i) {
+    const Link& link = links_[i];
+    for (const NodeId from : {link.endpoint_a(), link.endpoint_b()}) {
+      const std::uint32_t head = link.queue_from(from).head();
       if (head != PacketPool::kNil) {
         packets_.release(head);
         return;

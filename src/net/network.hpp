@@ -5,12 +5,15 @@
 // does not know transport types.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/link.hpp"
+#include "net/link_store.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -37,6 +40,7 @@ class Network {
     auto node = std::make_unique<T>(*this, id, std::move(name), std::forward<Args>(args)...);
     T& ref = *node;
     nodes_.push_back(std::move(node));
+    adjacency_.push_back(Adjacency{});
     route_.push_back(NodeRoute{});
     route_.back().node = &ref;
     routes_valid_ = false;
@@ -114,6 +118,22 @@ class Network {
 #endif
 
  private:
+  /// One adjacency entry: the neighbour and the index of the link to it.
+  struct Edge {
+    NodeId nbr = kInvalidNode;
+    std::uint32_t link = 0;
+  };
+  static constexpr std::uint32_t kNoOverflow = UINT32_MAX;
+  /// A node's edges in connect() order. A leaf's one edge sits inline; a
+  /// node of degree >= 2 keeps all of its edges in overflow_[more].
+  struct Adjacency {
+    Edge first;  // nbr == kInvalidNode while the node has no edge
+    std::uint32_t more = kNoOverflow;
+  };
+
+  [[nodiscard]] std::span<const Edge> edges(NodeId v) const;
+  void add_edge(NodeId v, Edge e);
+
   /// Everything forward() and deliver() need to know about one endpoint.
   struct NodeRoute {
     std::int32_t component = -1;    // connected-component id
@@ -133,9 +153,9 @@ class Network {
   // Declared before nodes_ so that it outlives them.
   Attachment attachment_{nullptr, nullptr};
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Link>> links_;
-  // adjacency_[n] lists (neighbor, link index)
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> adjacency_;
+  LinkStore links_;
+  std::vector<Adjacency> adjacency_;       // per node
+  std::vector<std::vector<Edge>> overflow_;  // per node of degree >= 2
   // Leaf-compressed routing state (see build_routes): degree-1 nodes route
   // through their single neighbor; shortest-path tables cover core nodes
   // only, so a 10^5-leaf access tree costs O(N + C^2) instead of O(N^2).

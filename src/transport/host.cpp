@@ -7,7 +7,8 @@
 namespace speakup::transport {
 
 Host::~Host() {
-  for (const TableEntry& e : table_) {
+  for (std::uint32_t i = 0; i < table_cap_; ++i) {
+    const TableEntry& e = table_[i];
     if (e.slot == kNilSlot) continue;
     // A destroy event left pending would fire into a dead host.
     ConnectionSlab::Record& rec = slab()[e.slot];
@@ -23,14 +24,15 @@ TcpConnection& Host::connect(net::NodeId dst, std::uint32_t dst_port) {
 }
 
 void Host::listen(std::uint32_t port, std::function<void(TcpConnection&)> on_accept) {
-  util::require(listeners_.find(port) == listeners_.end(),
+  if (!listeners_) listeners_ = std::make_unique<Listeners>();
+  util::require(listeners_->find(port) == listeners_->end(),
                 "port already has a listener on host " + name());
-  listeners_[port] = std::move(on_accept);
+  (*listeners_)[port] = std::move(on_accept);
 }
 
 std::size_t Host::find_index(std::uint32_t local_port, net::NodeId remote,
                              std::uint32_t remote_port) const {
-  const std::size_t mask = table_.size() - 1;
+  const std::size_t mask = table_cap_ - 1;
   std::size_t i = key_hash(local_port, remote, remote_port) & mask;
   for (;;) {
     const TableEntry& e = table_[i];
@@ -43,13 +45,15 @@ std::size_t Host::find_index(std::uint32_t local_port, net::NodeId remote,
 }
 
 void Host::table_grow() {
-  std::vector<TableEntry> old;
-  old.swap(table_);
-  table_.resize(old.empty() ? 4 : old.size() * 2);
-  for (const TableEntry& e : old) {
+  const std::unique_ptr<TableEntry[]> old = std::move(table_);
+  const std::uint32_t old_cap = table_cap_;
+  table_cap_ = old_cap == 0 ? 4 : old_cap * 2;
+  table_ = std::make_unique<TableEntry[]>(table_cap_);
+  const std::size_t mask = table_cap_ - 1;
+  for (std::uint32_t k = 0; k < old_cap; ++k) {
+    const TableEntry& e = old[k];
     if (e.slot == kNilSlot) continue;
     std::size_t i = probe_of(e);
-    const std::size_t mask = table_.size() - 1;
     while (table_[i].slot != kNilSlot) i = (i + 1) & mask;
     table_[i] = e;
   }
@@ -58,7 +62,7 @@ void Host::table_grow() {
 void Host::table_insert(std::uint32_t local_port, net::NodeId remote,
                         std::uint32_t remote_port, std::uint32_t slot) {
   // Grow at ~70% load so probe runs stay short.
-  if (table_.empty() || (table_size_ + 1) * 10 > table_.size() * 7) table_grow();
+  if (table_cap_ == 0 || (table_size_ + 1) * 10 > table_cap_ * 7) table_grow();
   const std::size_t i = find_index(local_port, remote, remote_port);
   SPEAKUP_ASSERT(table_[i].slot == kNilSlot);
   table_[i] = TableEntry{local_port, remote, remote_port, slot};
@@ -68,7 +72,7 @@ void Host::table_insert(std::uint32_t local_port, net::NodeId remote,
 
 void Host::table_erase(std::uint32_t local_port, net::NodeId remote,
                        std::uint32_t remote_port) {
-  const std::size_t mask = table_.size() - 1;
+  const std::size_t mask = table_cap_ - 1;
   std::size_t i = find_index(local_port, remote, remote_port);
   SPEAKUP_ASSERT(table_[i].slot != kNilSlot);
   table_[i].slot = kNilSlot;
@@ -95,12 +99,12 @@ void Host::audit() const {
 }
 
 void Host::audit_table() const {
-  SPEAKUP_AUDIT_CHECK(table_.empty() || (table_.size() & (table_.size() - 1)) == 0,
+  SPEAKUP_AUDIT_CHECK((table_cap_ & (table_cap_ - 1)) == 0,
                       "Host: demux table size must be a power of two");
   const ConnectionSlab& slab = this->slab();
   std::vector<std::uint8_t> tabled(slab.size(), 0);
-  std::size_t occupied = 0;
-  for (std::size_t i = 0; i < table_.size(); ++i) {
+  std::uint32_t occupied = 0;
+  for (std::uint32_t i = 0; i < table_cap_; ++i) {
     const TableEntry& e = table_[i];
     if (e.slot == kNilSlot) continue;
     ++occupied;
@@ -124,7 +128,8 @@ void Host::audit_table() const {
 }
 
 void Host::corrupt_table_for_test() {
-  for (TableEntry& e : table_) {
+  for (std::uint32_t i = 0; i < table_cap_; ++i) {
+    TableEntry& e = table_[i];
     if (e.slot != kNilSlot) {
       e.slot = kNilSlot;
       --table_size_;
@@ -134,7 +139,8 @@ void Host::corrupt_table_for_test() {
 }
 
 void Host::corrupt_slab_for_test() {
-  for (const TableEntry& e : table_) {
+  for (std::uint32_t i = 0; i < table_cap_; ++i) {
+    const TableEntry& e = table_[i];
     if (e.slot != kNilSlot) {
       slab().destroy(e.slot);
       return;
@@ -155,7 +161,7 @@ TcpConnection& Host::emplace_connection(std::uint32_t local_port, net::NodeId re
 
 TcpConnection* Host::find_connection(std::uint32_t local_port, net::NodeId remote,
                                      std::uint32_t remote_port) const {
-  if (table_.empty()) return nullptr;
+  if (table_cap_ == 0) return nullptr;
   const std::size_t i = find_index(local_port, remote, remote_port);
   return table_[i].slot == kNilSlot ? nullptr : conn_at(table_[i].slot);
 }
@@ -167,9 +173,9 @@ void Host::on_packet(net::Packet p) {
     return;
   }
   // No matching connection. A SYN to a listening port spawns one.
-  if (p.kind == net::PacketKind::kSyn) {
-    const auto lit = listeners_.find(p.dst_port);
-    if (lit != listeners_.end()) {
+  if (p.kind == net::PacketKind::kSyn && listeners_) {
+    const auto lit = listeners_->find(p.dst_port);
+    if (lit != listeners_->end()) {
       TcpConnection& conn =
           emplace_connection(p.dst_port, p.src, p.src_port, /*initiator=*/false);
       // Link the two endpoints so the message layer can pass descriptors.

@@ -8,6 +8,8 @@
 // keeps only its demux table: open addressing from (local_port, remote,
 // remote_port) to a slab slot id. A client host that once connected thus
 // costs its table, not a slot for every connection it ever held at once.
+// Listeners sit out of line: only server-side hosts have any, so a client
+// host pays one null pointer for them.
 // Steady-state connect/teardown churn (one connection per request and per
 // payment POST at 10^5-client scale) reuses slab records and probes a flat
 // array: no allocator traffic, no tree walks.
@@ -19,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -122,7 +123,7 @@ class Host : public net::Node {
   }
 
   [[nodiscard]] std::size_t probe_of(const TableEntry& e) const {
-    return key_hash(e.local_port, e.remote, e.remote_port) & (table_.size() - 1);
+    return key_hash(e.local_port, e.remote, e.remote_port) & (table_cap_ - 1);
   }
 
   /// Index of the entry for the key, or of the empty slot where it would
@@ -139,10 +140,13 @@ class Host : public net::Node {
   /// Shared by every host that never calls set_tcp_config, so a client
   /// host does not carry its own copy.
   static inline const TcpConfig kDefaultTcpConfig{};
+  using Listeners = std::map<std::uint32_t, std::function<void(TcpConnection&)>>;
+
   std::unique_ptr<const TcpConfig> own_tcp_cfg_;  // null: kDefaultTcpConfig
-  std::vector<TableEntry> table_;      // power-of-two open addressing
-  std::size_t table_size_ = 0;
-  std::map<std::uint32_t, std::function<void(TcpConnection&)>> listeners_;
+  std::unique_ptr<TableEntry[]> table_;  // power-of-two open addressing
+  std::uint32_t table_cap_ = 0;          // entries in table_ (0 or a power of two)
+  std::uint32_t table_size_ = 0;         // occupied entries
+  std::unique_ptr<Listeners> listeners_;  // made by the first listen()
   std::uint32_t next_port_ = 1024;
   std::int64_t connections_created_ = 0;
 #if SPEAKUP_AUDIT_ENABLED

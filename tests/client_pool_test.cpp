@@ -1,14 +1,17 @@
 // Unit tests for the struct-of-arrays client engine (client::ClientPool):
 // dense request-slot reuse and generation safety in the pool-wide request
 // slab, pause semantics, the zero-steady-state-allocation guarantee at 10^5
-// clients, and the per-client byte budget.
+// clients, FIFO expiry of long and late backlogs in the pool-wide backlog
+// slab, and the per-client byte budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "client/client_pool.hpp"
+#include "client/strategy.hpp"
 #include "client/workload_params.hpp"
 #include "core/auction_thinner.hpp"
 #include "net/network.hpp"
@@ -190,6 +193,73 @@ TEST(ClientPool, PerHostBytesStayWithinBudget) {
   EXPECT_LT(per_host, 160.0) << "bytes allocated per client host";
 }
 
+// Arrivals every 0.25 s, each member at its own phase; the window is wide
+// open until 5 s and 1 from then on.
+class LateBacklogStrategy final : public Strategy {
+ public:
+  static constexpr double kGapSec = 0.25;
+  static constexpr double kLateSec = 5.0;
+  explicit LateBacklogStrategy(StrategyParams p) : Strategy(std::move(p)) {}
+  [[nodiscard]] std::string_view name() const override { return "late-backlog"; }
+  [[nodiscard]] Duration next_arrival(util::RngStream& rng,
+                                      const StrategyView& v) const override {
+    return Duration::seconds(v.stats->arrivals == 0 ? rng.uniform(0.0, kGapSec) : kGapSec);
+  }
+  [[nodiscard]] int window(const StrategyView& v) const override {
+    return v.now < SimTime::zero() + Duration::seconds(kLateSec) ? 1000 : 1;
+  }
+};
+
+// The backlog store after its eager per-member rings: each member's first
+// backlog push comes after 5 s of requests, and its backlog grows to 41
+// entries, past the rings' old first capacity of 8. The thinner accepts
+// every request and never answers, so after 5 s every arrival backlogs and
+// only the 10 s expiry pops. A member's backlog after one of its arrivals
+// is then exactly its last 41 arrivals (ages 0, 0.25, ..., 10 s: an entry
+// exactly 10 s old still waits), and every older one became a denial — a
+// LIFO order, or lists that mix members, would expire the wrong entries.
+// Once the store has reached its peak, pushes reuse expired nodes: a
+// further 10 s of arrivals touch the allocator zero times.
+TEST(ClientPool, LateLongBacklogKeepsFifoExpiryWithoutAllocating) {
+  StrategyFactory::instance().register_strategy(
+      "late-backlog", [](const StrategyParams& p) -> std::unique_ptr<Strategy> {
+        return std::make_unique<LateBacklogStrategy>(p);
+      });
+  Rig rig;
+  WorkloadParams p = good_client_params();
+  p.strategy = "late-backlog";
+  rig.thinner_host->listen(p.request_port, [](transport::TcpConnection&) {});
+  constexpr std::uint32_t kMembers = 3;
+  ClientPool pool(rig.loop, rig.thinner_host->id(), p, 0);
+  for (std::uint32_t i = 0; i < kMembers; ++i) {
+    pool.add_member(rig.add_host("c" + std::to_string(i)),
+                    util::RngStream(9, "client." + std::to_string(i)));
+  }
+  pool.start_all();
+  const auto check = [&pool] {
+    for (std::uint32_t m = 0; m < kMembers; ++m) {
+      const ClientStats& st = pool.stats(m);
+      ASSERT_EQ(st.started, 20) << "member " << m;  // the arrivals before 5 s
+      EXPECT_EQ(pool.outstanding(m), 20u) << "member " << m;
+      EXPECT_EQ(pool.backlog(m), 41u) << "member " << m;
+      EXPECT_EQ(st.denied, st.arrivals - st.started - 41) << "member " << m;
+    }
+  };
+  rig.run_for(30.0);
+  check();
+#if !SPEAKUP_AUDIT_ENABLED
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  util::AllocGuard::set_trap(true);
+  rig.run_for(10.0);
+  util::AllocGuard::set_trap(false);
+  EXPECT_EQ(guard.delta(), 0) << "backlog churn at its peak allocated";
+  check();
+  EXPECT_EQ(pool.stats(0).arrivals, 160);  // the window did real work
+#endif
+  StrategyFactory::instance().unregister_strategy("late-backlog");
+}
+
 // The per-member build budget: every byte reserve() and add_member()
 // allocate for a group of 10^4 members, averaged per member. The hosts are
 // built before the measured region, so this is the pool's own share of a
@@ -211,13 +281,14 @@ TEST(ClientPool, BuildBytesPerMemberStayWithinBudget) {
     pool.add_member(*hosts[i], util::RngStream(5, "client." + std::to_string(i)));
   }
   const double per_member = static_cast<double>(guard.bytes_delta()) / kClients;
-  // Measured 329 B per member: 257 B of parallel-array entries (a 120-B
-  // ClientStats and a 40-B RNG stream the largest), the backlog ring's
-  // 8 slots (64 B) and a window-1 outstanding list (8 B). The bound is
-  // that plus ~10%. A heap-allocated Strategy per member (~56 B with its
-  // pointer) or a ClientStats that keeps raw samples (+32 B per SampleSet)
+  // Measured 213 B per member, all of it parallel-array entries (a 120-B
+  // ClientStats and a 40-B RNG stream the largest; the backlog queue and
+  // the outstanding list are 12-B and 8-B heads into pool-wide slabs). The
+  // bound is that plus ~10%. A heap-allocated Strategy per member (~56 B
+  // with its pointer), a ClientStats that keeps raw samples (+32 B per
+  // SampleSet), or a backlog ring allocated up front per member (+64 B)
   // breaks it.
-  EXPECT_LT(per_member, 360.0) << "bytes allocated per pool member";
+  EXPECT_LT(per_member, 235.0) << "bytes allocated per pool member";
 }
 
 }  // namespace

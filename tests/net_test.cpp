@@ -1,6 +1,8 @@
 // Tests for the network substrate: queues, links, switches, routing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -8,6 +10,8 @@
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/event_loop.hpp"
+#include "transport/host.hpp"
+#include "util/alloc_guard.hpp"
 
 namespace speakup::net {
 namespace {
@@ -337,6 +341,129 @@ TEST(Network, LinksAndDirectionsShareOnePoolInOrder) {
   EXPECT_EQ(net.packets().in_use(), 0u);
   // Never more than four per direction were held at once.
   EXPECT_LE(net.packets().capacity(), 16u);
+}
+
+// The topology of LeafBecomesCoreAfterRoutesAreBuilt: s - x, s - y, x - d,
+// then (in `late`) d - y, which turns the leaf d into a core node. Returns
+// the links in connect() order.
+struct Diamond {
+  explicit Diamond(sim::EventLoop& loop) : net(loop) {
+    s = &net.add_switch("s");
+    x = &net.add_switch("x");
+    y = &net.add_switch("y");
+    d = &net.add_node<SinkNode>("d");
+    const LinkSpec spec{Bandwidth::mbps(8.0), Duration::millis(1), 100'000};
+    links.push_back(&net.connect(*s, *x, spec));
+    links.push_back(&net.connect(*s, *y, spec));
+    links.push_back(&net.connect(*x, *d, spec));
+  }
+  void late() {
+    links.push_back(&net.connect(*d, *y, LinkSpec{Bandwidth::mbps(8.0), Duration::millis(1),
+                                                  100'000}));
+  }
+  /// Sends one packet from -> to and returns, per link and direction, the
+  /// bytes it crossed: the packet's path.
+  std::vector<Bytes> path(const Node& from, const Node& to) {
+    std::vector<Bytes> before = bytes();
+    net.forward(from.id(), test_packet(from.id(), to.id(), 1000));
+    net.loop().run();
+    std::vector<Bytes> after = bytes();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  }
+  std::vector<Bytes> bytes() const {
+    std::vector<Bytes> out;
+    for (const Link* l : links) {
+      out.push_back(l->bytes_delivered_from(l->endpoint_a()));
+      out.push_back(l->bytes_delivered_from(l->endpoint_b()));
+    }
+    return out;
+  }
+  Network net;
+  Switch* s = nullptr;
+  Switch* x = nullptr;
+  Switch* y = nullptr;
+  SinkNode* d = nullptr;
+  std::vector<Link*> links;
+};
+
+// A node whose degree goes 1 -> 2 after build_routes() moves its inline
+// edge into an overflow list. Its edges must keep connect() order (the BFS
+// tie-breaks routes follow), both lookups must find both links, and the
+// rebuilt routes must equal a fresh build of the same topology.
+TEST(Network, LeafBecomesCoreAfterRoutesAreBuilt) {
+  sim::EventLoop loop;
+  Diamond grown(loop);
+  grown.net.build_routes();
+  // d is a leaf: s reaches it through x.
+  EXPECT_EQ(grown.path(*grown.s, *grown.d),
+            (std::vector<Bytes>{1000, 0, 0, 0, 1000, 0}));
+  grown.late();
+  Link* dx = grown.links[2];
+  Link* dy = grown.links[3];
+  EXPECT_EQ(grown.net.link_between(grown.d->id(), grown.x->id()), dx);
+  EXPECT_EQ(grown.net.link_between(grown.x->id(), grown.d->id()), dx);
+  EXPECT_EQ(grown.net.link_between(grown.d->id(), grown.y->id()), dy);
+  EXPECT_EQ(grown.net.link_between(grown.y->id(), grown.d->id()), dy);
+  EXPECT_EQ(grown.net.link_between(grown.d->id(), grown.s->id()), nullptr);
+
+  // Neighbour order: the BFS from d meets x before y (x was connected
+  // first), so s keeps reaching d through x. An overflow list that put
+  // the new edge first would send it through y.
+  EXPECT_EQ(grown.path(*grown.s, *grown.d),
+            (std::vector<Bytes>{1000, 0, 0, 0, 1000, 0, 0, 0}));
+
+  sim::EventLoop fresh_loop;
+  Diamond fresh(fresh_loop);
+  fresh.late();
+  const std::vector<std::pair<Node*, Node*>> pairs = {
+      {grown.s, grown.d}, {grown.d, grown.s}, {grown.x, grown.y}, {grown.y, grown.x},
+      {grown.d, grown.x}, {grown.y, grown.d}, {grown.s, grown.x}, {grown.x, grown.d}};
+  const std::vector<std::pair<Node*, Node*>> fresh_pairs = {
+      {fresh.s, fresh.d}, {fresh.d, fresh.s}, {fresh.x, fresh.y}, {fresh.y, fresh.x},
+      {fresh.d, fresh.x}, {fresh.y, fresh.d}, {fresh.s, fresh.x}, {fresh.x, fresh.d}};
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(grown.path(*pairs[i].first, *pairs[i].second),
+              fresh.path(*fresh_pairs[i].first, *fresh_pairs[i].second))
+        << pairs[i].first->name() << " -> " << pairs[i].second->name();
+  }
+  EXPECT_EQ(grown.d->packets.size(), fresh.d->packets.size() + 2);  // the two s -> d above
+
+  // Still one link per pair, whichever end asks.
+  EXPECT_DEATH(grown.late(), "link_between");
+  EXPECT_DEATH(grown.net.connect(*grown.y, *grown.d,
+                                 LinkSpec{Bandwidth::mbps(1.0), Duration::zero(), 1000}),
+               "link_between");
+}
+
+// Building the access tree of a 10^4-client topology: every byte that
+// add_node<Host> and connect() allocate for a leaf, averaged per leaf.
+TEST(Network, LeafBuildBytesStayWithinBudget) {
+  constexpr int kLeaves = 10'000;
+  sim::EventLoop loop;
+  Network net(loop);
+  Switch& sw = net.add_switch("sw");
+  std::vector<std::string> names;
+  names.reserve(kLeaves);
+  for (int i = 0; i < kLeaves; ++i) names.push_back("c" + std::to_string(i));
+  const LinkSpec access{Bandwidth::mbps(2.0), Duration::micros(500), 48'000};
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  for (int i = 0; i < kLeaves; ++i) {
+    net.connect(net.add_node<transport::Host>(std::move(names[i])), sw, access);
+  }
+  const double per_leaf = static_cast<double>(guard.bytes_delta()) / kLeaves;
+  const double allocs_per_leaf = static_cast<double>(guard.delta()) / kLeaves;
+  // Measured 471 B and 1.01 allocations per leaf: the Host object (its
+  // sizeof is pinned in transport_test), the leaf's 184-B share of a
+  // link-store chunk, and the doubling growth of the per-node arrays
+  // (node pointers, routes, inline adjacency) and of the switch's edge
+  // list. The byte bound is that plus ~10%: an adjacency vector per node
+  // (its 16 B plus a 24-B header for the 12-B inline entry) breaks it.
+  // The count bound leaves room only for the Host: a heap object per
+  // link or per node adds one allocation per leaf.
+  EXPECT_LT(per_leaf, 520.0) << "bytes allocated per leaf";
+  EXPECT_LT(allocs_per_leaf, 1.05) << "allocations per leaf";
 }
 
 TEST(Network, DeliverWorksBeforeRoutesAreBuilt) {

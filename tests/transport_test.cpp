@@ -160,11 +160,13 @@ TEST(Tcp, SmallMessageNeedsNoFullMss) {
 // Every client host carries connection slots, so the object's size is a
 // per-client memory cost at 10^5-client scale (docs/performance.md).
 static_assert(sizeof(TcpConnection) <= 416, "TcpConnection grew past its memory budget");
-// Every client host is a Host; its connections live in the network's slab
-// and its TCP config is the shared default, so the object itself holds only
-// the demux table and a few scalars (plus an audit countdown in
-// SPEAKUP_AUDIT builds).
-static_assert(sizeof(Host) <= (SPEAKUP_AUDIT_ENABLED ? 168 : 160),
+// Every client host is a Host; its connections live in the network's slab,
+// its TCP config is the shared default and its listeners sit out of line,
+// so the object itself holds only the demux table's pointer and two 32-bit
+// counts and a few scalars (plus an audit countdown in SPEAKUP_AUDIT
+// builds). An inline listener map (+40 B) or a vector-plus-size_t table
+// header (+16 B) breaks it.
+static_assert(sizeof(Host) <= (SPEAKUP_AUDIT_ENABLED ? 112 : 104),
               "Host grew past its memory budget");
 
 TEST(Tcp, ConfigIsFrozenWhileConnectionsLive) {

@@ -24,9 +24,10 @@ that promise:
                util::RngStream's seeding and its compact engine.
 
   hot-path-alloc
-               raw `new` (placement ::new is fine) and growing container
-               calls (push_back / emplace_back / resize / reserve /
-               insert) in files annotated `// speakup-lint: hot-path`.
+               raw `new` (placement ::new is fine), std::make_unique /
+               make_shared, and growing container calls (push_back /
+               emplace_back / resize / reserve) in files annotated
+               `// speakup-lint: hot-path`.
                These files promise an allocation-free steady state;
                every growth site must be amortized (chunk boundary or
                doubling) and explicitly allowlisted.
@@ -74,6 +75,7 @@ UNORDERED_DECL_RE = re.compile(
 # and the slab engines grow via the vector calls below.
 RAW_NEW_RE = re.compile(r"(?<!:)\bnew\b")
 GROWTH_RE = re.compile(r"\.\s*(?:push_back|emplace_back|resize|reserve)\s*\(")
+MAKE_RE = re.compile(r"\bmake_(?:unique|shared)(?:_for_overwrite)?\s*<")
 
 STRING_OR_CHAR_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\'')
 
@@ -115,7 +117,8 @@ def scan(files: list[tuple[str, str]]) -> list[tuple[str, int, str, str]]:
                 out.append((path, line_no, "raw-engine", raw.strip()))
             if any(r.search(line) for r in range_for_res):
                 out.append((path, line_no, "unordered-iteration", raw.strip()))
-            if hot and (RAW_NEW_RE.search(line) or GROWTH_RE.search(line)):
+            if hot and (RAW_NEW_RE.search(line) or GROWTH_RE.search(line) or
+                        MAKE_RE.search(line)):
                 out.append((path, line_no, "hot-path-alloc", raw.strip()))
     return out
 
@@ -190,6 +193,7 @@ struct Seeded {
   void wall() { auto t = std::chrono::system_clock::now(); (void)t; }
   void iterate() { for (auto& [k, v] : table_) { (void)k; (void)v; } }
   void alloc() { auto* p = new int(7); delete p; }
+  void grow() { auto q = std::make_unique<int[]>(64); (void)q; }
 };
 """,
 )
@@ -207,13 +211,19 @@ def run_self_test() -> int:
     if any(rule == "raw-engine" for _, _, rule, _ in scan([(ENGINE_HOME, SELF_TEST_FILE[1])])):
         print(f"self-test FAILED: raw-engine flagged in {ENGINE_HOME}")
         return 1
-    # One entry covering the seeded allocation, one left behind by a rewrite
-    # of a growth site: the first must silence its line, the second must be
-    # reported stale.
+    # Both seeded allocations are flagged: the raw new and the make_unique.
+    allocs = [text for _, _, rule, text in violations if rule == "hot-path-alloc"]
+    if not any("make_unique" in text for text in allocs):
+        print("self-test FAILED: make_unique in a hot-path file not detected")
+        return 1
+    # Entries covering the seeded allocations, and one left behind by a
+    # rewrite of a growth site: the first must silence their lines, the
+    # last must be reported stale.
     path = SELF_TEST_FILE[0]
-    live = (path, "hot-path-alloc", "new int(7)")
+    live = [(path, "hot-path-alloc", "new int(7)"),
+            (path, "hot-path-alloc", "make_unique<int[]>(64)")]
     dead = (path, "hot-path-alloc", "pool_.reserve(old_size * 2)")
-    reported, stale = apply_allowlist(violations, [live, dead])
+    reported, stale = apply_allowlist(violations, live + [dead])
     if any(rule == "hot-path-alloc" for _, _, rule, _ in reported):
         print("self-test FAILED: allowlisted violation still reported")
         return 1
