@@ -31,11 +31,9 @@ ClientPool::ClientPool(sim::EventLoop& loop, net::NodeId thinner,
                               .difficulty = params_.difficulty};
 }
 
+// The request slab destroys the live requests, whose timers cancel.
 ClientPool::~ClientPool() {
   if (armed_ev_.pending()) loop_->cancel(armed_ev_);
-  for (std::uint32_t slot = 0; slot < slot_live_.size(); ++slot) {
-    if (slot_live_[slot]) request_at(slot)->~Request();
-  }
 }
 
 void ClientPool::reserve(std::size_t n) {
@@ -115,43 +113,40 @@ void ClientPool::audit() const {
   // filed under the heap minimum's reserved key.
   SPEAKUP_AUDIT_CHECK(armed_ev_.pending() == !heap_.empty(),
                       "ClientPool: armed event must track heap emptiness");
-  // Request slab: live flags count live_requests_, free list covers exactly
-  // the dead slots, and outstanding lists hold live slots of their member.
-  std::size_t live = 0;
-  for (const std::uint8_t l : slot_live_) live += l;
-  SPEAKUP_AUDIT_CHECK(live == live_requests_,
-                      "ClientPool: live_requests_ must count the live slots");
-  std::vector<std::uint8_t> freed(slot_live_.size(), 0);
-  for (const std::uint32_t slot : free_slots_) {
-    SPEAKUP_AUDIT_CHECK(slot < slot_live_.size(), "ClientPool: free slot out of range");
-    SPEAKUP_AUDIT_CHECK(!slot_live_[slot], "ClientPool: free-listed slot must be dead");
-    SPEAKUP_AUDIT_CHECK(!freed[slot], "ClientPool: slot free-listed more than once");
-    freed[slot] = 1;
-  }
-  SPEAKUP_AUDIT_CHECK(free_slots_.size() + live == slot_live_.size(),
-                      "ClientPool: every slot is either live or free-listed");
+  // Outstanding lists hold exactly the live requests, each under its own
+  // member; backlogs hold exactly the live backlog nodes.
+  const std::vector<std::uint8_t> live = requests_.audit();
   std::size_t outstanding_total = 0;
   for (std::uint32_t m = 0; m < n; ++m) {
     std::uint32_t count = 0;
     for (std::uint32_t slot = outstanding_[m].head; slot != kNilSlot; ++count) {
-      SPEAKUP_AUDIT_CHECK(count < live_requests_,
+      SPEAKUP_AUDIT_CHECK(count < requests_.in_use(),
                           "ClientPool: outstanding list longer than the live requests");
-      SPEAKUP_AUDIT_CHECK(slot < slot_live_.size() && slot_live_[slot],
+      SPEAKUP_AUDIT_CHECK(slot < requests_.size() && live[slot],
                           "ClientPool: outstanding entry must reference a live slot");
-      // request_at is non-const only because of std::launder plumbing; the
-      // audit only reads.
-      const Request* r = const_cast<ClientPool*>(this)->request_at(slot);
-      SPEAKUP_AUDIT_CHECK(r->member == m,
+      const Request& r = requests_[slot];
+      SPEAKUP_AUDIT_CHECK(r.member == m,
                           "ClientPool: outstanding slot must belong to its member");
-      slot = r->next_outstanding;
+      slot = r.next_outstanding;
     }
     SPEAKUP_AUDIT_CHECK(count == outstanding_[m].count,
                         "ClientPool: outstanding count must match its list");
     outstanding_total += count;
   }
-  SPEAKUP_AUDIT_CHECK(outstanding_total == live_requests_,
+  SPEAKUP_AUDIT_CHECK(outstanding_total == requests_.in_use(),
                       "ClientPool: every live request is outstanding for exactly one member");
-  backlog_slab_.audit(backlogs_);
+  std::vector<std::uint8_t> backlogged = backlog_nodes_.audit();
+  std::size_t backlog_total = 0;
+  for (const Backlog& bl : backlogs_) {
+    bl.audit(backlog_nodes_, [&](std::uint32_t i) {
+      SPEAKUP_AUDIT_CHECK(backlogged[i] == 1,
+                          "ClientPool: backlog holds a freed or twice-listed node");
+      backlogged[i] = 2;
+    });
+    backlog_total += bl.count;
+  }
+  SPEAKUP_AUDIT_CHECK(backlog_total == backlog_nodes_.in_use(),
+                      "ClientPool: every live backlog node is on exactly one backlog");
 }
 
 void ClientPool::corrupt_heap_for_test() {
@@ -193,15 +188,15 @@ void ClientPool::on_arrival(std::uint32_t m) {
   if (outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
     start_request(m);
   } else {
-    backlog_slab_.push_back(backlogs_[m], loop_->now());
+    backlogs_[m].push_back(backlog_nodes_, backlog_nodes_.emplace(BacklogNode{loop_->now()}));
   }
   draw_next_arrival(m);
 }
 
 void ClientPool::start_request(std::uint32_t m) {
   const std::uint64_t id = id_base(m) | next_seq_[m]++;
-  const std::uint32_t slot = acquire_request();
-  Request& r = *request_at(slot);
+  const std::uint32_t slot = requests_.emplace();
+  Request& r = requests_[slot];
   r.id = id;
   r.member = m;
   r.sent = loop_->now();
@@ -215,19 +210,19 @@ void ClientPool::start_request(std::uint32_t m) {
   // are safe because a retired stream never fires callbacks again, so a
   // recycled slot is unreachable from the old stream.
   cbs.on_established = [this, slot] {
-    Request& req = *request_at(slot);
+    Request& req = requests_[slot];
     if (req.stream == nullptr) return;
     Message msg = request_template_;
     msg.request_id = req.id;
     req.stream->send(msg);
     ++req.retries_sent;
   };
-  cbs.on_message = [this, slot](const Message& msg) { on_message(*request_at(slot), msg); };
+  cbs.on_message = [this, slot](const Message& msg) { on_message(requests_[slot], msg); };
   cbs.on_reset = [this, id](/*thinner evicted us or network failure*/) {
     finish(id, Disposition::kDenied);
   };
   cbs.on_acked = [this, slot](Bytes) {
-    Request& req = *request_at(slot);
+    Request& req = requests_[slot];
     if (req.retry_pumping) pump_retries(req);
   };
   r.stream->set_callbacks(std::move(cbs));
@@ -345,18 +340,18 @@ void ClientPool::finish(std::uint64_t id, Disposition d) {
   }
   OutstandingList& out = outstanding_[mem];
   std::uint32_t* link = &out.head;
-  while (*link != slot) link = &request_at(*link)->next_outstanding;
+  while (*link != slot) link = &requests_[*link].next_outstanding;
   *link = r.next_outstanding;
   --out.count;
-  release_request(slot);
+  requests_.erase(slot);  // timer dtors cancel; payment dtor is a no-op
   drain_backlog(mem);
 }
 
 void ClientPool::purge_backlog(std::uint32_t m) {
   const SimTime now = loop_->now();
-  BacklogSlab::Queue& bl = backlogs_[m];
-  while (bl.count > 0 && now - backlog_slab_.front(bl) > params_.backlog_timeout) {
-    backlog_slab_.pop_front(bl);
+  Backlog& bl = backlogs_[m];
+  while (bl.count > 0 && now - backlog_nodes_[bl.head].when > params_.backlog_timeout) {
+    backlog_nodes_.erase(bl.pop_front(backlog_nodes_));
     ++stats_[m].denied;  // §7.1: queued longer than 10 s -> service denial
   }
 }
@@ -365,41 +360,16 @@ void ClientPool::drain_backlog(std::uint32_t m) {
   purge_backlog(m);
   while (backlogs_[m].count > 0 &&
          outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
-    backlog_slab_.pop_front(backlogs_[m]);
+    backlog_nodes_.erase(backlogs_[m].pop_front(backlog_nodes_));
     start_request(m);
   }
-}
-
-std::uint32_t ClientPool::acquire_request() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slot_live_.size());
-    if (slot % kChunk == 0) chunks_.push_back(std::make_unique<RawSlot[]>(kChunk));
-    slot_live_.push_back(0);
-    slot_gen_.push_back(0);
-  }
-  ::new (static_cast<void*>(chunks_[slot / kChunk][slot % kChunk].bytes)) Request();
-  slot_live_[slot] = 1;
-  ++live_requests_;
-  return slot;
-}
-
-void ClientPool::release_request(std::uint32_t slot) {
-  request_at(slot)->~Request();  // timer dtors cancel; payment dtor is a no-op
-  slot_live_[slot] = 0;
-  ++slot_gen_[slot];
-  free_slots_.push_back(slot);
-  --live_requests_;
 }
 
 ClientPool::Request* ClientPool::find_request(std::uint64_t id, std::uint32_t* out_slot) {
   const auto global = static_cast<std::uint32_t>((id >> 32) - 1);
   if (global < base_index_ || global - base_index_ >= outstanding_.size()) return nullptr;
   for (std::uint32_t slot = outstanding_[global - base_index_].head; slot != kNilSlot;) {
-    Request* r = request_at(slot);
+    Request* r = &requests_[slot];
     if (r->id == id) {
       *out_slot = slot;
       return r;

@@ -24,9 +24,8 @@
 // every member shares. Per-member state lives in dense parallel arrays
 // indexed by member id: stats, RNG stream, request-id counter, and the
 // heads of the member's backlog and outstanding lists. No member owns a
-// heap object: backlogged arrival times live in one pool-wide BacklogSlab,
-// outstanding requests in a pool-wide chunked slab (stable addresses,
-// generation-counted slots) threaded into per-member lists, and all
+// heap object: backlogged arrival times and outstanding requests live in
+// two pool-wide util::Slab stores threaded into per-member lists, and all
 // members share one http::SessionPool.
 //
 // Arrival batching keeps 10^5-10^6-client groups cheap: instead of one
@@ -52,12 +51,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "client/backlog_slab.hpp"
 #include "client/client_stats.hpp"
 #include "client/payment_channel.hpp"
 #include "client/strategy.hpp"
@@ -70,6 +67,7 @@
 #include "transport/host.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 
 namespace speakup::client {
 
@@ -112,22 +110,17 @@ class ClientPool {
     return backlogs_[member].count;
   }
 
-  // --- request-slab introspection (dense-id reuse / generation tests) ----
+  // --- request-slab introspection (dense-id reuse tests) -----------------
   /// Total request slots ever created (high-water mark of concurrency).
-  [[nodiscard]] std::uint32_t request_slots() const {
-    return static_cast<std::uint32_t>(slot_live_.size());
-  }
-  /// Times the slot has been recycled.
-  [[nodiscard]] std::uint32_t request_generation(std::uint32_t slot) const {
-    return slot_gen_[slot];
-  }
-  [[nodiscard]] std::size_t live_requests() const { return live_requests_; }
+  [[nodiscard]] std::uint32_t request_slots() const { return requests_.size(); }
+  [[nodiscard]] std::size_t live_requests() const { return requests_.in_use(); }
 
 #if SPEAKUP_AUDIT_ENABLED
   /// Structural audit (SPEAKUP_AUDIT builds only): parallel member arrays
   /// aligned, cohort min-heap property with each member at most once, armed
-  /// event agreement with the heap minimum, request-slab accounting, and
-  /// outstanding lists holding exactly the live slots of their member.
+  /// event agreement with the heap minimum, the two slabs' own audits,
+  /// outstanding lists holding exactly the live requests of their member,
+  /// and backlogs holding exactly the live backlog nodes.
   /// Runs every kAuditPeriod cohort fires (plus at start_all).
   void audit() const;
   /// Deliberate corruption for tests/audit_test.cpp: swaps the heap's root
@@ -137,7 +130,7 @@ class ClientPool {
 #endif
 
  private:
-  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNilSlot = util::kNil;
 
   struct Request {
     std::uint64_t id = 0;  // (global_index + 1) << 32 | per-client seq
@@ -163,11 +156,12 @@ class ClientPool {
     std::uint32_t count = 0;
   };
 
-  static constexpr std::size_t kChunk = 64;
-
-  struct alignas(Request) RawSlot {
-    std::byte bytes[sizeof(Request)];
+  /// One backlogged arrival, linked into its member's FIFO.
+  struct BacklogNode {
+    SimTime when;
+    std::uint32_t next = kNilSlot;
   };
+  using Backlog = util::IndexList<&BacklogNode::next>;
 
   // --- client logic (one member at a time) --------------------------------
   [[nodiscard]] StrategyView view(std::uint32_t m) const;
@@ -188,13 +182,6 @@ class ClientPool {
     return static_cast<std::uint64_t>(global_index(m) + 1) << 32;
   }
 
-  // --- request slab ------------------------------------------------------
-  [[nodiscard]] Request* request_at(std::uint32_t slot) {
-    return std::launder(
-        reinterpret_cast<Request*>(chunks_[slot / kChunk][slot % kChunk].bytes));
-  }
-  std::uint32_t acquire_request();
-  void release_request(std::uint32_t slot);
   /// The live request with this full id, or nullptr (finish() idempotence:
   /// the full 64-bit id doubles as a generation check).
   [[nodiscard]] Request* find_request(std::uint64_t id, std::uint32_t* out_slot);
@@ -227,7 +214,7 @@ class ClientPool {
   std::vector<ClientStats> stats_;
   std::vector<std::uint32_t> next_seq_;
   std::vector<std::uint8_t> paused_;
-  std::vector<BacklogSlab::Queue> backlogs_;
+  std::vector<Backlog> backlogs_;
   std::vector<OutstandingList> outstanding_;
 
   // Pending-arrival keys + a min-heap over members.
@@ -236,14 +223,8 @@ class ClientPool {
   std::vector<std::uint32_t> heap_;  // member ids, heap-ordered
   sim::EventId armed_ev_;
 
-  BacklogSlab backlog_slab_;
-
-  // Request slab.
-  std::vector<std::unique_ptr<RawSlot[]>> chunks_;
-  std::vector<std::uint8_t> slot_live_;
-  std::vector<std::uint32_t> slot_gen_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t live_requests_ = 0;
+  util::Slab<BacklogNode, 256> backlog_nodes_;  // 4 KB a chunk
+  util::Slab<Request, 64> requests_;
 
 #if SPEAKUP_AUDIT_ENABLED
   static constexpr std::uint64_t kAuditPeriod = 256;

@@ -1,5 +1,6 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -19,6 +20,14 @@ Experiment::~Experiment() = default;
 
 void Experiment::build() {
   net_ = std::make_unique<net::Network>(loop_);
+  // Core, thinner, the optional bottleneck switch, proxy and bystander
+  // pair, and every client host: the per-node arrays are sized once.
+  std::size_t nodes = 2 + (cfg_.bottleneck.has_value() ? 1 : 0) +
+                      (cfg_.proxy.has_value() ? 1 : 0) + (cfg_.collateral.has_value() ? 2 : 0);
+  for (const ClientGroupSpec& g : cfg_.groups) {
+    nodes += static_cast<std::size_t>(std::max(g.count, 0));
+  }
+  net_->reserve(nodes);
 
   // LAN core and the thinner behind a fat access link (condition C1).
   net::Switch& core = net_->add_switch("core");

@@ -183,7 +183,10 @@ class MessageStream final : private transport::TcpConnection::Listener {
     return static_cast<MessageStream*>(p->app_handle());
   }
 
+  friend class SessionPool;
+
   transport::TcpConnection* conn_ = nullptr;
+  std::uint32_t pool_slot_ = UINT32_MAX;  // this stream's record in its SessionPool
   Callbacks cbs_;
   std::vector<Message> ring_;  // outbox storage; [head_, head_ + count_) live
   std::size_t head_ = 0;

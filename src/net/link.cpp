@@ -30,7 +30,7 @@ void Link::send(NodeId from, const Packet& p) {
   }
   // Transmitter idle: serialize immediately without passing through the queue.
   d.transmitting = true;
-  transmit(d, net_->packets().acquire(p));
+  transmit(d, net_->packets().emplace(PacketRecord{p}));
 }
 
 void Link::transmit(Direction& d, std::uint32_t slot) {
@@ -41,12 +41,12 @@ void Link::transmit(Direction& d, std::uint32_t slot) {
 
 void Link::on_serialized(Direction& d, std::uint32_t slot) {
   // Serialization finished: the packet propagates (non-blocking)...
-  PacketPool& pool = net_->packets();
+  PacketSlab& pool = net_->packets();
   d.delivered_bytes += pool[slot].pkt.wire_size;
   net_->loop().schedule(d.delay, [this, &d, slot] { on_propagated(d, slot); });
   // ...and the transmitter picks up the next queued packet's record.
   const std::uint32_t next = d.queue.pop(pool);
-  if (next != PacketPool::kNil) {
+  if (next != util::kNil) {
     if (auto* o = net_->loop().observer()) o->on_link_dequeue(pool[next].pkt.wire_size);
     transmit(d, next);
   } else {
@@ -55,37 +55,32 @@ void Link::on_serialized(Direction& d, std::uint32_t slot) {
 }
 
 void Link::on_propagated(Direction& d, std::uint32_t slot) {
-  PacketPool& pool = net_->packets();
+  PacketSlab& pool = net_->packets();
   const Packet p = pool[slot].pkt;
   SPEAKUP_AUDIT_ONLY(--d.in_flight;)
   // Recycle before delivering: on_packet may synchronously send more
   // traffic through this very link.
-  pool.release(slot);
+  pool.erase(slot);
   net_->deliver(d.dst, p);
 }
 
 #if SPEAKUP_AUDIT_ENABLED
-std::size_t Link::audit(const PacketPool& pool, std::vector<std::uint8_t>& seen) const {
+std::size_t Link::audit(const PacketSlab& pool, std::vector<std::uint8_t>& live) const {
+  std::size_t held = 0;
   for (const Direction* d : {&ab_, &ba_}) {
-    std::size_t packets = 0;
     Bytes bytes = 0;
-    for (std::uint32_t r = d->queue.head(); r != PacketPool::kNil; r = pool[r].next) {
-      SPEAKUP_AUDIT_CHECK(r < pool.capacity(), "Link: queued record index out of range");
-      SPEAKUP_AUDIT_CHECK(!seen[r], "Link: record reached twice (shared by two lists)");
-      SPEAKUP_AUDIT_CHECK(pool[r].where == PacketPool::Where::kQueued,
-                          "Link: queue list holds a record not marked queued");
-      seen[r] = 1;
-      ++packets;
+    d->queue.list().audit(pool, [&](std::uint32_t r) {
+      SPEAKUP_AUDIT_CHECK(live[r] == 1, "Link: queue list holds a freed or twice-listed record");
+      live[r] = 2;
       bytes += pool[r].pkt.wire_size;
-    }
-    SPEAKUP_AUDIT_CHECK(packets == d->queue.size_packets(),
-                        "Link: queue list length must equal the queue's packet count");
+    });
     SPEAKUP_AUDIT_CHECK(bytes == d->queue.size_bytes(),
                         "Link: queue list bytes must equal the queue's occupancy");
     SPEAKUP_AUDIT_CHECK(d->transmitting || d->queue.empty(),
                         "Link: an idle transmitter must have an empty queue");
+    held += d->queue.size_packets() + d->in_flight;
   }
-  return ab_.in_flight + ba_.in_flight;
+  return held;
 }
 #endif
 

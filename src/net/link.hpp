@@ -5,7 +5,7 @@
 // the transmitter for wire_size/rate, then arrives after the propagation
 // delay (propagation does not block the next transmission).
 //
-// Hot-path note: a packet rides one record of the network-wide PacketPool
+// Hot-path note: a packet rides one record of the network-wide PacketSlab
 // from the moment the link accepts it — queued, serializing, propagating —
 // until it is delivered; the event callbacks capture only {this, direction,
 // record index}, so pushing a packet through a link performs zero heap
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/event_loop.hpp"
 #include "util/units.hpp"
@@ -56,11 +55,12 @@ class Link {
 
 #if SPEAKUP_AUDIT_ENABLED
   /// Structural audit (SPEAKUP_AUDIT builds only), driven by
-  /// Network::audit(): walks both directions' queue lists, marking each
-  /// record in `seen` (a record met twice fails) and checking each list's
-  /// length and bytes against its queue's counters. Returns the number of
-  /// records the two transmitters hold (serializing or propagating).
-  std::size_t audit(const PacketPool& pool, std::vector<std::uint8_t>& seen) const;
+  /// Network::audit() with the pool's live map: walks both directions'
+  /// queue lists, each record of which must be live and met once (it is
+  /// marked 2 in `live`), and checks each list's bytes against its queue's
+  /// occupancy. Returns the records this link holds: queued, serializing
+  /// or propagating.
+  std::size_t audit(const PacketSlab& pool, std::vector<std::uint8_t>& live) const;
 #endif
 
  private:

@@ -9,12 +9,11 @@ Switch& Network::add_switch(std::string name) { return add_node<Switch>(std::mov
 Link& Network::connect(const Node& a, const Node& b, const LinkSpec& ab, const LinkSpec& ba) {
   SPEAKUP_ASSERT(a.id() != b.id());
   SPEAKUP_ASSERT(link_between(a.id(), b.id()) == nullptr);  // single link per pair
-  const std::uint32_t idx = links_.size();
-  Link& ref = links_.emplace_back(*this, a.id(), b.id(), ab, ba);
+  const std::uint32_t idx = links_.emplace(*this, a.id(), b.id(), ab, ba);
   add_edge(a.id(), Edge{b.id(), idx});
   add_edge(b.id(), Edge{a.id(), idx});
   routes_valid_ = false;
-  return ref;
+  return links_[idx];
 }
 
 void Network::add_edge(NodeId v, Edge e) {
@@ -154,42 +153,20 @@ Link* Network::link_between(NodeId a, NodeId b) const {
 
 #if SPEAKUP_AUDIT_ENABLED
 void Network::audit() const {
-  const std::size_t cap = packets_.capacity();
-  std::vector<std::uint8_t> seen(cap, 0);
-  std::size_t free_count = 0;
-  for (std::uint32_t r = packets_.free_head(); r != PacketPool::kNil; r = packets_[r].next) {
-    SPEAKUP_AUDIT_CHECK(r < cap, "Network: free-list record index out of range");
-    SPEAKUP_AUDIT_CHECK(!seen[r], "Network: record on the free list twice");
-    SPEAKUP_AUDIT_CHECK(packets_[r].where == PacketPool::Where::kFree,
-                        "Network: free-list record must be marked free");
-    seen[r] = 1;
-    ++free_count;
-  }
-  std::size_t queued = 0;
-  std::size_t in_flight = 0;
-  for (std::uint32_t i = 0; i < links_.size(); ++i) {
-    in_flight += links_[i].audit(packets_, seen);
-  }
-  for (std::size_t r = 0; r < cap; ++r) {
-    if (packets_[static_cast<std::uint32_t>(r)].where == PacketPool::Where::kQueued) ++queued;
-    if (seen[r]) continue;
-    SPEAKUP_AUDIT_CHECK(packets_[static_cast<std::uint32_t>(r)].where ==
-                            PacketPool::Where::kInFlight,
-                        "Network: a record on no list must be in flight");
-  }
-  SPEAKUP_AUDIT_CHECK(free_count + queued + in_flight == cap,
-                      "Network: every record must be free, queued or in flight exactly once");
-  SPEAKUP_AUDIT_CHECK(packets_.in_use() == queued + in_flight,
-                      "Network: pool in-use count must equal queued + in-flight records");
+  std::vector<std::uint8_t> live = packets_.audit();
+  std::size_t held = 0;
+  for (std::uint32_t i = 0; i < links_.size(); ++i) held += links_[i].audit(packets_, live);
+  SPEAKUP_AUDIT_CHECK(held == packets_.in_use(),
+                      "Network: every live record must be queued or in flight exactly once");
 }
 
 void Network::corrupt_pool_for_test() {
   for (std::uint32_t i = 0; i < links_.size(); ++i) {
     const Link& link = links_[i];
     for (const NodeId from : {link.endpoint_a(), link.endpoint_b()}) {
-      const std::uint32_t head = link.queue_from(from).head();
-      if (head != PacketPool::kNil) {
-        packets_.release(head);
+      const std::uint32_t head = link.queue_from(from).list().head;
+      if (head != util::kNil) {
+        packets_.erase(head);
         return;
       }
     }

@@ -1,5 +1,5 @@
 // The topology container: owns nodes and links, computes shortest-path
-// routes, and moves packets hop by hop. It also owns the PacketPool that
+// routes, and moves packets hop by hop. It also owns the PacketSlab that
 // holds every packet its links carry, and one object a higher layer keeps
 // per network (transport's connection slab), held type-erased because net/
 // does not know transport types.
@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "net/link.hpp"
-#include "net/link_store.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
+#include "net/queue.hpp"
 #include "sim/event_loop.hpp"
 #include "util/assert.hpp"
 #include "util/audit.hpp"
+#include "util/slab.hpp"
 
 namespace speakup::net {
 
@@ -31,6 +31,15 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+
+  /// Sizes the per-node arrays for `nodes` nodes, so the add_node calls
+  /// that follow never regrow them (a regrowth holds the old and new
+  /// arrays at once).
+  void reserve(std::size_t nodes) {
+    nodes_.reserve(nodes);
+    adjacency_.reserve(nodes);
+    route_.reserve(nodes);
+  }
 
   /// Adds a node of any Node-derived type. The Network owns it.
   /// Usage: auto& h = net.add_node<transport::Host>("client3");
@@ -73,7 +82,7 @@ class Network {
 
   [[nodiscard]] sim::EventLoop& loop() const { return *loop_; }
   /// The records of every packet the links hold (queued or in flight).
-  [[nodiscard]] PacketPool& packets() { return packets_; }
+  [[nodiscard]] PacketSlab& packets() { return packets_; }
   [[nodiscard]] Node& node(NodeId id) const {
     SPEAKUP_ASSERT(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
     return *nodes_[static_cast<std::size_t>(id)];
@@ -98,20 +107,20 @@ class Network {
   [[nodiscard]] std::int64_t unroutable_drops() const { return unroutable_drops_; }
 
 #if SPEAKUP_AUDIT_ENABLED
-  /// Structural audit (SPEAKUP_AUDIT builds only): every pool record is
-  /// exactly one of free (on the free list), queued (on one direction's
-  /// list) or in flight (held by one transmitter), and each direction's
-  /// list agrees with its queue's packet and byte counters. Runs at
-  /// amortized checkpoints from Link::send.
+  /// Structural audit (SPEAKUP_AUDIT builds only): the packet slab's own
+  /// audit, then every live record is exactly one of queued (on one
+  /// direction's list) or in flight (held by one transmitter), and each
+  /// direction's list agrees with its queue's packet and byte counters.
+  /// Runs at amortized checkpoints from Link::send.
   void audit() const;
   void maybe_audit() {
     if (--audit_countdown_ == 0) {
       audit();
       // O(links + records) per audit, so space audits that far apart.
-      audit_countdown_ = kAuditPeriod + links_.size() + packets_.capacity();
+      audit_countdown_ = kAuditPeriod + links_.size() + packets_.size();
     }
   }
-  /// Deliberate corruption for tests/audit_test.cpp: releases the head
+  /// Deliberate corruption for tests/audit_test.cpp: erases the head
   /// record of the first non-empty queue without unlinking it — the
   /// signature of a premature release.
   void corrupt_pool_for_test();
@@ -149,11 +158,13 @@ class Network {
   using Attachment = std::unique_ptr<void, void (*)(void*)>;
 
   sim::EventLoop* loop_;
-  PacketPool packets_;
+  PacketSlab packets_;
   // Declared before nodes_ so that it outlives them.
   Attachment attachment_{nullptr, nullptr};
   std::vector<std::unique_ptr<Node>> nodes_;
-  LinkStore links_;
+  // Links by value in 256-link (48 KB) chunks, in connect() order; never
+  // erased.
+  util::Slab<Link, 256> links_;
   std::vector<Adjacency> adjacency_;       // per node
   std::vector<std::vector<Edge>> overflow_;  // per node of degree >= 2
   // Leaf-compressed routing state (see build_routes): degree-1 nodes route

@@ -4,22 +4,37 @@
 // dropped — the only loss mechanism in the simulator, as in a real drop-tail
 // router. Drop and occupancy counters feed the experiment reports.
 //
-// The queue stores no packets of its own: a queued packet is a record of the
-// network-wide PacketPool, linked head -> tail through the record's `next`
-// index. Enqueueing takes a record from the pool, dequeueing hands the very
-// same record on to the transmitter, so a packet is copied once on its way
-// through a link and an idle queue costs a few words, not a buffer.
+// The queue stores no packets of its own. Every packet a link holds —
+// queued, serializing onto the wire, or propagating — is one record of the
+// network-wide PacketSlab, and a queued record is linked head -> tail
+// through its `next` index. Enqueueing constructs the record, dequeueing
+// hands the very same record on to the transmitter, so a packet is copied
+// once on its way through a link and an idle queue costs a few words, not a
+// buffer. Records recycle through the slab, which so grows only to the
+// network-wide peak of packets held at once, not to the sum of every link's
+// own peak (with 10^5 access links, per-link stores cost more than the
+// packets).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "util/assert.hpp"
 #include "util/audit.hpp"
+#include "util/slab.hpp"
 
 namespace speakup::net {
+
+/// A packet a link holds, and its link in a drop-tail queue's list.
+struct PacketRecord {
+  Packet pkt;
+  std::uint32_t next = util::kNil;
+};
+
+/// The store of every packet a network's links hold (256 records, 14 KB, a
+/// chunk).
+using PacketSlab = util::Slab<PacketRecord, 256>;
 
 class DropTailQueue {
  public:
@@ -30,9 +45,9 @@ class DropTailQueue {
   DropTailQueue(const DropTailQueue&) = delete;
   DropTailQueue& operator=(const DropTailQueue&) = delete;
 
-  /// Enqueues `p` in a record taken from `pool`; returns false (counting a
-  /// drop and taking no record) on overflow.
-  bool push(PacketPool& pool, const Packet& p) {
+  /// Enqueues `p` in a record of `pool`; returns false (counting a drop and
+  /// taking no record) on overflow.
+  bool push(PacketSlab& pool, const Packet& p) {
     if (occupancy_ + p.wire_size > capacity_) {
       ++drops_;
       dropped_bytes_ += p.wire_size;
@@ -40,58 +55,40 @@ class DropTailQueue {
     }
     occupancy_ += p.wire_size;
     ++enqueued_;
-    const std::uint32_t slot = pool.acquire(p);
-    SPEAKUP_AUDIT_ONLY(pool[slot].where = PacketPool::Where::kQueued;)
-    if (tail_ == kNil) {
-      head_ = slot;
-    } else {
-      pool[tail_].next = slot;
-    }
-    tail_ = slot;
-    ++count_;
+    list_.push_back(pool, pool.emplace(PacketRecord{p}));
     return true;
   }
 
-  /// Unlinks the head record and returns its index, or kNil when empty. The
-  /// record stays acquired: the caller transmits it and releases it later.
-  std::uint32_t pop(PacketPool& pool) {
-    if (head_ == kNil) return kNil;
-    const std::uint32_t slot = head_;
-    PacketPool::Record& r = pool[slot];
-    head_ = r.next;
-    if (head_ == kNil) tail_ = kNil;
-    r.next = kNil;
-    SPEAKUP_AUDIT_ONLY(r.where = PacketPool::Where::kInFlight;)
-    --count_;
-    occupancy_ -= r.pkt.wire_size;
+  /// Unlinks the head record and returns its index, or util::kNil when
+  /// empty. The record stays live: the caller transmits it and erases it
+  /// later.
+  std::uint32_t pop(PacketSlab& pool) {
+    if (list_.count == 0) return util::kNil;
+    const std::uint32_t slot = list_.pop_front(pool);
+    occupancy_ -= pool[slot].pkt.wire_size;
     SPEAKUP_ASSERT(occupancy_ >= 0);
     return slot;
   }
 
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] std::size_t size_packets() const { return count_; }
+  [[nodiscard]] bool empty() const { return list_.count == 0; }
+  [[nodiscard]] std::size_t size_packets() const { return list_.count; }
   [[nodiscard]] Bytes size_bytes() const { return occupancy_; }
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] std::int64_t drops() const { return drops_; }
   [[nodiscard]] Bytes dropped_bytes() const { return dropped_bytes_; }
   [[nodiscard]] std::int64_t enqueued() const { return enqueued_; }
 #if SPEAKUP_AUDIT_ENABLED
-  /// Index of the head record (kNil when empty), for the structural audit;
-  /// the list continues through PacketPool::Record::next.
-  [[nodiscard]] std::uint32_t head() const { return head_; }
+  /// The queued records, for the structural audit.
+  [[nodiscard]] const util::IndexList<&PacketRecord::next>& list() const { return list_; }
 #endif
 
  private:
-  static constexpr std::uint32_t kNil = PacketPool::kNil;
-
   Bytes capacity_;
   Bytes occupancy_ = 0;
   std::int64_t drops_ = 0;
   Bytes dropped_bytes_ = 0;
   std::int64_t enqueued_ = 0;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::uint32_t count_ = 0;
+  util::IndexList<&PacketRecord::next> list_;
 };
 
 }  // namespace speakup::net

@@ -11,9 +11,9 @@ Host::~Host() {
     const TableEntry& e = table_[i];
     if (e.slot == kNilSlot) continue;
     // A destroy event left pending would fire into a dead host.
-    ConnectionSlab::Record& rec = slab()[e.slot];
-    if (rec.state == SlotState::kReleasing) loop().cancel(rec.release_ev);
-    slab().destroy(e.slot);
+    ConnectionRecord& rec = slab()[e.slot];
+    if (rec.releasing) loop().cancel(rec.release_ev);
+    slab().erase(e.slot);
   }
 }
 
@@ -102,6 +102,7 @@ void Host::audit_table() const {
   SPEAKUP_AUDIT_CHECK((table_cap_ & (table_cap_ - 1)) == 0,
                       "Host: demux table size must be a power of two");
   const ConnectionSlab& slab = this->slab();
+  const std::vector<std::uint8_t> live = slab.Slab::audit();
   std::vector<std::uint8_t> tabled(slab.size(), 0);
   std::uint32_t occupied = 0;
   for (std::uint32_t i = 0; i < table_cap_; ++i) {
@@ -109,8 +110,7 @@ void Host::audit_table() const {
     if (e.slot == kNilSlot) continue;
     ++occupied;
     SPEAKUP_AUDIT_CHECK(e.slot < slab.size(), "Host: table entry slot out of range");
-    SPEAKUP_AUDIT_CHECK(slab[e.slot].state != SlotState::kEmpty,
-                        "Host: table entry must point at a constructed connection");
+    SPEAKUP_AUDIT_CHECK(live[e.slot], "Host: table entry must point at a live connection");
     SPEAKUP_AUDIT_CHECK(!tabled[e.slot], "Host: slot tabled more than once");
     tabled[e.slot] = 1;
     // Probe-chain reachability: a lookup starting at the key's home bucket
@@ -142,7 +142,7 @@ void Host::corrupt_slab_for_test() {
   for (std::uint32_t i = 0; i < table_cap_; ++i) {
     const TableEntry& e = table_[i];
     if (e.slot != kNilSlot) {
-      slab().destroy(e.slot);
+      slab().erase(e.slot);
       return;
     }
   }
@@ -203,9 +203,9 @@ void Host::release(TcpConnection* conn) {
       find_index(conn->local_port(), conn->remote_node(), conn->remote_port());
   SPEAKUP_ASSERT(table_[i].slot != kNilSlot && conn_at(table_[i].slot) == conn);
   const std::uint32_t slot = table_[i].slot;
-  ConnectionSlab::Record& rec = slab()[slot];
-  SPEAKUP_ASSERT(rec.state == SlotState::kLive);
-  rec.state = SlotState::kReleasing;
+  ConnectionRecord& rec = slab()[slot];
+  SPEAKUP_ASSERT(!rec.releasing);
+  rec.releasing = true;
   // Deferred: the connection may be deep in its own call stack right now.
   // The table entry stays until the event fires, exactly like the previous
   // map-based teardown, so demux keeps finding the closed connection.
@@ -213,7 +213,7 @@ void Host::release(TcpConnection* conn) {
     const TcpConnection* victim = conn_at(slot);
     table_erase(victim->local_port(), victim->remote_node(), victim->remote_port());
     ConnectionSlab& slab = this->slab();
-    slab.destroy(slot);
+    slab.erase(slot);
     SPEAKUP_AUDIT_ONLY(maybe_audit(); slab.maybe_audit();)
   });
 }

@@ -94,8 +94,7 @@ class Host : public net::Node {
 #endif
 
  private:
-  using SlotState = ConnectionSlab::SlotState;
-  static constexpr std::uint32_t kNilSlot = ConnectionSlab::kNil;
+  static constexpr std::uint32_t kNilSlot = util::kNil;
 
   /// One open-addressing table entry; slot == kNilSlot marks it empty.
   struct TableEntry {
@@ -110,7 +109,7 @@ class Host : public net::Node {
   std::uint32_t alloc_port() { return next_port_++; }
 
   [[nodiscard]] ConnectionSlab& slab() const { return ConnectionSlab::of(network()); }
-  [[nodiscard]] TcpConnection* conn_at(std::uint32_t slot) const { return slab()[slot].conn(); }
+  [[nodiscard]] TcpConnection* conn_at(std::uint32_t slot) const { return &slab()[slot].conn; }
 
   static std::uint64_t key_hash(std::uint32_t local_port, net::NodeId remote,
                                 std::uint32_t remote_port) {

@@ -7,8 +7,8 @@
 //   - death tests: each structure's corrupt_*_for_test() hook plants the
 //     signature of a real bug class (missed sift swap, lost table erase,
 //     slab record freed while tabled, stale bitmap bit, clobbered heap key,
-//     premature packet release) and audit() must catch it. Without these,
-//     a vacuously-true audit would pass forever.
+//     premature packet release, double erase) and audit() must catch it.
+//     Without these, a vacuously-true audit would pass forever.
 //
 // The whole file GTEST_SKIPs unless built with -DSPEAKUP_AUDIT=ON in a
 // Debug build (SPEAKUP_AUDIT_ENABLED) — CI's audit job is the build that
@@ -27,6 +27,7 @@
 #include "transport/ooo_tracker.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 
 namespace speakup {
 namespace {
@@ -248,6 +249,20 @@ TEST(AuditDeathTest, NetworkDetectsPrematurePacketRelease) {
         rig.net.audit();                  // clean so far
         rig.net.corrupt_pool_for_test();  // a queued record also on the free list
         rig.net.audit();
+      },
+      kDeathMsg);
+}
+
+TEST(AuditDeathTest, SlabDetectsDoubleErase) {
+  using IntSlab = util::Slab<int, 4>;
+  EXPECT_DEATH(
+      {
+        IntSlab slab;
+        (void)slab.emplace(1);
+        (void)slab.emplace(2);
+        slab.erase(0);
+        slab.erase(0);  // the signature of a double free
+        (void)slab.audit();
       },
       kDeathMsg);
 }

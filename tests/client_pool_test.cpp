@@ -50,7 +50,7 @@ struct Rig {
 // A thinner host with NO listener answers every SYN with RST, so each
 // request runs the full arrival -> connect -> reset -> denial -> slot
 // release cycle. The slab must recycle a handful of dense slots through
-// thousands of requests, bumping generations, never leaking live records.
+// thousands of requests, never leaking live records.
 TEST(ClientPool, RequestSlabRecyclesDenseSlots) {
   Rig rig;  // nothing listening on the thinner host
   constexpr int kClients = 4;
@@ -76,12 +76,6 @@ TEST(ClientPool, RequestSlabRecyclesDenseSlots) {
   // (window=1 per member plus requests awaiting their deferred teardown
   // tick), not the request count.
   EXPECT_LE(pool.request_slots(), 4u * kClients);
-  std::uint64_t generations = 0;
-  for (std::uint32_t s = 0; s < pool.request_slots(); ++s) {
-    generations += pool.request_generation(s);
-  }
-  // Every started request acquired exactly one slot incarnation.
-  EXPECT_EQ(generations, static_cast<std::uint64_t>(started));
   EXPECT_EQ(pool.live_requests(), 0u);  // denial released every slot
 }
 

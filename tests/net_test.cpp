@@ -7,7 +7,6 @@
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/event_loop.hpp"
 #include "transport/host.hpp"
@@ -37,7 +36,7 @@ Packet test_packet(NodeId src, NodeId dst, Bytes wire) {
 }
 
 TEST(DropTailQueue, FifoOrder) {
-  PacketPool pool;
+  PacketSlab pool;
   DropTailQueue q(10'000);
   for (int i = 0; i < 3; ++i) {
     Packet p = test_packet(0, 1, 100);
@@ -46,16 +45,16 @@ TEST(DropTailQueue, FifoOrder) {
   }
   for (int i = 0; i < 3; ++i) {
     const std::uint32_t r = q.pop(pool);
-    ASSERT_NE(r, PacketPool::kNil);
+    ASSERT_NE(r, util::kNil);
     EXPECT_EQ(pool[r].pkt.seq, i);
-    pool.release(r);
+    pool.erase(r);
   }
-  EXPECT_EQ(q.pop(pool), PacketPool::kNil);
+  EXPECT_EQ(q.pop(pool), util::kNil);
   EXPECT_EQ(pool.in_use(), 0u);
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
-  PacketPool pool;
+  PacketSlab pool;
   DropTailQueue q(250);
   EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
   EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
@@ -67,18 +66,18 @@ TEST(DropTailQueue, DropsWhenFull) {
 }
 
 TEST(DropTailQueue, PopFreesCapacity) {
-  PacketPool pool;
+  PacketSlab pool;
   DropTailQueue q(200);
   EXPECT_TRUE(q.push(pool, test_packet(0, 1, 150)));
   EXPECT_FALSE(q.push(pool, test_packet(0, 1, 100)));
   const std::uint32_t r = q.pop(pool);
-  ASSERT_NE(r, PacketPool::kNil);
-  pool.release(r);
+  ASSERT_NE(r, util::kNil);
+  pool.erase(r);
   EXPECT_TRUE(q.push(pool, test_packet(0, 1, 100)));
 }
 
 TEST(DropTailQueue, CountsEnqueued) {
-  PacketPool pool;
+  PacketSlab pool;
   DropTailQueue q(1000);
   q.push(pool, test_packet(0, 1, 100));
   q.push(pool, test_packet(0, 1, 100));
@@ -89,7 +88,7 @@ TEST(DropTailQueue, CountsEnqueued) {
 TEST(DropTailQueue, QueuesSharingOnePoolKeepTheirOwnOrder) {
   // Two queues interleave pushes and pops through one pool: records freed
   // by one are reused by the other, yet each list stays FIFO.
-  PacketPool pool;
+  PacketSlab pool;
   DropTailQueue a(10'000);
   DropTailQueue b(10'000);
   std::int64_t next_a = 0;
@@ -106,13 +105,13 @@ TEST(DropTailQueue, QueuesSharingOnePoolKeepTheirOwnOrder) {
     }
     for (DropTailQueue* q : {&a, &b}) {
       const std::uint32_t r = q->pop(pool);
-      ASSERT_NE(r, PacketPool::kNil);
+      ASSERT_NE(r, util::kNil);
       EXPECT_EQ(pool[r].pkt.seq, q == &a ? want_a++ : want_b++);
-      pool.release(r);
+      pool.erase(r);
     }
   }
   EXPECT_EQ(pool.in_use(), a.size_packets() + b.size_packets());
-  EXPECT_LE(pool.capacity(), pool.in_use() + 2);  // freed records were reused
+  EXPECT_LE(pool.size(), pool.in_use() + 2);  // freed records were reused
 }
 
 TEST(Link, DeliversAfterSerializationPlusPropagation) {
@@ -340,7 +339,7 @@ TEST(Network, LinksAndDirectionsShareOnePoolInOrder) {
   }
   EXPECT_EQ(net.packets().in_use(), 0u);
   // Never more than four per direction were held at once.
-  EXPECT_LE(net.packets().capacity(), 16u);
+  EXPECT_LE(net.packets().size(), 16u);
 }
 
 // The topology of LeafBecomesCoreAfterRoutesAreBuilt: s - x, s - y, x - d,
@@ -440,23 +439,29 @@ TEST(Network, LeafBecomesCoreAfterRoutesAreBuilt) {
 // add_node<Host> and connect() allocate for a leaf, averaged per leaf.
 TEST(Network, LeafBuildBytesStayWithinBudget) {
   constexpr int kLeaves = 10'000;
-  sim::EventLoop loop;
-  Network net(loop);
-  Switch& sw = net.add_switch("sw");
-  std::vector<std::string> names;
-  names.reserve(kLeaves);
-  for (int i = 0; i < kLeaves; ++i) names.push_back("c" + std::to_string(i));
-  const LinkSpec access{Bandwidth::mbps(2.0), Duration::micros(500), 48'000};
   ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
-  const util::AllocGuard guard;
-  for (int i = 0; i < kLeaves; ++i) {
-    net.connect(net.add_node<transport::Host>(std::move(names[i])), sw, access);
-  }
-  const double per_leaf = static_cast<double>(guard.bytes_delta()) / kLeaves;
-  const double allocs_per_leaf = static_cast<double>(guard.delta()) / kLeaves;
+  // Bytes and allocations per leaf over kLeaves add_node<Host> + connect,
+  // with or without Network::reserve for every node first.
+  const auto build = [](bool reserve) {
+    sim::EventLoop loop;
+    Network net(loop);
+    Switch& sw = net.add_switch("sw");
+    std::vector<std::string> names;
+    names.reserve(kLeaves);
+    for (int i = 0; i < kLeaves; ++i) names.push_back("c" + std::to_string(i));
+    const LinkSpec access{Bandwidth::mbps(2.0), Duration::micros(500), 48'000};
+    const util::AllocGuard guard;
+    if (reserve) net.reserve(kLeaves + 1);
+    for (int i = 0; i < kLeaves; ++i) {
+      net.connect(net.add_node<transport::Host>(std::move(names[i])), sw, access);
+    }
+    return std::pair{static_cast<double>(guard.bytes_delta()) / kLeaves,
+                     static_cast<double>(guard.delta()) / kLeaves};
+  };
+  const auto [per_leaf, allocs_per_leaf] = build(false);
   // Measured 471 B and 1.01 allocations per leaf: the Host object (its
-  // sizeof is pinned in transport_test), the leaf's 184-B share of a
-  // link-store chunk, and the doubling growth of the per-node arrays
+  // sizeof is pinned in transport_test), the leaf's 192-B share of a
+  // link-slab chunk, and the doubling growth of the per-node arrays
   // (node pointers, routes, inline adjacency) and of the switch's edge
   // list. The byte bound is that plus ~10%: an adjacency vector per node
   // (its 16 B plus a 24-B header for the 12-B inline entry) breaks it.
@@ -464,6 +469,16 @@ TEST(Network, LeafBuildBytesStayWithinBudget) {
   // link or per node adds one allocation per leaf.
   EXPECT_LT(per_leaf, 520.0) << "bytes allocated per leaf";
   EXPECT_LT(allocs_per_leaf, 1.05) << "allocations per leaf";
+  // Reserved, the per-node arrays are allocated once at their final size:
+  // measured 371 B per leaf, of which 44 B are the node pointer, inline
+  // adjacency and route entries, and the rest the Host, the link-store
+  // share and the switch's doubling edge list (395 B in SPEAKUP_AUDIT
+  // builds, whose Host and Link carry audit fields). The bound is that plus
+  // ~2%; a reserve() that leaves any per-node array to double breaks it.
+  const auto [reserved_per_leaf, reserved_allocs_per_leaf] = build(true);
+  EXPECT_LT(reserved_per_leaf, SPEAKUP_AUDIT_ENABLED ? 404.0 : 380.0)
+      << "bytes allocated per leaf, reserved";
+  EXPECT_LT(reserved_allocs_per_leaf, 1.05) << "allocations per leaf, reserved";
 }
 
 TEST(Network, DeliverWorksBeforeRoutesAreBuilt) {

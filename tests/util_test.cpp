@@ -1,4 +1,4 @@
-// Tests for util: strong units, RNG streams, assertions.
+// Tests for util: strong units, RNG streams, assertions, the record slab.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include "util/alloc_guard.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 #include "util/units.hpp"
 
 namespace speakup {
@@ -324,6 +325,132 @@ TEST(AllocGuard, CountsOverAlignedNew) {
   ::operator delete[](d, std::align_val_t{64});
   EXPECT_EQ(forms.delta(), 4) << "every aligned form must be counted";
   EXPECT_EQ(forms.bytes_delta(), 100 + 192 + 32 + 64);
+}
+
+// --- util::Slab ------------------------------------------------------------
+
+/// A record that counts its constructions and its destructions per value.
+struct Tracked {
+  explicit Tracked(int v) : value(v) { ++constructed; }
+  ~Tracked() { ++destroyed[static_cast<std::size_t>(value)]; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  int value;
+  std::uint32_t next = util::kNil;
+  static inline int constructed = 0;
+  static inline std::vector<int> destroyed;
+};
+
+TEST(Slab, AddressesStayStableAcrossChunkGrowth) {
+  util::Slab<Tracked, 4> slab;
+  Tracked::destroyed.assign(20, 0);
+  std::vector<const Tracked*> at;
+  for (int v = 0; v < 20; ++v) {
+    const std::uint32_t i = slab.emplace(v);
+    ASSERT_EQ(i, static_cast<std::uint32_t>(v));  // dense, in order
+    at.push_back(&slab[i]);
+  }
+  ASSERT_EQ(slab.chunk_count(), 5u);  // four growths past the first chunk
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(&slab[i], at[i]) << "growth moved record " << i;
+    EXPECT_EQ(slab[i].value, static_cast<int>(i));
+  }
+}
+
+TEST(Slab, ReusesErasedRecordsLastInFirstOut) {
+  util::Slab<int, 4> slab;
+  for (int v = 0; v < 6; ++v) (void)slab.emplace(v);
+  slab.erase(1);
+  slab.erase(4);
+  slab.erase(2);
+  // The most recently erased record is reused first; only an empty free
+  // list grows the slab.
+  EXPECT_EQ(slab.emplace(10), 2u);
+  EXPECT_EQ(slab.emplace(11), 4u);
+  slab.erase(0);
+  EXPECT_EQ(slab.emplace(12), 0u);
+  EXPECT_EQ(slab.emplace(13), 1u);
+  EXPECT_EQ(slab.emplace(14), 6u);
+  EXPECT_EQ(slab.size(), 7u);
+  EXPECT_EQ(slab.in_use(), 7u);
+  EXPECT_EQ(slab[2], 10);
+  EXPECT_EQ(slab[4], 11);
+  EXPECT_EQ(slab[0], 12);
+  EXPECT_EQ(slab[1], 13);
+}
+
+TEST(Slab, ChunkCountIsThePeakInWholeChunks) {
+  util::Slab<int, 4> slab;
+  std::vector<std::uint32_t> live;
+  for (const int peak : {1, 3, 4, 5, 8, 9, 13}) {
+    while (live.size() < static_cast<std::size_t>(peak)) live.push_back(slab.emplace(0));
+    // Churn below the peak reuses records and adds no chunk.
+    for (int k = 0; k < 10; ++k) {
+      slab.erase(live.back());
+      live.back() = slab.emplace(k);
+    }
+    EXPECT_EQ(slab.size(), static_cast<std::uint32_t>(peak));
+    EXPECT_EQ(slab.chunk_count(), static_cast<std::size_t>((peak + 3) / 4)) << "peak " << peak;
+  }
+}
+
+TEST(Slab, TeardownDestroysLiveRecordsOnceAndFreedOnesNever) {
+  Tracked::constructed = 0;
+  Tracked::destroyed.assign(10, 0);
+  {
+    util::Slab<Tracked, 4> slab;
+    for (int v = 0; v < 10; ++v) (void)slab.emplace(v);
+    for (const std::uint32_t i : {7u, 2u, 5u}) slab.erase(i);
+    EXPECT_EQ(Tracked::destroyed, (std::vector<int>{0, 0, 1, 0, 0, 1, 0, 1, 0, 0}));
+  }
+  EXPECT_EQ(Tracked::constructed, 10);
+  EXPECT_EQ(Tracked::destroyed, std::vector<int>(10, 1));
+}
+
+TEST(Slab, SteadyChurnAtAStablePeakAllocatesNothing) {
+  util::Slab<Tracked, 8> slab;
+  Tracked::destroyed.assign(64, 0);
+  std::vector<std::uint32_t> live;
+  live.reserve(64);
+  for (int v = 0; v < 64; ++v) live.push_back(slab.emplace(v));
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  std::uint64_t x = 88172645463325252ull;
+  for (int step = 0; step < 10'000; ++step) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::size_t k = x % live.size();
+    const int v = slab[live[k]].value;
+    slab.erase(live[k]);
+    live[k] = slab.emplace(v);
+  }
+  EXPECT_EQ(guard.delta(), 0) << "churn at a stable peak allocated";
+  EXPECT_EQ(slab.size(), 64u);
+  EXPECT_EQ(slab.in_use(), 64u);
+}
+
+TEST(IndexList, ListsSharingOneSlabStayFifo) {
+  util::Slab<Tracked, 4> slab;
+  Tracked::destroyed.assign(100, 0);
+  util::IndexList<&Tracked::next> odd;
+  util::IndexList<&Tracked::next> even;
+  int want_odd = 1;
+  int want_even = 0;
+  for (int v = 0; v < 100; ++v) {
+    (v % 2 ? odd : even).push_back(slab, slab.emplace(v));
+    if (v % 3 == 2) {
+      for (auto* l : {&odd, &even}) {
+        const std::uint32_t i = l->pop_front(slab);
+        EXPECT_EQ(slab[i].value, l == &odd ? want_odd : want_even);
+        (l == &odd ? want_odd : want_even) += 2;
+        slab.erase(i);
+      }
+    }
+  }
+  EXPECT_EQ(odd.count + even.count, slab.in_use());
+  EXPECT_EQ(slab[odd.tail].value, 99);
+  EXPECT_EQ(slab[even.tail].value, 98);
 }
 
 }  // namespace
