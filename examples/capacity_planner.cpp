@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
       core::theory::ideal_provisioning(sim_g, good_clients * 2.0, bad_clients * 2.0);
   std::printf("\nvalidating by simulation (%d good vs %d bad clients, c = c_id = %.0f):\n",
               good_clients, bad_clients, sim_cid);
-  exp::ScenarioConfig cfg =
-      exp::lan_scenario(good_clients, bad_clients, sim_cid, exp::DefenseMode::kAuction, 9);
+  exp::ScenarioConfig cfg = exp::lan_scenario(good_clients, bad_clients, sim_cid, "auction", 9);
   cfg.duration = Duration::seconds(60.0);
   exp::Runner runner;
   runner.add(cfg, "validation");

@@ -22,20 +22,20 @@ int main() {
   std::printf("speak-up quickstart: %d good vs %d bad clients, c = %.0f req/s\n\n",
               kGood, kBad, kCapacity);
 
-  const exp::DefenseMode kModes[] = {exp::DefenseMode::kNone, exp::DefenseMode::kAuction};
+  const char* const kDefenses[] = {"none", "auction"};
   exp::Runner runner;
-  for (const exp::DefenseMode mode : kModes) {
-    exp::ScenarioConfig cfg = exp::lan_scenario(kGood, kBad, kCapacity, mode, /*seed=*/7);
+  for (const char* defense : kDefenses) {
+    exp::ScenarioConfig cfg = exp::lan_scenario(kGood, kBad, kCapacity, defense, /*seed=*/7);
     cfg.duration = Duration::seconds(30.0);
-    runner.add(cfg, to_string(mode));
+    runner.add(cfg, defense);
   }
   runner.run_all();
 
-  for (const exp::DefenseMode mode : kModes) {
-    const exp::ExperimentResult& r = runner.result(to_string(mode));
+  for (const char* defense : kDefenses) {
+    const exp::ExperimentResult& r = runner.result(defense);
     std::printf("defense=%-8s served(good)=%-5lld served(bad)=%-5lld "
                 "alloc(good)=%.2f frac-good-served=%.2f\n",
-                exp::to_string(mode), static_cast<long long>(r.served_good),
+                defense, static_cast<long long>(r.served_good),
                 static_cast<long long>(r.served_bad), r.allocation_good,
                 r.fraction_good_served);
   }

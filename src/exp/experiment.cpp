@@ -118,7 +118,7 @@ void Experiment::build() {
   fc.elastic_threshold = cfg_.elastic_threshold;
   fc.puzzle_cost = cfg_.puzzle_cost;
   front_end_ = core::FrontEndFactory::instance().create(
-      cfg_.defense_name(), *thinner_host_, fc, util::RngStream(cfg_.seed, "server"));
+      cfg_.defense, *thinner_host_, fc, util::RngStream(cfg_.seed, "server"));
 }
 
 ExperimentResult Experiment::run() {
@@ -136,7 +136,7 @@ ExperimentResult Experiment::run() {
   const auto wall_end = std::chrono::steady_clock::now();
 
   ExperimentResult r;
-  r.defense = cfg_.defense_name();
+  r.defense = cfg_.defense;
   r.sim_duration = cfg_.duration;
   r.events_executed = loop_.executed_events();
   r.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();

@@ -128,7 +128,7 @@ double good_share(const RunOutcome& o) {
 
 void fig2(Rows rows, std::ostream& os) {
   const auto defense = [](const char* name) {
-    return [name](const RunOutcome& o) { return o.config.defense_name() == name; };
+    return [name](const RunOutcome& o) { return o.config.defense == name; };
   };
   stats::Table table({"f=G/(G+B)", "without-speakup", "with-speakup", "ideal"});
   for (const Group& point : group_by(rows, good_share)) {
@@ -149,7 +149,7 @@ void fig3(Rows rows, std::ostream& os) {
     for (const RunOutcome* o : point) {
       table.row()
           .add(static_cast<std::int64_t>(o->config.capacity_rps))
-          .add(o->config.defense_name() == "none" ? "OFF" : "ON")
+          .add(o->config.defense == "none" ? "OFF" : "ON")
           .add(o->result.allocation_good, 3)
           .add(o->result.allocation_bad, 3)
           .add(o->result.fraction_good_served, 3)
@@ -347,7 +347,7 @@ void abl1(Rows rows, std::ostream& os) {
   for (const Group& point : group_by(rows, capacity)) {
     for (const RunOutcome* o : point) {
       const ExperimentResult& r = o->result;
-      const bool retry = o->config.defense_name() == "retry";
+      const bool retry = o->config.defense == "retry";
       table.row()
           .add(static_cast<std::int64_t>(o->config.capacity_rps))
           .add(retry ? "retries (3.2)" : "auction (3.3)")
@@ -387,7 +387,7 @@ void abl4(Rows rows, std::ostream& os) {
                       "suspensions"});
   for (const Group& point : group_by(rows, difficulty)) {
     for (const RunOutcome* o : point) {
-      const bool quantum = o->config.defense_name() == "quantum";
+      const bool quantum = o->config.defense == "quantum";
       table.row()
           .add(difficulty(*o))
           .add(quantum ? "quantum (5)" : "flat (3.3)")

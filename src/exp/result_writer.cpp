@@ -54,10 +54,40 @@ const std::string& ResultWriter::csv_header() {
   return header;
 }
 
+std::vector<std::string> ResultWriter::split_csv_row(const std::string& line) {
+  std::vector<std::string> out;
+  std::string cur;
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          cur += '"';
+          ++i;
+        } else {
+          quoted = false;
+        }
+      } else {
+        cur += c;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      out.push_back(cur);
+      cur.clear();
+    } else {
+      cur += c;
+    }
+  }
+  out.push_back(cur);
+  return out;
+}
+
 std::string ResultWriter::csv_row(std::size_t index, const RunOutcome& o) {
   std::ostringstream os;
   os << index << ',' << csv_escape(o.label) << ','
-     << csv_escape(o.config.defense_name()) << ','
+     << csv_escape(o.config.defense) << ','
      << csv_escape(o.config.strategy_names()) << ',' << o.config.seed << ','
      << fmt(o.config.capacity_rps) << ',' << fmt(o.config.duration.sec()) << ',';
   if (o.ok()) {
@@ -108,7 +138,7 @@ void ResultWriter::write_json(std::ostream& os) const {
     json::Value entry;
     entry.set("index", static_cast<double>(row->index));
     entry.set("label", o.label);
-    entry.set("defense", o.config.defense_name());
+    entry.set("defense", o.config.defense);
     entry.set("strategy_names", o.config.strategy_names());
     entry.set("seed", static_cast<double>(o.config.seed));
     entry.set("capacity_rps", o.config.capacity_rps);
@@ -205,38 +235,6 @@ std::vector<CsvLine> scan_csv(const std::string& csv, const std::string& what) {
     lines.push_back(CsvLine{index, line});
   }
   return lines;
-}
-
-/// Splits one CSV row into its fields, honoring the RFC-4180 quoting
-/// csv_escape produces (rows never span lines).
-std::vector<std::string> split_csv_row(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
 }
 
 }  // namespace

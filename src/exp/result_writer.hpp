@@ -28,6 +28,10 @@ class ResultWriter {
   /// sharded merges key on it.
   [[nodiscard]] static const std::string& csv_header();
 
+  /// Splits one CSV row into its fields, honoring the RFC-4180 quoting
+  /// csv_row produces (rows never span lines: newlines are flattened).
+  [[nodiscard]] static std::vector<std::string> split_csv_row(const std::string& line);
+
   /// One outcome as its CSV row (no newline). Deterministic for a given
   /// scenario + seed: doubles use shortest-round-trip formatting, the
   /// fingerprint is fixed-width hex, and wall time is excluded. A failed

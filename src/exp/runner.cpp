@@ -10,7 +10,7 @@ namespace speakup::exp {
 Runner& Runner::add(ScenarioConfig cfg, std::string label) {
   util::require(!ran_, "Runner: cannot add scenarios after run_all");
   if (label.empty()) {
-    label = cfg.defense_name() + "/" + std::to_string(jobs_.size());
+    label = cfg.defense + "/" + std::to_string(jobs_.size());
   }
   for (const Job& j : jobs_) {
     util::require(j.label != label, "Runner: duplicate label '" + label + "'");
@@ -119,7 +119,7 @@ stats::Table Runner::summary_table() const {
   stats::Table table({"label", "defense", "served", "alloc(good)", "alloc(bad)",
                       "frac-good-served", "sim-s", "wall-s"});
   for (const RunOutcome& o : outcomes_) {
-    table.row().add(o.label).add(o.config.defense_name());
+    table.row().add(o.label).add(o.config.defense);
     if (o.ok()) {
       table.add(o.result.served_total)
           .add(o.result.allocation_good, 3)

@@ -1,5 +1,5 @@
 // Declarative experiment descriptions. A ScenarioConfig names everything the
-// paper's testbed instantiated physically: the defense mode, the server
+// paper's testbed instantiated physically: the defense, the server
 // capacity, client populations (counts, workloads, access links, RTTs),
 // an optional shared bottleneck, and the optional §7.7 bystander downloader.
 #pragma once
@@ -8,53 +8,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "client/workload_params.hpp"
 #include "util/units.hpp"
 
 namespace speakup::exp {
-
-enum class DefenseMode {
-  kNone,            // undefended baseline (random drops)
-  kAuction,         // §3.3 explicit payment channel + virtual auction
-  kRetry,           // §3.2 random drops + aggressive retries
-  kQuantumAuction,  // §5 heterogeneous requests
-};
-
-/// Every built-in mode, in declaration order (exhaustiveness checks, CLI
-/// help, factory tests).
-inline constexpr DefenseMode kAllDefenseModes[] = {
-    DefenseMode::kNone,
-    DefenseMode::kAuction,
-    DefenseMode::kRetry,
-    DefenseMode::kQuantumAuction,
-};
-
-/// The mode's canonical name — also its core::FrontEndFactory registry key.
-[[nodiscard]] inline const char* to_string(DefenseMode m) {
-  switch (m) {
-    case DefenseMode::kNone: return "none";
-    case DefenseMode::kAuction: return "auction";
-    case DefenseMode::kRetry: return "retry";
-    case DefenseMode::kQuantumAuction: return "quantum";
-  }
-  return "?";
-}
-
-/// Round-trip of to_string: parse_defense_mode(to_string(m)) == m for every
-/// mode; unknown names give nullopt (the caller may still be naming a
-/// registered non-built-in defense — see ScenarioConfig::defense). Config
-/// files and CLI paths must NOT treat nullopt as "use the default": resolve
-/// user-supplied names with exp::resolve_defense_name (scenario_io.hpp),
-/// which validates against the FrontEndFactory registry and throws listing
-/// every registered defense, so a typo fails loudly.
-[[nodiscard]] inline std::optional<DefenseMode> parse_defense_mode(std::string_view s) {
-  for (const DefenseMode m : kAllDefenseModes) {
-    if (s == to_string(m)) return m;
-  }
-  return std::nullopt;
-}
 
 /// A homogeneous population of clients.
 struct ClientGroupSpec {
@@ -97,11 +57,10 @@ struct CollateralSpec {
 };
 
 struct ScenarioConfig {
-  DefenseMode mode = DefenseMode::kAuction;
-  /// Factory override: when non-empty, the experiment asks
-  /// core::FrontEndFactory for this name instead of to_string(mode) —
-  /// that is how scenarios run defenses that are not built-in modes.
-  std::string defense;
+  /// The core::FrontEndFactory registry key of the defense this scenario
+  /// runs ("none", "retry", "auction", "quantum", "elastic", "puzzle", or
+  /// any name registered at runtime).
+  std::string defense = "auction";
   double capacity_rps = 100.0;
   Duration duration = Duration::seconds(60.0);
   std::uint64_t seed = 1;
@@ -112,7 +71,7 @@ struct ScenarioConfig {
 
   // Thinner knobs.
   Duration payment_window = Duration::seconds(10.0);
-  Duration quantum = Duration::zero();  // 0 -> 1/c (quantum mode only)
+  Duration quantum = Duration::zero();  // 0 -> 1/c (the "quantum" defense only)
   Duration suspension_limit = Duration::seconds(30.0);
   Bytes response_body = 1000;
   // "elastic" defense knobs (core/elastic_front_end.hpp).
@@ -126,11 +85,6 @@ struct ScenarioConfig {
   Bandwidth thinner_bw = Bandwidth::gbps(10.0);
   Duration thinner_delay = Duration::micros(500);
   Bytes thinner_queue = 4'000'000;
-
-  /// The front-end registry key this scenario runs.
-  [[nodiscard]] std::string defense_name() const {
-    return defense.empty() ? to_string(mode) : defense;
-  }
 
   /// The distinct workload strategies the groups run, joined with '+' in
   /// first-appearance order ("poisson+defector"). This is the strategy
@@ -153,11 +107,12 @@ struct ScenarioConfig {
 };
 
 /// Paper-default LAN scenario (§7.2): `good` + `bad` clients, each with
-/// 2 Mbit/s to the thinner over a LAN, server capacity `capacity_rps`.
+/// 2 Mbit/s to the thinner over a LAN, server capacity `capacity_rps`,
+/// defended by the registered defense `defense`.
 [[nodiscard]] inline ScenarioConfig lan_scenario(int good, int bad, double capacity_rps,
-                                                 DefenseMode mode, std::uint64_t seed = 1) {
+                                                 std::string defense, std::uint64_t seed = 1) {
   ScenarioConfig cfg;
-  cfg.mode = mode;
+  cfg.defense = std::move(defense);
   cfg.capacity_rps = capacity_rps;
   cfg.seed = seed;
   if (good > 0) {

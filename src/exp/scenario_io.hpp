@@ -95,11 +95,10 @@ struct AuctionGameSpec {
 /// ScenarioError naming the key.
 [[nodiscard]] AuctionGameSpec load_auction_game_file(const std::string& path);
 
-/// Strict companion to parse_defense_mode for config-file and CLI paths:
-/// returns `name` when it is a built-in mode or a registered
-/// core::FrontEndFactory defense, and otherwise throws std::invalid_argument
-/// listing every registered name — a scenario-file typo fails loudly
-/// instead of running some default defense.
+/// Returns `name` when it is a registered core::FrontEndFactory defense,
+/// and otherwise throws std::invalid_argument listing every registered
+/// name — a scenario-file typo fails loudly instead of running some
+/// default defense.
 [[nodiscard]] std::string resolve_defense_name(std::string_view name);
 
 /// Same contract for workload strategies: returns `name` when it is

@@ -36,38 +36,6 @@ std::vector<std::string> name_list(const json::Value& v, const std::string& ctx)
   return out;
 }
 
-/// Splits one ResultWriter CSV row into fields, honoring its RFC-4180
-/// quoting (rows never span lines — csv_escape flattens newlines).
-std::vector<std::string> split_csv_row(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
 std::size_t column_of(const std::vector<std::string>& header, const char* name) {
   const auto it = std::find(header.begin(), header.end(), name);
   if (it == header.end()) {
@@ -289,7 +257,7 @@ PayoffMatrix score_tournament(const TournamentSpec& spec,
     throw std::runtime_error(
         "tournament score: results do not start with the speakup CSV header");
   }
-  const std::vector<std::string> header = split_csv_row(line);
+  const std::vector<std::string> header = ResultWriter::split_csv_row(line);
   const std::size_t c_label = column_of(header, "label");
   const std::size_t c_defense = column_of(header, "defense");
   const std::size_t c_good = column_of(header, "fraction_good_served");
@@ -304,7 +272,7 @@ PayoffMatrix score_tournament(const TournamentSpec& spec,
   std::vector<bool> seen(n_cells, false);
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const std::vector<std::string> fields = split_csv_row(line);
+    const std::vector<std::string> fields = ResultWriter::split_csv_row(line);
     if (fields.size() != header.size()) {
       throw std::runtime_error("tournament score: malformed row: " + line);
     }

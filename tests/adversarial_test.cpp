@@ -28,8 +28,7 @@ exp::ScenarioConfig overload_lan(const std::string& defense,
                                  const std::string& bad_strategy,
                                  std::vector<std::pair<std::string, double>> knobs = {}) {
   exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/5, /*bad=*/5, /*capacity_rps=*/6.0,
-                                              exp::DefenseMode::kAuction, /*seed=*/42);
-  cfg.defense = defense;
+                                              defense, /*seed=*/42);
   cfg.duration = Duration::seconds(6.0);
   cfg.elastic_interval = Duration::seconds(1.0);
   cfg.groups[0].workload.request_timeout = Duration::seconds(2.0);

@@ -24,17 +24,9 @@ using core::FrontEndFactory;
 
 exp::ScenarioConfig short_lan(const std::string& defense) {
   exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/3, /*bad=*/3, /*capacity_rps=*/50.0,
-                                              exp::DefenseMode::kAuction, /*seed=*/17);
-  cfg.defense = defense;
+                                              defense, /*seed=*/17);
   cfg.duration = Duration::seconds(2.0);
   return cfg;
-}
-
-TEST(FrontEndFactory, BuiltinsAreRegistered) {
-  FrontEndFactory& f = FrontEndFactory::instance();
-  for (const exp::DefenseMode m : exp::kAllDefenseModes) {
-    EXPECT_TRUE(f.contains(exp::to_string(m))) << exp::to_string(m);
-  }
 }
 
 TEST(FrontEndFactory, NamesAreSortedAndUnique) {
@@ -100,17 +92,6 @@ TEST(FrontEndFactory, RegistersTheSixBuiltins) {
   for (const char* name : {"none", "retry", "auction", "quantum", "elastic", "puzzle"}) {
     EXPECT_TRUE(FrontEndFactory::instance().contains(name)) << name;
   }
-}
-
-TEST(Scenario, ParseDefenseModeRoundTrips) {
-  for (const exp::DefenseMode m : exp::kAllDefenseModes) {
-    const auto parsed = exp::parse_defense_mode(exp::to_string(m));
-    ASSERT_TRUE(parsed.has_value()) << exp::to_string(m);
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(exp::parse_defense_mode("").has_value());
-  EXPECT_FALSE(exp::parse_defense_mode("Auction").has_value());
-  EXPECT_FALSE(exp::parse_defense_mode("nonesuch").has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 // files' goldens and the run half, write_report. The pass enumerates
 // scenarios/*.json, so a new scenario file without pins, a "report" key
 // without a golden, and a golden that no file prints all fail here.
-// million_clients.json is left out for its 10^5-client cost.
+// million_clients.json is left out for its 10^5-client cost. The story_*
+// files also have their paper point checked from the same run.
 //
 // The pins guard behavior-invisibility: rewriting the event representation,
 // the timer store, the TCP out-of-order tracker, the Link packet pipeline or
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "core/theory.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
@@ -204,6 +207,21 @@ const std::vector<Pin> kPins = {
     {"defenses.json", "defenses/quantum", "051e5a9bc69dc2f9"},
     {"defenses.json", "defenses/elastic", "1677cddc799bd4ed"},
     {"defenses.json", "defenses/puzzle", "533102968d87e2e6"},
+    // The paper's stories: each row equals the fingerprint of the hand-built
+    // config of the C++ example the file replaced, captured by running those
+    // configs at the commit before the examples were deleted.
+    {"story_extortion.json", "none/bots10", "67b43482f0928f18"},
+    {"story_extortion.json", "auction/bots10", "43e267670d5e2430"},
+    {"story_extortion.json", "none/bots40", "5638c509833229f7"},
+    {"story_extortion.json", "auction/bots40", "91e7dde866eb9371"},
+    {"story_extortion.json", "none/bots120", "8713b0934c3ec07e"},
+    {"story_extortion.json", "auction/bots120", "4c81f81f188f43fe"},
+    {"story_flash_crowd.json", "crowd/none", "4cf05b8ce8d244aa"},
+    {"story_flash_crowd.json", "crowd/auction", "9bef25ea62544550"},
+    {"story_hard_queries.json", "auction", "d3fe223a09fcf92c"},
+    {"story_hard_queries.json", "quantum", "5c2cf79e9a4ef113"},
+    {"story_payment_proxy.json", "no-proxy", "c9a977c8c6df80af"},
+    {"story_payment_proxy.json", "proxy", "e9377d2d90d7e82e"},
 };
 
 struct CheckedFile {
@@ -303,6 +321,77 @@ TEST(HotPathFingerprint, DefenseSweepMatchesPerDefenseFrontEndPins) {
   EXPECT_GT(counter(3, "aborts"), 0);
   EXPECT_GT(counter(4, "elastic_scale_ups"), 0);
   EXPECT_GT(counter(5, "puzzle_admitted"), 0);
+}
+
+// Each story file must make its paper point from the rows pinned above.
+
+// §9 bandwidth envy: a payment proxy for the DSL group (groups dsl, cable,
+// bots) at least doubles its allocation and closes its gap to cable.
+TEST(Story, PaymentProxyCuresBandwidthEnvy) {
+  const std::vector<RunOutcome>& out = check_pins("story_payment_proxy.json");
+  ASSERT_EQ(out.size(), 2U);
+  const ExperimentResult& off = out[0].result;
+  const ExperimentResult& on = out[1].result;
+  const auto gap = [](const ExperimentResult& r) {
+    return std::abs(r.groups[1].allocation - r.groups[0].allocation);
+  };
+  EXPECT_GE(on.groups[0].allocation, 2 * off.groups[0].allocation);
+  EXPECT_LT(gap(on), gap(off));
+  EXPECT_GT(on.proxy_payments_started, 0);
+}
+
+// §5: against 10x-hard queries the quantum auction at least doubles the
+// good clients' share of server time over the flat auction.
+TEST(Story, QuantumAuctionRestoresServerTimeAgainstHardQueries) {
+  const std::vector<RunOutcome>& out = check_pins("story_hard_queries.json");
+  ASSERT_EQ(out.size(), 2U);
+  const ExperimentResult& flat = out[0].result;
+  const ExperimentResult& quantum = out[1].result;
+  EXPECT_GE(quantum.server_time_good, 2 * flat.server_time_good);
+  EXPECT_GT(quantum.thinner.counters.get("suspensions"), 0);
+}
+
+// §9 flash crowd: speak-up serves more of an all-good overload than the
+// undefended server, and more evenly across its clients.
+TEST(Story, SpeakUpServesAFlashCrowdMoreAndMoreEvenly) {
+  const std::vector<RunOutcome>& out = check_pins("story_flash_crowd.json");
+  ASSERT_EQ(out.size(), 2U);
+  const ExperimentResult& none = out[0].result;
+  const ExperimentResult& auction = out[1].result;
+  const auto min_over_max = [](const ExperimentResult& r) {
+    const std::vector<std::int64_t>& served = r.groups[0].served_per_client;
+    const auto [lo, hi] = std::minmax_element(served.begin(), served.end());
+    return static_cast<double>(*lo) / static_cast<double>(*hi);
+  };
+  EXPECT_GT(auction.fraction_good_served, none.fraction_good_served);
+  EXPECT_GT(min_over_max(auction), min_over_max(none));
+}
+
+// §1 extortion: under speak-up the customers stay served (>= 0.95) exactly
+// when the server meets the §3.1 rule c >= g(1 + B/G) for the botnet.
+TEST(Story, ExtortionBotnetsAreSurvivedWhenProvisionedForThem) {
+  const std::vector<RunOutcome>& out = check_pins("story_extortion.json");
+  ASSERT_EQ(out.size(), 6U);
+  int provisioned = 0;
+  int underprovisioned = 0;
+  for (const RunOutcome& o : out) {
+    if (o.config.defense != "auction") continue;
+    const ClientGroupSpec& customers = o.config.groups[0];
+    const ClientGroupSpec& bots = o.config.groups[1];
+    const double cid = core::theory::ideal_provisioning(
+        customers.count * customers.workload.lambda,
+        customers.count * customers.access_bw.mbits_per_sec(),
+        bots.count * bots.access_bw.mbits_per_sec());
+    if (o.config.capacity_rps >= cid) {
+      ++provisioned;
+      EXPECT_GE(o.result.fraction_good_served, 0.95) << o.label;
+    } else {
+      ++underprovisioned;
+      EXPECT_LT(o.result.fraction_good_served, 0.95) << o.label;
+    }
+  }
+  EXPECT_EQ(provisioned, 2);
+  EXPECT_EQ(underprovisioned, 1);
 }
 
 // A file's "report" key names its golden; an auction_game file has no such

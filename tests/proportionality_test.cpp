@@ -27,7 +27,7 @@ class AllocationVsFraction : public ::testing::TestWithParam<FractionCase> {};
 TEST_P(AllocationVsFraction, TracksBandwidthShare) {
   const auto& p = GetParam();
   ScenarioConfig cfg =
-      lan_scenario(p.good, p.bad, /*capacity=*/32.0, DefenseMode::kAuction, /*seed=*/51);
+      lan_scenario(p.good, p.bad, /*capacity=*/32.0, "auction", /*seed=*/51);
   cfg.duration = Duration::seconds(25.0);
   const ExperimentResult r = run_scenario(cfg);
   const double f = static_cast<double>(p.good) / (p.good + p.bad);
@@ -61,7 +61,7 @@ class AllocationVsBandwidth : public ::testing::TestWithParam<BwRatioCase> {};
 TEST_P(AllocationVsBandwidth, ServedRatioTracksBandwidthRatio) {
   const auto& p = GetParam();
   ScenarioConfig cfg;
-  cfg.mode = DefenseMode::kAuction;
+  cfg.defense = "auction";
   cfg.capacity_rps = 8.0;
   cfg.seed = 52;
   cfg.duration = Duration::seconds(30.0);
@@ -103,7 +103,7 @@ class ServiceVsCapacity : public ::testing::TestWithParam<CapacityCase> {};
 
 TEST_P(ServiceVsCapacity, GoodServiceRateNearTheoryGoal) {
   const double c = GetParam().capacity;
-  ScenarioConfig cfg = lan_scenario(8, 8, c, DefenseMode::kAuction, /*seed=*/53);
+  ScenarioConfig cfg = lan_scenario(8, 8, c, "auction", /*seed=*/53);
   cfg.duration = Duration::seconds(30.0);
   const ExperimentResult r = run_scenario(cfg);
   const double g_demand = 8 * 2.0;
@@ -120,10 +120,10 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CapacityCase>& i) { return i.param.name; });
 
 // ---------------------------------------------------------------------------
-// Sweep 4: determinism across every defense mode (same seed, same numbers).
+// Sweep 4: determinism across every built-in defense (same seed, same numbers).
 // ---------------------------------------------------------------------------
 
-class ModeDeterminism : public ::testing::TestWithParam<DefenseMode> {};
+class ModeDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ModeDeterminism, IdenticalSeedsGiveIdenticalRuns) {
   ScenarioConfig cfg = lan_scenario(4, 4, 20.0, GetParam(), /*seed=*/54);
@@ -137,12 +137,8 @@ TEST_P(ModeDeterminism, IdenticalSeedsGiveIdenticalRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ModeDeterminism,
-                         ::testing::Values(DefenseMode::kNone, DefenseMode::kAuction,
-                                           DefenseMode::kRetry,
-                                           DefenseMode::kQuantumAuction),
-                         [](const ::testing::TestParamInfo<DefenseMode>& i) {
-                           return to_string(i.param);
-                         });
+                         ::testing::Values("none", "auction", "retry", "quantum"),
+                         [](const ::testing::TestParamInfo<std::string>& i) { return i.param; });
 
 }  // namespace
 }  // namespace speakup::exp

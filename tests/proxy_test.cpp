@@ -85,7 +85,7 @@ TEST(PaymentProxy, PaysOnBehalfOfClientsUnderLoad) {
 }
 
 TEST(PaymentProxy, ExperimentValidatesConfig) {
-  exp::ScenarioConfig cfg = exp::lan_scenario(2, 0, 10.0, exp::DefenseMode::kAuction, 1);
+  exp::ScenarioConfig cfg = exp::lan_scenario(2, 0, 10.0, "auction", 1);
   cfg.duration = Duration::seconds(5.0);
   cfg.groups[0].via_proxy = true;  // no proxy configured
   EXPECT_THROW(exp::Experiment{cfg}, std::invalid_argument);
@@ -96,7 +96,7 @@ TEST(PaymentProxy, CuresBandwidthEnvyEndToEnd) {
   // served at the proxy's bandwidth, not their own.
   auto build = [](bool with_proxy) {
     exp::ScenarioConfig cfg;
-    cfg.mode = exp::DefenseMode::kAuction;
+    cfg.defense = "auction";
     cfg.capacity_rps = 20.0;
     cfg.seed = 17;
     cfg.duration = Duration::seconds(30.0);

@@ -358,7 +358,7 @@ TEST(RandomizedProperty, ThinnerByteAccountingConserves) {
     const int good = 2 + static_cast<int>(rng.uniform_int(0, 4));
     const int bad = 2 + static_cast<int>(rng.uniform_int(0, 4));
     const double c = 5.0 + 10.0 * rng.uniform();
-    exp::ScenarioConfig cfg = exp::lan_scenario(good, bad, c, exp::DefenseMode::kAuction,
+    exp::ScenarioConfig cfg = exp::lan_scenario(good, bad, c, "auction",
                                                 200 + static_cast<std::uint64_t>(trial));
     cfg.duration = Duration::seconds(15.0);
     exp::Experiment e(cfg);
@@ -386,7 +386,7 @@ TEST(RandomizedProperty, ServedCountsMatchBetweenThinnerAndClients) {
     exp::ScenarioConfig cfg =
         exp::lan_scenario(3 + static_cast<int>(rng.uniform_int(0, 3)),
                           3 + static_cast<int>(rng.uniform_int(0, 3)), 20.0,
-                          exp::DefenseMode::kAuction, 300 + static_cast<std::uint64_t>(trial));
+                          "auction", 300 + static_cast<std::uint64_t>(trial));
     cfg.duration = Duration::seconds(15.0);
     const exp::ExperimentResult r = exp::run_scenario(cfg);
     std::int64_t client_served = 0;

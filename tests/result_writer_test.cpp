@@ -29,7 +29,7 @@ namespace json = util::json;
 RunOutcome synthetic_outcome(const std::string& label, std::uint64_t seed) {
   RunOutcome o;
   o.label = label;
-  o.config = exp::lan_scenario(2, 2, 100.0, exp::DefenseMode::kAuction, seed);
+  o.config = exp::lan_scenario(2, 2, 100.0, "auction", seed);
   o.config.duration = Duration::seconds(60.0);
   o.result.defense = "auction";
   o.result.served_total = 120;
@@ -77,7 +77,7 @@ TEST(ResultWriter, CsvHeaderAndRowShape) {
 TEST(ResultWriter, FailedOutcomeRowIsGolden) {
   RunOutcome o;
   o.label = "broken";
-  o.config = exp::lan_scenario(1, 0, 50.0, exp::DefenseMode::kRetry, 4);
+  o.config = exp::lan_scenario(1, 0, 50.0, "retry", 4);
   o.config.duration = Duration::seconds(10.0);
   o.error = "something fell over";
   EXPECT_EQ(ResultWriter::csv_row(2, o),

@@ -40,7 +40,7 @@ TEST(ScenarioIo, MinimalFileUsesConfigDefaults) {
   const LabeledScenario& s = f.scenarios[0];
   EXPECT_EQ(s.index, 0u);
   EXPECT_EQ(s.label, "retry");
-  EXPECT_EQ(s.config.defense_name(), "retry");
+  EXPECT_EQ(s.config.defense, "retry");
   // Untouched knobs keep the ScenarioConfig defaults.
   const exp::ScenarioConfig defaults;
   EXPECT_DOUBLE_EQ(s.config.capacity_rps, defaults.capacity_rps);
@@ -106,7 +106,7 @@ TEST(ScenarioIo, GridExpandsCrossProductInOrder) {
     EXPECT_EQ(f.scenarios[i].index, i);
   }
   EXPECT_DOUBLE_EQ(f.scenarios[4].config.capacity_rps, 100.0);
-  EXPECT_EQ(f.scenarios[4].config.defense_name(), "auction");
+  EXPECT_EQ(f.scenarios[4].config.defense, "auction");
 }
 
 TEST(ScenarioIo, GridReachesNestedPathsAndLanTotal) {
@@ -166,7 +166,7 @@ TEST(ScenarioIo, GroupAndLinkKnobsParse) {
   })");
   ASSERT_EQ(f.scenarios.size(), 1u);
   const exp::ScenarioConfig& c = f.scenarios[0].config;
-  EXPECT_EQ(c.defense_name(), "quantum");
+  EXPECT_EQ(c.defense, "quantum");
   EXPECT_EQ(c.quantum, Duration::seconds(0.02));
   EXPECT_EQ(c.payment_window, Duration::seconds(5.0));
   EXPECT_EQ(c.response_body, 500);
@@ -245,7 +245,7 @@ TEST(ScenarioIo, ParsedScenarioMatchesHandBuiltFingerprint) {
   })");
   ASSERT_EQ(f.scenarios.size(), 1u);
   exp::ScenarioConfig hand =
-      exp::lan_scenario(3, 3, 50.0, exp::DefenseMode::kAuction, 17);
+      exp::lan_scenario(3, 3, 50.0, "auction", 17);
   hand.duration = Duration::seconds(2.0);
   const exp::ExperimentResult from_file = exp::run_scenario(f.scenarios[0].config);
   const exp::ExperimentResult from_hand = exp::run_scenario(hand);
@@ -556,7 +556,7 @@ TEST(ScenarioFiles, Fig4AndSec74ExpandToTheBenchGrids) {
   std::set<std::string> labels;
   for (const auto& s : fig4.scenarios) {
     labels.insert(s.label);
-    EXPECT_EQ(s.config.defense_name(), "auction");
+    EXPECT_EQ(s.config.defense, "auction");
     EXPECT_EQ(s.config.seed, 23u);
   }
   EXPECT_TRUE(labels.count("c50"));
@@ -597,14 +597,14 @@ TEST(ScenarioFiles, AdversaryFilesSweepEveryDefenseWithTheirStrategy) {
     EXPECT_EQ(f.scenarios.size(), count) << name;
     std::set<std::string> defenses;
     for (const auto& s : f.scenarios) {
-      defenses.insert(s.config.defense_name());
+      defenses.insert(s.config.defense);
       ASSERT_EQ(s.config.groups.size(), 2u) << name;
       EXPECT_EQ(s.config.groups[0].workload.strategy, "poisson") << name;
       EXPECT_EQ(s.config.groups[1].workload.strategy, strategy) << name;
     }
     // Each adversary file sweeps every built-in defense.
-    for (const exp::DefenseMode m : exp::kAllDefenseModes) {
-      EXPECT_TRUE(defenses.count(exp::to_string(m))) << name << " " << exp::to_string(m);
+    for (const char* defense : {"none", "retry", "auction", "quantum"}) {
+      EXPECT_TRUE(defenses.count(defense)) << name << " " << defense;
     }
   }
 }
@@ -702,6 +702,48 @@ TEST(ScenarioIoErrors, AuctionGameValuesOutOfRangeNameTheKey) {
       load(write_spec("ag_ok.json", spec("7", "2147483647", "0, 0.5")));
   EXPECT_EQ(ok.ticks_quick, 2147483647);
   EXPECT_EQ(ok.delta.back(), 0.5);
+}
+
+// JSON numbers are doubles: past 2^53 they skip integers, so the file's
+// seed 9007199254740993 reads as 9007199254740992 and two rows labeled
+// with different seeds would run the same one. Every way a row gets its
+// seed (entry, defaults, grid axis, auction_game file) refuses a seed at or
+// past 2^53, naming the key.
+TEST(ScenarioIoErrors, SeedAtOrPast2To53NamesTheKey) {
+  const std::string kTooBig = "seed: must be < 2^53 = 9007199254740992";
+  expect_parse_error(R"({"scenarios": [{"seed": 9007199254740993, "seeds": 2}]})",
+                     "scenarios[0]." + kTooBig + " (got 9007199254740992)");
+  expect_parse_error(R"({"defaults": {"seed": 9007199254740992}, "scenarios": [{}]})",
+                     "scenarios[0]." + kTooBig);
+  expect_parse_error(
+      R"({"scenarios": [{}, {"label": "{seed}", "grid": {"seed": [1, 9007199254740992]}}]})",
+      "scenarios[1]." + kTooBig);
+  const std::string game =
+      write_spec("ag_seed_2to53.json",
+                 R"({"kind": "auction_game", "seed": 9007199254740992, "stream": "s", )"
+                 R"("ticks_quick": 1, "ticks_full": 1, "grid": {"eps": [0.1], "delta": [0], )"
+                 R"("adversary": ["single-saver"]}})");
+  expect_spec_error(exp::load_auction_game_file, game, kTooBig);
+  // The largest exact seed still runs under its own label.
+  const ScenarioFile f =
+      parse_scenario_file(R"({"scenarios": [{"label": "s", "seed": 9007199254740991}]})");
+  EXPECT_EQ(f.scenarios[0].config.seed, 9007199254740991U);
+}
+
+// A seed range from "seed" through "seed" + "seeds" - 1 must stay below
+// 2^53 too, or its last rows would run rounded seeds.
+TEST(ScenarioIoErrors, SeedRangePast2To53NamesTheSeedsKey) {
+  expect_parse_error(R"({"scenarios": [{"seed": 9007199254740990, "seeds": 3}]})",
+                     "scenarios[0].seeds: 3 seeds from 9007199254740990 reach 2^53");
+  expect_parse_error(R"({"defaults": {"seed": 9007199254740991}, )"
+                     R"("scenarios": [{}, {"label": "x", "seeds": 2}]})",
+                     "scenarios[1].seeds");
+  const ScenarioFile f = parse_scenario_file(
+      R"({"scenarios": [{"label": "s", "seed": 9007199254740990, "seeds": 2}]})");
+  ASSERT_EQ(f.scenarios.size(), 2U);
+  EXPECT_EQ(f.scenarios[0].label, "s/seed9007199254740990");
+  EXPECT_EQ(f.scenarios[1].label, "s/seed9007199254740991");
+  EXPECT_EQ(f.scenarios[1].config.seed, 9007199254740991U);
 }
 
 // `run`, `dispatch` and `worker` load their file as a scenario file; an

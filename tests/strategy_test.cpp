@@ -40,8 +40,7 @@ exp::ScenarioConfig lan_with_strategy(const std::string& strategy,
                                       std::vector<std::pair<std::string, double>> knobs = {},
                                       const std::string& defense = "auction") {
   exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/3, /*bad=*/3, /*capacity_rps=*/50.0,
-                                              exp::DefenseMode::kAuction, /*seed=*/31);
-  cfg.defense = defense;
+                                              defense, /*seed=*/31);
   cfg.duration = Duration::seconds(4.0);
   cfg.groups[1].workload.strategy = strategy;
   cfg.groups[1].workload.strategy_knobs = std::move(knobs);
@@ -132,8 +131,7 @@ TEST(StrategyFactory, EveryRegisteredStrategyRunsAScenario) {
 // ---------------------------------------------------------------------------
 
 TEST(Strategy, DefaultPoissonMatchesExplicitPoissonFingerprint) {
-  exp::ScenarioConfig implicit = exp::lan_scenario(3, 3, 50.0,
-                                                   exp::DefenseMode::kAuction, 17);
+  exp::ScenarioConfig implicit = exp::lan_scenario(3, 3, 50.0, "auction", 17);
   implicit.duration = Duration::seconds(2.0);
   exp::ScenarioConfig explicit_cfg = implicit;
   for (auto& g : explicit_cfg.groups) g.workload.strategy = "poisson";
@@ -442,8 +440,7 @@ TEST(StrategyDeterminism, OnOffAndDefectorAreFingerprintIdenticalAcrossThreadCou
 // ---------------------------------------------------------------------------
 
 TEST(StrategyResults, StrategyTotalsMergeGroupsByStrategy) {
-  exp::ScenarioConfig cfg = exp::lan_scenario(2, 2, 50.0,
-                                              exp::DefenseMode::kAuction, 13);
+  exp::ScenarioConfig cfg = exp::lan_scenario(2, 2, 50.0, "auction", 13);
   cfg.duration = Duration::seconds(2.0);
   // Two groups on poisson (good+bad), one on onoff.
   exp::ClientGroupSpec extra;

@@ -91,8 +91,7 @@ TEST(Topology, UplinkSaturationDelaysUnrelatedControlTraffic) {
 TEST(Topology, ExperimentRunsStarTopologyAtPaperScale) {
   // 50 clients (the paper's count) at 60 s: a smoke test that the full
   // experiment machinery holds up at evaluation scale.
-  exp::ScenarioConfig cfg =
-      exp::lan_scenario(25, 25, 100.0, exp::DefenseMode::kAuction, /*seed=*/61);
+  exp::ScenarioConfig cfg = exp::lan_scenario(25, 25, 100.0, "auction", /*seed=*/61);
   cfg.duration = Duration::seconds(20.0);
   const exp::ExperimentResult r = exp::run_scenario(cfg);
   EXPECT_GT(r.served_total, 1500);           // ~c * duration
@@ -105,7 +104,7 @@ TEST(Topology, CollateralBaselineMatchesPathPhysics) {
   // Downloader alone across the §7.7 bottleneck: 1 KB download needs
   // SYN/SYN-ACK (1 RTT) + request/response (1 RTT) over a ~0.41 s RTT path.
   exp::ScenarioConfig cfg;
-  cfg.mode = exp::DefenseMode::kAuction;
+  cfg.defense = "auction";
   cfg.capacity_rps = 2.0;
   cfg.seed = 62;
   cfg.duration = Duration::seconds(120.0);

@@ -158,7 +158,7 @@ TEST(TournamentExpansion, CellsAreCompleteAndDefenseMajor) {
       const exp::LabeledScenario& cell = file.scenarios[index];
       EXPECT_EQ(cell.index, index);
       EXPECT_EQ(cell.label, spec.defenses[d] + "|" + spec.strategies[s]);
-      EXPECT_EQ(cell.config.defense_name(), spec.defenses[d]);
+      EXPECT_EQ(cell.config.defense, spec.defenses[d]);
       ASSERT_EQ(cell.config.groups.size(), 2u);
       EXPECT_EQ(cell.config.groups[1].workload.strategy, spec.strategies[s]);
       // The strategy column makes every cell row self-describing

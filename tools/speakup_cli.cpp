@@ -224,7 +224,7 @@ int cmd_run(const std::vector<std::string>& args) {
     std::printf("index\tlabel\tdefense\tstrategies\tseed\tcapacity_rps\tduration_s\n");
     for (const exp::LabeledScenario& s : slice) {
       std::printf("%zu\t%s\t%s\t%s\t%llu\t%s\t%s\n", s.index, s.label.c_str(),
-                  s.config.defense_name().c_str(), s.config.strategy_names().c_str(),
+                  s.config.defense.c_str(), s.config.strategy_names().c_str(),
                   static_cast<unsigned long long>(s.config.seed),
                   util::json::number_to_string(s.config.capacity_rps).c_str(),
                   util::json::number_to_string(s.config.duration.sec()).c_str());
@@ -625,7 +625,7 @@ int cmd_validate(const std::vector<std::string>& args) {
   if (!file.description.empty()) std::printf("description: %s\n", file.description.c_str());
   for (const exp::LabeledScenario& s : file.scenarios) {
     std::printf("  [%zu] %s  (defense=%s seed=%llu capacity=%g duration=%gs)\n",
-                s.index, s.label.c_str(), s.config.defense_name().c_str(),
+                s.index, s.label.c_str(), s.config.defense.c_str(),
                 static_cast<unsigned long long>(s.config.seed), s.config.capacity_rps,
                 s.config.duration.sec());
   }
