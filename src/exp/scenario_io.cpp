@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
-#include <numeric>
+#include <map>
 #include <optional>
 #include <sstream>
-#include <tuple>
+#include <type_traits>
+#include <variant>
 
 #include "client/strategy.hpp"
 #include "core/auction_game.hpp"
@@ -30,124 +32,18 @@ namespace {
   fail(ctx, std::string("expected ") + wanted + ", got " + json::type_name(v.type()));
 }
 
+std::string got(double d, const char* unit = "") {
+  return " (got " + json::number_to_string(d) + unit + ")";
+}
+
 double num_of(const json::Value& v, const std::string& ctx) {
   if (!v.is_number()) wrong_type(ctx, "number", v);
   return v.as_number();
 }
 
-double positive_num(const json::Value& v, const std::string& ctx) {
-  const double d = num_of(v, ctx);
-  if (d <= 0) fail(ctx, "must be > 0 (got " + json::number_to_string(d) + ")");
-  return d;
-}
-
-double nonneg_num(const json::Value& v, const std::string& ctx) {
-  const double d = num_of(v, ctx);
-  if (d < 0) fail(ctx, "must be >= 0 (got " + json::number_to_string(d) + ")");
-  return d;
-}
-
-std::int64_t int_of(const json::Value& v, const std::string& ctx) {
-  if (!v.is_number()) wrong_type(ctx, "integer", v);
-  try {
-    return v.as_int();
-  } catch (const json::Error&) {
-    const double d = v.as_number();
-    fail(ctx, std::string(std::floor(d) == d ? "must lie within int64" : "must be an integer") +
-                  " (got " + json::number_to_string(d) + ")");
-  }
-}
-
-std::int64_t nonneg_int(const json::Value& v, const std::string& ctx) {
-  const std::int64_t i = int_of(v, ctx);
-  if (i < 0) fail(ctx, "must be >= 0 (got " + std::to_string(i) + ")");
-  return i;
-}
-
-std::int64_t positive_int(const json::Value& v, const std::string& ctx) {
-  const std::int64_t i = int_of(v, ctx);
-  if (i <= 0) fail(ctx, "must be > 0 (got " + std::to_string(i) + ")");
-  return i;
-}
-
-/// Seeds stay below 2^53: JSON numbers are doubles, so a larger integer
-/// may already have been rounded to a neighbour, and a row would run (and
-/// be labeled with) a seed the file did not write.
-constexpr std::uint64_t kSeedLimit = std::uint64_t{1} << 53;
-
-/// A seed: an integer in [0, 2^53).
-std::uint64_t seed_of(const json::Value& v, const std::string& ctx) {
-  const auto seed = static_cast<std::uint64_t>(nonneg_int(v, ctx));
-  if (seed >= kSeedLimit) {
-    fail(ctx, "must be < 2^53 = " + std::to_string(kSeedLimit) +
-                  " (got " + std::to_string(seed) + "); past it a JSON number skips integers");
-  }
-  return seed;
-}
-
-/// A link rate in Mbit/s. Bandwidth holds integer bits per second, so a
-/// value that rounds to 0 bit/s or past INT64_MAX would reach the link
-/// model as a rate it cannot serialize at: refuse both, naming the key.
-Bandwidth link_rate(const json::Value& v, const std::string& ctx) {
-  const double mbps = positive_num(v, ctx);
-  const double bps = mbps * 1e6 + 0.5;  // Bandwidth::mbps's rounding
-  if (bps < 1.0) {
-    fail(ctx, "rounds to 0 bit/s (got " + json::number_to_string(mbps) +
-                  " Mbit/s); a link needs at least 1 bit/s");
-  }
-  if (!(bps < 0x1p63)) {
-    fail(ctx, "overflows int64 bit/s (got " + json::number_to_string(mbps) +
-                  " Mbit/s); rates must stay below 9.2e12 Mbit/s");
-  }
-  return Bandwidth::mbps(mbps);
-}
-
-/// A link delay in microseconds; its nanoseconds must fit in int64.
-Duration link_delay(const json::Value& v, const std::string& ctx) {
-  constexpr std::int64_t kMaxMicros = std::numeric_limits<std::int64_t>::max() / 1000;
-  const std::int64_t us = nonneg_int(v, ctx);
-  if (us > kMaxMicros) {
-    fail(ctx, "must be <= " + std::to_string(kMaxMicros) + " (got " + std::to_string(us) +
-                  ", whose nanoseconds overflow int64)");
-  }
-  return Duration::micros(us);
-}
-
-/// A duration in seconds. Duration holds int64 nanoseconds, so a value
-/// whose nanoseconds reach 2^63 would wrap, and a `positive` one that rounds
-/// to 0 ns would reach the model as zero: refuse both, naming the key.
-Duration seconds_key(const json::Value& v, const std::string& ctx, bool positive) {
-  const double s = positive ? positive_num(v, ctx) : nonneg_num(v, ctx);
-  const double ns = s * 1e9 + 0.5;  // Duration::seconds's rounding
-  if (!(ns < 0x1p63)) {
-    fail(ctx, "overflows int64 nanoseconds (got " + json::number_to_string(s) +
-                  " s); durations must stay below 9.2e9 s");
-  }
-  if (positive && ns < 1.0) {
-    fail(ctx, "rounds to 0 ns (got " + json::number_to_string(s) +
-                  " s); it must be at least 5e-10 s");
-  }
-  return Duration::seconds(s);
-}
-
-/// An integer bound for an `int` field: values past INT_MAX fail naming the
-/// key instead of wrapping.
-int narrow(std::int64_t i, const std::string& ctx) {
-  if (i > std::numeric_limits<int>::max()) {
-    fail(ctx, "must be <= " + std::to_string(std::numeric_limits<int>::max()) + " (got " +
-                  std::to_string(i) + ")");
-  }
-  return static_cast<int>(i);
-}
-
 const std::string& str_of(const json::Value& v, const std::string& ctx) {
   if (!v.is_string()) wrong_type(ctx, "string", v);
   return v.as_string();
-}
-
-bool bool_of(const json::Value& v, const std::string& ctx) {
-  if (!v.is_bool()) wrong_type(ctx, "bool", v);
-  return v.as_bool();
 }
 
 const json::Value::Object& obj_of(const json::Value& v, const std::string& ctx) {
@@ -158,6 +54,114 @@ const json::Value::Object& obj_of(const json::Value& v, const std::string& ctx) 
 const json::Value::Array& arr_of(const json::Value& v, const std::string& ctx) {
   if (!v.is_array()) wrong_type(ctx, "array", v);
   return v.as_array();
+}
+
+/// A number for which `ok` holds; otherwise fails "must be <rule>".
+double num_where(const json::Value& v, const std::string& ctx, bool ok(double),
+                 const char* rule) {
+  const double d = num_of(v, ctx);
+  if (!ok(d)) fail(ctx, std::string("must be ") + rule + got(d));
+  return d;
+}
+
+bool positive(double d) { return d > 0; }
+bool nonnegative(double d) { return d >= 0; }
+
+/// An integer in [lo, hi], lo being 0 or 1.
+std::int64_t int_in(const json::Value& v, const std::string& ctx, std::int64_t lo,
+                    std::int64_t hi, const char* past_hi = "") {
+  if (!v.is_number()) wrong_type(ctx, "integer", v);
+  const double d = v.as_number();
+  if (std::floor(d) != d) fail(ctx, "must be an integer" + got(d));
+  if (!(d >= -0x1p63 && d < 0x1p63)) fail(ctx, "must lie within int64" + got(d));
+  const auto i = static_cast<std::int64_t>(d);
+  const std::string was = " (got " + std::to_string(i);
+  if (i < lo) fail(ctx, (lo > 0 ? "must be > 0" : "must be >= 0") + was + ")");
+  if (i > hi) fail(ctx, "must be <= " + std::to_string(hi) + was + past_hi + ")");
+  return i;
+}
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Seeds stay below 2^53: JSON numbers are doubles, so a larger integer
+/// may already have been rounded to a neighbour, and a row would run (and
+/// be labeled with) a seed the file did not write.
+constexpr std::uint64_t kSeedLimit = std::uint64_t{1} << 53;
+
+/// The value of `v` as `kind` states it: JSON type, range and unit, each
+/// failure naming `ctx`. One alternative per type a table row stores.
+std::variant<double, int, std::int64_t, std::uint64_t, bool, std::string, Duration, Bandwidth>
+parse_value(KeyKind kind, const json::Value& v, const std::string& ctx) {
+  switch (kind) {
+    case KeyKind::kString: return str_of(v, ctx);
+    case KeyKind::kBool:
+      if (!v.is_bool()) wrong_type(ctx, "bool", v);
+      return v.as_bool();
+    case KeyKind::kNumber: return num_where(v, ctx, positive, "> 0");
+    case KeyKind::kRate: {
+      // Past 2e9 every arrival gap rounds to 0 ns: the clock would stand
+      // still while the backlog grows without bound.
+      const double rate = num_where(v, ctx, positive, "> 0");
+      if (rate > 2e9) {
+        fail(ctx, "must be <= 2e9" + got(rate) + "; a mean gap under 5e-10 s rounds to 0 ns");
+      }
+      return rate;
+    }
+    case KeyKind::kScale: return num_where(v, ctx, [](double d) { return d >= 1; }, ">= 1");
+    case KeyKind::kFraction:
+      return num_where(v, ctx, [](double d) { return d > 0 && d <= 1; }, "in (0, 1]");
+    case KeyKind::kInt: return static_cast<int>(int_in(v, ctx, 0, kIntMax));
+    case KeyKind::kPositiveInt: return static_cast<int>(int_in(v, ctx, 1, kIntMax));
+    case KeyKind::kInt64: return int_in(v, ctx, 0, kInt64Max);
+    case KeyKind::kPositiveInt64: return int_in(v, ctx, 1, kInt64Max);
+    case KeyKind::kRowCount: return static_cast<int>(int_in(v, ctx, 1, kMaxScenarioRows));
+    case KeyKind::kSeconds:
+    case KeyKind::kSecondsOrZero: {
+      const bool must_be_positive = kind == KeyKind::kSeconds;
+      const double s = must_be_positive ? num_where(v, ctx, positive, "> 0")
+                                        : num_where(v, ctx, nonnegative, ">= 0");
+      const double ns = s * 1e9 + 0.5;  // Duration::seconds's rounding
+      if (!(ns < 0x1p63)) {
+        fail(ctx, "overflows int64 nanoseconds" + got(s, " s") +
+                      "; durations must stay below 9.2e9 s");
+      }
+      if (must_be_positive && ns < 1.0) {
+        fail(ctx, "rounds to 0 ns" + got(s, " s") + "; it must be at least 5e-10 s");
+      }
+      return Duration::seconds(s);
+    }
+    case KeyKind::kMbps: {
+      const double mbps = num_where(v, ctx, positive, "> 0");
+      const double bps = mbps * 1e6 + 0.5;  // Bandwidth::mbps's rounding
+      if (bps < 1.0) {
+        fail(ctx, "rounds to 0 bit/s" + got(mbps, " Mbit/s") + "; a link needs at least 1 bit/s");
+      }
+      if (!(bps < 0x1p63)) {
+        fail(ctx, "overflows int64 bit/s" + got(mbps, " Mbit/s") +
+                      "; rates must stay below 9.2e12 Mbit/s");
+      }
+      return Bandwidth::mbps(mbps);
+    }
+    case KeyKind::kMicros:
+      return Duration::micros(
+          int_in(v, ctx, 0, kInt64Max / 1000, ", whose nanoseconds overflow int64"));
+    case KeyKind::kSeed: {
+      const auto seed = static_cast<std::uint64_t>(int_in(v, ctx, 0, kInt64Max));
+      if (seed >= kSeedLimit) {
+        fail(ctx, "must be < 2^53 = " + std::to_string(kSeedLimit) + " (got " +
+                      std::to_string(seed) + "); past it a JSON number skips integers");
+      }
+      return seed;
+    }
+    case KeyKind::kCode: break;
+  }
+  throw std::logic_error(ctx + ": a kCode key has no value kind");
+}
+
+template <class M>
+M value_of(KeyKind kind, const json::Value& v, const std::string& ctx) {
+  return std::get<M>(parse_value(kind, v, ctx));
 }
 
 bool is_scalar(const json::Value& v) {
@@ -194,65 +198,49 @@ std::optional<std::size_t> as_array_index(std::string_view seg) {
 
 const json::Value* get_path(const json::Value& root, std::string_view path) {
   const json::Value* cur = &root;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t dot = path.find('.', start);
-    const std::string_view seg =
-        path.substr(start, dot == std::string_view::npos ? dot : dot - start);
+  for (std::size_t start = 0, dot = 0; cur != nullptr && dot != std::string_view::npos;
+       start = dot + 1) {
+    dot = path.find('.', start);
+    const std::string_view seg = path.substr(start, dot - start);  // to the end past the last dot
     if (cur->is_array()) {
       const auto idx = as_array_index(seg);
-      cur = idx.has_value() && *idx < cur->as_array().size() ? &cur->as_array()[*idx]
-                                                            : nullptr;
+      cur = idx.has_value() && *idx < cur->as_array().size() ? &cur->as_array()[*idx] : nullptr;
     } else {
       cur = cur->find(seg);
     }
-    if (cur == nullptr || dot == std::string_view::npos) return cur;
-    start = dot + 1;
   }
+  return cur;
 }
 
 void set_path(json::Value& root, std::string_view path, const json::Value& v,
               const std::string& ctx) {
+  const std::string axis = "grid axis \"" + std::string(path) + "\": \"";
   json::Value* cur = &root;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t dot = path.find('.', start);
-    const std::string seg(
-        path.substr(start, dot == std::string_view::npos ? dot : dot - start));
+  for (std::size_t start = 0, dot = 0; dot != std::string_view::npos; start = dot + 1) {
+    dot = path.find('.', start);
+    const bool last = dot == std::string_view::npos;
+    const std::string seg(path.substr(start, dot - start));
     if (seg.empty()) fail(ctx, "bad grid axis path \"" + std::string(path) + "\"");
     if (cur->is_array()) {
       // Array elements must already exist: a grid can overwrite a group's
       // knob but cannot invent a group.
       const auto idx = as_array_index(seg);
       if (!idx.has_value() || *idx >= cur->as_array().size()) {
-        fail(ctx, "grid axis \"" + std::string(path) + "\": \"" + seg +
-                      "\" does not index the array (size " +
+        fail(ctx, axis + seg + "\" does not index the array (size " +
                       std::to_string(cur->as_array().size()) + ")");
       }
-      json::Value* child = &cur->as_array()[*idx];
-      if (dot == std::string_view::npos) {
-        *child = v;
-        return;
+      cur = &cur->as_array()[*idx];
+      if (last) *cur = v;
+    } else if (last) {
+      cur->set(seg, v);
+    } else {
+      if (cur->find(seg) == nullptr) cur->set(seg, json::Value(json::Value::Object{}));
+      json::Value* child = cur->find(seg);
+      if (!child->is_object() && !child->is_array()) {
+        fail(ctx, axis + seg + "\" is not an object or array");
       }
       cur = child;
-      start = dot + 1;
-      continue;
     }
-    if (dot == std::string_view::npos) {
-      cur->set(seg, v);
-      return;
-    }
-    json::Value* child = cur->find(seg);
-    if (child == nullptr) {
-      cur->set(seg, json::Value(json::Value::Object{}));
-      child = cur->find(seg);
-    }
-    if (!child->is_object() && !child->is_array()) {
-      fail(ctx, "grid axis \"" + std::string(path) + "\": \"" + seg +
-                    "\" is not an object or array");
-    }
-    cur = child;
-    start = dot + 1;
   }
 }
 
@@ -268,8 +256,68 @@ json::Value merge(const json::Value& base, const json::Value& over) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON -> ScenarioConfig.
+// JSON -> ScenarioConfig: one table of {key, kind, field} rows per object.
+// A value row parses its key by its kind into its field; a kCode row runs
+// the code it carries (registry lookups, enums, nested objects).
 // ---------------------------------------------------------------------------
+
+template <class T>
+using Code = void (*)(T&, const json::Value&, const std::string& ctx);
+
+template <class T>
+struct Row {
+  std::string_view key;
+  KeyKind kind;
+  std::variant<Code<T>, double T::*, int T::*, std::int64_t T::*, std::uint64_t T::*, bool T::*,
+               std::string T::*, Duration T::*, Bandwidth T::*>
+      field;
+
+  template <class M>
+  constexpr Row(std::string_view k, KeyKind kd, M T::*member) : key(k), kind(kd), field(member) {}
+  constexpr Row(std::string_view k, Code<T> code) : key(k), kind(KeyKind::kCode), field(code) {}
+};
+
+/// Parses object `v`, named `ctx` ("" at the root), into `out`: each key by
+/// its row of `rows`. A key without a row goes to `other`, or fails as
+/// unknown when there is no `other`.
+template <class T, std::size_t N>
+void parse_object(const json::Value& v, const std::string& ctx, const Row<T> (&rows)[N], T& out,
+                  const std::function<void(const std::string&, const json::Value&)>& other = {}) {
+  for (const auto& [key, val] : obj_of(v, ctx)) {
+    const Row<T>* row = std::ranges::find(rows, key, &Row<T>::key);
+    if (row == std::end(rows)) {
+      if (!other) fail(ctx, "unknown key \"" + key + "\"");
+      other(key, val);
+      continue;
+    }
+    const std::string kctx = ctx.empty() ? key : ctx + "." + key;
+    std::visit(
+        [&](auto field) {
+          if constexpr (std::is_same_v<decltype(field), Code<T>>) {
+            field(out, val, kctx);
+          } else {
+            using M = std::remove_reference_t<decltype(out.*field)>;
+            out.*field = value_of<M>(row->kind, val, kctx);
+          }
+        },
+        row->field);
+  }
+}
+
+/// A kCode row whose key is read elsewhere.
+template <class T>
+void read_elsewhere(T&, const json::Value&, const std::string&) {}
+
+/// A registry name: `resolve` throws std::invalid_argument listing the
+/// registered names.
+std::string registered(std::string (*resolve)(std::string_view), const json::Value& v,
+                       const std::string& ctx) {
+  try {
+    return resolve(str_of(v, ctx));
+  } catch (const std::invalid_argument& e) {
+    fail(ctx, e.what());
+  }
+}
 
 client::WorkloadParams workload_preset(const std::string& name, const std::string& ctx) {
   if (name == "good") return client::good_client_params();
@@ -285,242 +333,165 @@ http::ClientClass client_class(const std::string& name, const std::string& ctx) 
                 "\" (expected \"good\", \"bad\", or \"neutral\")");
 }
 
-client::WorkloadParams workload_from_json(const json::Value& v, const std::string& ctx) {
+using client::WorkloadParams;
+
+constexpr Row<WorkloadParams> kWorkloadRows[] = {
+    {"preset", read_elsewhere<WorkloadParams>},  // first: it seeds every other field
+    {"lambda", KeyKind::kRate, &WorkloadParams::lambda},
+    {"window", KeyKind::kPositiveInt, &WorkloadParams::window},
+    {"class", [](auto& p, auto& v, auto& ctx) { p.cls = client_class(str_of(v, ctx), ctx); }},
+    {"difficulty", KeyKind::kPositiveInt, &WorkloadParams::difficulty},
+    {"post_size_bytes", KeyKind::kInt64, &WorkloadParams::post_size},
+    {"request_timeout_s", KeyKind::kSeconds, &WorkloadParams::request_timeout},
+    {"backlog_timeout_s", KeyKind::kSeconds, &WorkloadParams::backlog_timeout},
+    {"retry_pipeline", KeyKind::kPositiveInt, &WorkloadParams::retry_pipeline},
+    {"strategy",
+     [](auto& p, auto& v, auto& ctx) { p.strategy = registered(resolve_strategy_name, v, ctx); }},
+    {"strategy_params",
+     [](auto& p, auto& v, auto& ctx) {
+       p.strategy_knobs.clear();
+       for (const auto& [pk, pv] : obj_of(v, ctx)) {
+         p.strategy_knobs.emplace_back(pk, num_of(pv, ctx + "." + pk));
+       }
+     }},
+};
+
+WorkloadParams workload_from_json(const json::Value& v, const std::string& ctx) {
   if (v.is_string()) return workload_preset(v.as_string(), ctx);
-  obj_of(v, ctx);
   // The preset (default "good") seeds every field; explicit keys override.
-  client::WorkloadParams p = client::good_client_params();
+  WorkloadParams p = client::good_client_params();
   if (const json::Value* preset = v.find("preset")) {
     p = workload_preset(str_of(*preset, ctx + ".preset"), ctx + ".preset");
   }
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "preset") {
-      // handled above
-    } else if (key == "lambda") {
-      p.lambda = positive_num(val, kctx);
-    } else if (key == "window") {
-      p.window = narrow(positive_int(val, kctx), kctx);
-    } else if (key == "class") {
-      p.cls = client_class(str_of(val, kctx), kctx);
-    } else if (key == "difficulty") {
-      p.difficulty = narrow(positive_int(val, kctx), kctx);
-    } else if (key == "post_size_bytes") {
-      p.post_size = nonneg_int(val, kctx);
-    } else if (key == "request_timeout_s") {
-      p.request_timeout = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "backlog_timeout_s") {
-      p.backlog_timeout = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "retry_pipeline") {
-      p.retry_pipeline = narrow(positive_int(val, kctx), kctx);
-    } else if (key == "strategy") {
-      const std::string& name = str_of(val, kctx);
-      try {
-        p.strategy = resolve_strategy_name(name);
-      } catch (const std::invalid_argument& e) {
-        fail(kctx, e.what());
-      }
-    } else if (key == "strategy_params") {
-      p.strategy_knobs.clear();
-      for (const auto& [pk, pv] : obj_of(val, kctx)) {
-        p.strategy_knobs.emplace_back(pk, num_of(pv, kctx + "." + pk));
-      }
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
-    }
-  }
+  parse_object(v, ctx, kWorkloadRows, p);
   // Construct the strategy once, discarded: an unknown knob (or a bad knob
   // value) fails at parse time with the strategy's own message, the same
   // contract resolve_defense_name gives the "defense" key.
   try {
-    (void)client::StrategyFactory::instance().create(p.strategy,
-                                                     client::strategy_params(p));
+    (void)client::StrategyFactory::instance().create(p.strategy, client::strategy_params(p));
   } catch (const std::invalid_argument& e) {
     fail(ctx, e.what());
   }
   return p;
 }
 
-ClientGroupSpec group_from_json(const json::Value& v, const std::string& ctx) {
-  obj_of(v, ctx);
-  ClientGroupSpec g;
-  bool have_count = false;
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "label") {
-      g.label = str_of(val, kctx);
-    } else if (key == "count") {
-      g.count = narrow(nonneg_int(val, kctx), kctx);
-      have_count = true;
-    } else if (key == "workload") {
-      g.workload = workload_from_json(val, kctx);
-    } else if (key == "access_bw_mbps") {
-      g.access_bw = link_rate(val, kctx);
-    } else if (key == "access_delay_us") {
-      g.access_delay = link_delay(val, kctx);
-    } else if (key == "access_queue_bytes") {
-      g.access_queue = positive_int(val, kctx);
-    } else if (key == "behind_bottleneck") {
-      g.behind_bottleneck = bool_of(val, kctx);
-    } else if (key == "via_proxy") {
-      g.via_proxy = bool_of(val, kctx);
-    } else if (key == "engine") {
-      // Retired: every group runs on client::ClientPool. Files written for
-      // the former "object" / "pooled" engine choice still load.
-      const std::string& engine = str_of(val, kctx);
-      if (engine != "object" && engine != "pooled") {
-        fail(kctx, "engine must be \"object\" or \"pooled\", got \"" + engine + "\"");
-      }
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
-    }
-  }
-  if (g.label.empty()) fail(ctx, "group needs a non-empty \"label\"");
-  if (!have_count) fail(ctx, "group needs a \"count\"");
-  return g;
-}
+constexpr Row<ClientGroupSpec> kGroupRows[] = {
+    {"label", KeyKind::kString, &ClientGroupSpec::label},
+    {"count", KeyKind::kInt, &ClientGroupSpec::count},
+    {"workload", [](auto& g, auto& v, auto& ctx) { g.workload = workload_from_json(v, ctx); }},
+    {"access_bw_mbps", KeyKind::kMbps, &ClientGroupSpec::access_bw},
+    {"access_delay_us", KeyKind::kMicros, &ClientGroupSpec::access_delay},
+    {"access_queue_bytes", KeyKind::kPositiveInt64, &ClientGroupSpec::access_queue},
+    {"behind_bottleneck", KeyKind::kBool, &ClientGroupSpec::behind_bottleneck},
+    {"via_proxy", KeyKind::kBool, &ClientGroupSpec::via_proxy},
+    // Retired: every group runs on client::ClientPool. Files written for
+    // the former "object" / "pooled" engine choice still load.
+    {"engine",
+     [](auto&, auto& v, auto& ctx) {
+       const std::string& engine = str_of(v, ctx);
+       if (engine != "object" && engine != "pooled") {
+         fail(ctx, "engine must be \"object\" or \"pooled\", got \"" + engine + "\"");
+       }
+     }},
+};
+
+/// `lan`'s keys: `total`, when given, sets `bad` to total - good.
+struct LanKeys {
+  int good = 0;
+  int bad = 0;
+  int total = 0;
+};
+
+constexpr Row<LanKeys> kLanRows[] = {
+    {"good", KeyKind::kInt, &LanKeys::good},
+    {"bad", KeyKind::kInt, &LanKeys::bad},
+    {"total", KeyKind::kPositiveInt, &LanKeys::total},
+};
 
 void lan_from_json(ScenarioConfig& cfg, const json::Value& v, const std::string& ctx) {
-  obj_of(v, ctx);
-  std::int64_t good = 0, bad = 0, total = -1;
-  bool have_bad = false;
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "good") {
-      good = narrow(nonneg_int(val, kctx), kctx);
-    } else if (key == "bad") {
-      bad = narrow(nonneg_int(val, kctx), kctx);
-      have_bad = true;
-    } else if (key == "total") {
-      total = narrow(positive_int(val, kctx), kctx);
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
+  LanKeys lan;
+  parse_object(v, ctx, kLanRows, lan);
+  if (v.find("total") != nullptr) {
+    if (v.find("bad") != nullptr) fail(ctx, "give either \"bad\" or \"total\", not both");
+    if (lan.good > lan.total) {
+      fail(ctx, "\"good\" (" + std::to_string(lan.good) + ") exceeds \"total\" (" +
+                    std::to_string(lan.total) + ")");
     }
+    lan.bad = lan.total - lan.good;
   }
-  if (total >= 0) {
-    if (have_bad) fail(ctx, "give either \"bad\" or \"total\", not both");
-    if (good > total) {
-      fail(ctx, "\"good\" (" + std::to_string(good) + ") exceeds \"total\" (" +
-                    std::to_string(total) + ")");
-    }
-    bad = total - good;
-  }
-  const ScenarioConfig populated =
-      lan_scenario(static_cast<int>(good), static_cast<int>(bad), cfg.capacity_rps,
-                   cfg.defense, cfg.seed);
-  cfg.groups = populated.groups;
+  cfg.groups = lan_scenario(lan.good, lan.bad, cfg.capacity_rps, cfg.defense, cfg.seed).groups;
 }
 
-void link_spec_from_json(const json::Value& v, const std::string& ctx,
-                         const char* rate_key, Bandwidth& rate, Duration& delay,
-                         Bytes& queue) {
-  obj_of(v, ctx);
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == rate_key) {
-      rate = link_rate(val, kctx);
-    } else if (key == "delay_us") {
-      delay = link_delay(val, kctx);
-    } else if (key == "queue_bytes") {
-      queue = positive_int(val, kctx);
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
-    }
-  }
+constexpr Row<ScenarioConfig> kThinnerRows[] = {
+    {"bw_mbps", KeyKind::kMbps, &ScenarioConfig::thinner_bw},
+    {"delay_us", KeyKind::kMicros, &ScenarioConfig::thinner_delay},
+    {"queue_bytes", KeyKind::kPositiveInt64, &ScenarioConfig::thinner_queue},
+};
+
+constexpr Row<BottleneckSpec> kBottleneckRows[] = {
+    {"rate_mbps", KeyKind::kMbps, &BottleneckSpec::rate},
+    {"delay_us", KeyKind::kMicros, &BottleneckSpec::delay},
+    {"queue_bytes", KeyKind::kPositiveInt64, &BottleneckSpec::queue},
+};
+
+constexpr Row<ProxySpec> kProxyRows[] = {
+    {"uplink_mbps", KeyKind::kMbps, &ProxySpec::uplink},
+    {"delay_us", KeyKind::kMicros, &ProxySpec::delay},
+    {"queue_bytes", KeyKind::kPositiveInt64, &ProxySpec::queue},
+};
+
+constexpr Row<CollateralSpec> kCollateralRows[] = {
+    {"file_size_bytes", KeyKind::kPositiveInt64, &CollateralSpec::file_size},
+    {"downloads", KeyKind::kPositiveInt, &CollateralSpec::downloads},
+    {"access_bw_mbps", KeyKind::kMbps, &CollateralSpec::access_bw},
+    {"access_delay_us", KeyKind::kMicros, &CollateralSpec::access_delay},
+    {"behind_bottleneck", KeyKind::kBool, &CollateralSpec::behind_bottleneck},
+    {"start_delay_s", KeyKind::kSecondsOrZero, &CollateralSpec::start_delay},
+};
+
+/// A kCode row for an optional block that its own table parses.
+template <auto block, const auto& rows>
+void optional_block(ScenarioConfig& c, const json::Value& v, const std::string& ctx) {
+  parse_object(v, ctx, rows, (c.*block).emplace());
 }
 
-void collateral_from_json(CollateralSpec& c, const json::Value& v, const std::string& ctx) {
-  obj_of(v, ctx);
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "file_size_bytes") {
-      c.file_size = positive_int(val, kctx);
-    } else if (key == "downloads") {
-      c.downloads = narrow(positive_int(val, kctx), kctx);
-    } else if (key == "access_bw_mbps") {
-      c.access_bw = link_rate(val, kctx);
-    } else if (key == "access_delay_us") {
-      c.access_delay = link_delay(val, kctx);
-    } else if (key == "behind_bottleneck") {
-      c.behind_bottleneck = bool_of(val, kctx);
-    } else if (key == "start_delay_s") {
-      c.start_delay = seconds_key(val, kctx, /*positive=*/false);
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
-    }
-  }
-}
+constexpr Row<ScenarioConfig> kScenarioRows[] = {
+    {"defense",
+     [](auto& c, auto& v, auto& ctx) { c.defense = registered(resolve_defense_name, v, ctx); }},
+    {"capacity_rps", KeyKind::kNumber, &ScenarioConfig::capacity_rps},
+    {"duration_s", KeyKind::kSeconds, &ScenarioConfig::duration},
+    {"seed", KeyKind::kSeed, &ScenarioConfig::seed},
+    {"lan", read_elsewhere<ScenarioConfig>},  // last, once defense/capacity/seed are known
+    {"groups",
+     [](auto& c, auto& v, auto& ctx) {
+       const json::Value::Array& groups = arr_of(v, ctx);
+       for (std::size_t i = 0; i < groups.size(); ++i) {
+         const std::string gctx = ctx + "[" + std::to_string(i) + "]";
+         ClientGroupSpec& g = c.groups.emplace_back();
+         parse_object(groups[i], gctx, kGroupRows, g);
+         if (g.label.empty()) fail(gctx, "group needs a non-empty \"label\"");
+         if (groups[i].find("count") == nullptr) fail(gctx, "group needs a \"count\"");
+       }
+     }},
+    {"bottleneck", optional_block<&ScenarioConfig::bottleneck, kBottleneckRows>},
+    {"collateral", optional_block<&ScenarioConfig::collateral, kCollateralRows>},
+    {"proxy", optional_block<&ScenarioConfig::proxy, kProxyRows>},
+    {"payment_window_s", KeyKind::kSeconds, &ScenarioConfig::payment_window},
+    {"quantum_s", KeyKind::kSecondsOrZero, &ScenarioConfig::quantum},
+    {"suspension_limit_s", KeyKind::kSeconds, &ScenarioConfig::suspension_limit},
+    {"response_body_bytes", KeyKind::kPositiveInt64, &ScenarioConfig::response_body},
+    {"thinner", [](auto& c, auto& v, auto& ctx) { parse_object(v, ctx, kThinnerRows, c); }},
+    {"elastic_max_scale", KeyKind::kScale, &ScenarioConfig::elastic_max_scale},
+    {"elastic_interval_s", KeyKind::kSeconds, &ScenarioConfig::elastic_interval},
+    {"elastic_threshold", KeyKind::kFraction, &ScenarioConfig::elastic_threshold},
+    {"puzzle_cost_s", KeyKind::kSeconds, &ScenarioConfig::puzzle_cost},
+};
 
 ScenarioConfig config_from_json(const json::Value& v, const std::string& ctx) {
-  obj_of(v, ctx);
   ScenarioConfig cfg;
-  const json::Value* lan = nullptr;
-  bool have_groups = false;
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "defense") {
-      try {
-        cfg.defense = resolve_defense_name(str_of(val, kctx));
-      } catch (const std::invalid_argument& e) {
-        fail(kctx, e.what());
-      }
-    } else if (key == "capacity_rps") {
-      cfg.capacity_rps = positive_num(val, kctx);
-    } else if (key == "duration_s") {
-      cfg.duration = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "seed") {
-      cfg.seed = seed_of(val, kctx);
-    } else if (key == "payment_window_s") {
-      cfg.payment_window = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "quantum_s") {
-      cfg.quantum = seconds_key(val, kctx, /*positive=*/false);
-    } else if (key == "suspension_limit_s") {
-      cfg.suspension_limit = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "response_body_bytes") {
-      cfg.response_body = positive_int(val, kctx);
-    } else if (key == "elastic_max_scale") {
-      cfg.elastic_max_scale = num_of(val, kctx);
-      if (cfg.elastic_max_scale < 1.0) fail(kctx, "must be >= 1");
-    } else if (key == "elastic_interval_s") {
-      cfg.elastic_interval = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "elastic_threshold") {
-      cfg.elastic_threshold = num_of(val, kctx);
-      if (cfg.elastic_threshold <= 0.0 || cfg.elastic_threshold > 1.0) {
-        fail(kctx, "must be in (0, 1]");
-      }
-    } else if (key == "puzzle_cost_s") {
-      cfg.puzzle_cost = seconds_key(val, kctx, /*positive=*/true);
-    } else if (key == "thinner") {
-      link_spec_from_json(val, kctx, "bw_mbps", cfg.thinner_bw, cfg.thinner_delay,
-                          cfg.thinner_queue);
-    } else if (key == "lan") {
-      lan = &val;  // expanded below, once defense/capacity/seed are known
-    } else if (key == "groups") {
-      have_groups = true;
-      int gi = 0;
-      for (const json::Value& gv : arr_of(val, kctx)) {
-        cfg.groups.push_back(
-            group_from_json(gv, kctx + "[" + std::to_string(gi) + "]"));
-        ++gi;
-      }
-    } else if (key == "bottleneck") {
-      BottleneckSpec b;
-      link_spec_from_json(val, kctx, "rate_mbps", b.rate, b.delay, b.queue);
-      cfg.bottleneck = b;
-    } else if (key == "collateral") {
-      CollateralSpec c;
-      collateral_from_json(c, val, kctx);
-      cfg.collateral = c;
-    } else if (key == "proxy") {
-      ProxySpec p;
-      link_spec_from_json(val, kctx, "uplink_mbps", p.uplink, p.delay, p.queue);
-      cfg.proxy = p;
-    } else {
-      fail(ctx, "unknown key \"" + key + "\"");
-    }
-  }
-  if (lan != nullptr) {
-    if (have_groups) fail(ctx, "\"lan\" and \"groups\" are mutually exclusive");
+  parse_object(v, ctx, kScenarioRows, cfg);
+  if (const json::Value* lan = v.find("lan")) {
+    if (v.find("groups") != nullptr) fail(ctx, "\"lan\" and \"groups\" are mutually exclusive");
     lan_from_json(cfg, *lan, ctx + ".lan");
   }
   return cfg;
@@ -534,19 +505,15 @@ ScenarioConfig config_from_json(const json::Value& v, const std::string& ctx) {
 std::string substitute_label(const std::string& tmpl, const json::Value& cfg,
                              const std::string& ctx) {
   std::string out;
-  std::size_t i = 0;
-  while (i < tmpl.size()) {
-    const char c = tmpl[i];
-    if (c != '{') {
-      out.push_back(c);
-      ++i;
-      continue;
-    }
-    const std::size_t close = tmpl.find('}', i);
+  for (std::size_t i = 0; i < tmpl.size();) {
+    const std::size_t open = tmpl.find('{', i);
+    out += tmpl.substr(i, open - i);  // to the end when no '{' is left
+    if (open == std::string::npos) break;
+    const std::size_t close = tmpl.find('}', open);
     if (close == std::string::npos) {
       fail(ctx + ".label", "unterminated '{' in template \"" + tmpl + "\"");
     }
-    const std::string path = tmpl.substr(i + 1, close - i - 1);
+    const std::string path = tmpl.substr(open + 1, close - open - 1);
     const json::Value* v = get_path(cfg, path);
     if (v == nullptr || !is_scalar(*v)) {
       fail(ctx + ".label", "placeholder {" + path + "} does not name a scalar "
@@ -577,7 +544,81 @@ std::vector<GridAxis> grid_axes(const json::Value& grid, const std::string& ctx)
   return axes;
 }
 
+/// Fails when an entry would bring a file of `rows` rows past
+/// kMaxScenarioRows: its rows are the product of its axis lengths times
+/// `seeds`, counted before any is built. Names the `seeds` key when the
+/// grid alone fits, and otherwise the grid.
+void check_row_cap(const std::vector<GridAxis>& axes, int seeds, std::size_t rows,
+                   const std::string& ctx) {
+  constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max();
+  const auto times = [](std::uint64_t a, std::uint64_t b) {
+    std::uint64_t product = 0;
+    return __builtin_mul_overflow(a, b, &product) ? kHuge : product;
+  };
+  std::uint64_t points = 1;
+  for (const GridAxis& a : axes) points = times(points, a.values->size());
+  const std::uint64_t entry_rows = times(points, static_cast<std::uint64_t>(seeds));
+  const std::uint64_t room = kMaxScenarioRows - rows;
+  if (entry_rows <= room) return;
+  const std::string count =
+      entry_rows > kHuge - rows ? "2^64 or more" : std::to_string(rows + entry_rows);
+  const char* key = seeds > 1 && points <= room ? ".seeds" : axes.empty() ? "" : ".grid";
+  fail(ctx + key, "the file would expand to " + count + " rows, past the cap of " +
+                      std::to_string(kMaxScenarioRows));
+}
+
+/// An entry's expansion directives; its other keys configure the scenario.
+struct EntryKeys {
+  std::string label;
+  const json::Value* grid = nullptr;
+  int seeds = 1;
+};
+
+constexpr Row<EntryKeys> kEntryRows[] = {
+    {"label", KeyKind::kString, &EntryKeys::label},
+    {"grid", [](auto& e, auto& v, auto&) { e.grid = &v; }},
+    {"seeds", KeyKind::kRowCount, &EntryKeys::seeds},
+};
+
+constexpr Row<ScenarioFile> kFileRows[] = {
+    {"description", KeyKind::kString, &ScenarioFile::description},
+    {"report",
+     [](auto& f, auto& v, auto& ctx) {
+       f.report = str_of(v, ctx);
+       if (!is_report_name(f.report)) {
+         fail(ctx, "unknown report \"" + f.report + "\" (known: " + report_names() + ")");
+       }
+     }},
+    {"defaults",
+     [](auto&, auto& v, auto& ctx) {
+       for (const auto& [key, unused] : obj_of(v, ctx)) {
+         if (std::ranges::find(kEntryRows, key, &Row<EntryKeys>::key) != std::end(kEntryRows)) {
+           fail(ctx, "\"" + key + "\" is not allowed in defaults (it is per-scenario)");
+         }
+       }
+     }},
+    {"scenarios", read_elsewhere<ScenarioFile>},
+};
+
 }  // namespace
+
+std::vector<ScenarioKey> scenario_keys() {
+  std::vector<ScenarioKey> keys;
+  const auto add = [&keys](std::string_view object, const auto& rows) {
+    for (const auto& r : rows) keys.push_back({object, r.key, r.kind});
+  };
+  add("file", kFileRows);
+  add("entry", kEntryRows);
+  add("scenario", kScenarioRows);
+  add("lan", kLanRows);
+  add("group", kGroupRows);
+  add("workload", kWorkloadRows);
+  add("thinner", kThinnerRows);
+  add("bottleneck", kBottleneckRows);
+  add("proxy", kProxyRows);
+  add("collateral", kCollateralRows);
+  return keys;
+}
 
 std::string resolve_strategy_name(std::string_view name) {
   if (client::StrategyFactory::instance().contains(name)) return std::string(name);
@@ -605,73 +646,45 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
   if (!doc.is_object()) wrong_type("top level", "object", doc);
 
   ScenarioFile out;
-  json::Value defaults{json::Value::Object{}};
-  const json::Value* scenarios = nullptr;
-  for (const auto& [key, val] : doc.as_object()) {
-    if (key == "description") {
-      out.description = str_of(val, "description");
-    } else if (key == "report") {
-      out.report = str_of(val, "report");
-      if (!is_report_name(out.report)) {
-        fail("report", "unknown report \"" + out.report + "\" (known: " + report_names() + ")");
-      }
-    } else if (key == "defaults") {
-      for (const auto& [dk, unused] : obj_of(val, "defaults")) {
-        (void)unused;
-        if (dk == "label" || dk == "grid" || dk == "seeds") {
-          fail("defaults", "\"" + dk + "\" is not allowed in defaults (it is "
-                               "per-scenario)");
-        }
-      }
-      defaults = val;
-    } else if (key == "scenarios") {
-      scenarios = &val;
-    } else if (doc.find("kind") != nullptr) {
+  parse_object(doc, "", kFileRows, out, [&doc](const std::string& key, const json::Value&) {
+    if (doc.find("kind") != nullptr) {
       throw ScenarioError(
           "an auction_game grid spec is not a scenario file (use `speakup report`)");
-    } else if (doc.find("base") != nullptr) {
-      throw ScenarioError(
-          "a tournament spec is not a scenario file (use `speakup tournament`)");
-    } else {
-      fail("top level", "unknown key \"" + key + "\"");
     }
-  }
+    if (doc.find("base") != nullptr) {
+      throw ScenarioError("a tournament spec is not a scenario file (use `speakup tournament`)");
+    }
+    fail("top level", "unknown key \"" + key + "\"");
+  });
+  const json::Value* scenarios = doc.find("scenarios");
   if (scenarios == nullptr) fail("top level", "missing \"scenarios\" array");
   const json::Value::Array& entries = arr_of(*scenarios, "scenarios");
   if (entries.empty()) fail("scenarios", "must list at least one scenario");
-
+  const json::Value no_defaults{json::Value::Object{}};
+  const json::Value* defaults = doc.find("defaults");
   std::size_t index = 0;
   for (std::size_t si = 0; si < entries.size(); ++si) {
     const std::string ctx = "scenarios[" + std::to_string(si) + "]";
-    obj_of(entries[si], ctx);
 
     // Split the entry into expansion directives and config keys.
-    std::string label_template;
-    const json::Value* grid = nullptr;
-    std::int64_t n_seeds = 1;
+    EntryKeys entry;
     json::Value config_json{json::Value::Object{}};
-    for (const auto& [key, val] : entries[si].as_object()) {
-      if (key == "label") {
-        label_template = str_of(val, ctx + ".label");
-      } else if (key == "grid") {
-        grid = &val;
-      } else if (key == "seeds") {
-        n_seeds = positive_int(val, ctx + ".seeds");
-      } else {
-        config_json.set(key, val);
-      }
-    }
+    parse_object(entries[si], ctx, kEntryRows, entry,
+                 [&config_json](const std::string& key, const json::Value& v) {
+                   config_json.set(key, v);
+                 });
     // "lan" and "groups" are alternatives, not mergeable: an entry that
     // writes one replaces the other inherited from defaults (writing both
     // in the same entry is still the mutual-exclusion error below).
     const bool entry_has_lan = config_json.find("lan") != nullptr;
     const bool entry_has_groups = config_json.find("groups") != nullptr;
-    config_json = merge(defaults, config_json);
+    config_json = merge(defaults != nullptr ? *defaults : no_defaults, config_json);
     if (entry_has_groups && !entry_has_lan) config_json.erase("lan");
     if (entry_has_lan && !entry_has_groups) config_json.erase("groups");
 
     std::vector<GridAxis> axes;
-    if (grid != nullptr) axes = grid_axes(*grid, ctx + ".grid");
+    if (entry.grid != nullptr) axes = grid_axes(*entry.grid, ctx + ".grid");
+    check_row_cap(axes, entry.seeds, index, ctx);
 
     // Odometer over the cross product: the first axis is outermost, the
     // last cycles fastest; no grid means one combination.
@@ -683,62 +696,50 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
       }
       const json::Value* seed_v = combo.find("seed");
       const std::uint64_t base_seed =
-          seed_v != nullptr ? seed_of(*seed_v, ctx + ".seed") : ScenarioConfig{}.seed;
-      if (base_seed + static_cast<std::uint64_t>(n_seeds - 1) >= kSeedLimit) {
-        fail(ctx + ".seeds", std::to_string(n_seeds) + " seeds from " +
+          seed_v != nullptr ? value_of<std::uint64_t>(KeyKind::kSeed, *seed_v, ctx + ".seed")
+                            : ScenarioConfig{}.seed;
+      if (base_seed + static_cast<std::uint64_t>(entry.seeds - 1) >= kSeedLimit) {
+        fail(ctx + ".seeds", std::to_string(entry.seeds) + " seeds from " +
                                  std::to_string(base_seed) + " reach 2^53 = " +
                                  std::to_string(kSeedLimit) +
                                  "; past it a JSON number skips integers");
       }
-      for (std::int64_t k = 0; k < n_seeds; ++k) {
+      for (int k = 0; k < entry.seeds; ++k) {
         json::Value expanded = combo;
         const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(k);
         expanded.set("seed", static_cast<double>(seed));
         LabeledScenario s;
         s.index = index++;
         s.config = config_from_json(expanded, ctx);
-        if (!label_template.empty()) {
-          s.label = substitute_label(label_template, expanded, ctx);
+        if (!entry.label.empty()) {
+          s.label = substitute_label(entry.label, expanded, ctx);
         } else {
           s.label = s.config.defense;
           for (std::size_t a = 0; a < axes.size(); ++a) {
-            const std::size_t dot = axes[a].path.rfind('.');
-            const std::string seg =
-                dot == std::string::npos ? axes[a].path : axes[a].path.substr(dot + 1);
-            s.label += "/" + seg + "=" + scalar_to_string((*axes[a].values)[pos[a]]);
+            const std::string& path = axes[a].path;  // its last segment names the axis
+            s.label += "/" + path.substr(path.rfind('.') + 1) + "=" +
+                       scalar_to_string((*axes[a].values)[pos[a]]);
           }
         }
-        if (n_seeds > 1 && label_template.find("{seed}") == std::string::npos) {
+        if (entry.seeds > 1 && entry.label.find("{seed}") == std::string::npos) {
           s.label += "/seed" + std::to_string(seed);
         }
         out.scenarios.push_back(std::move(s));
       }
       // Advance the odometer; a full wrap means the product is exhausted.
-      bool wrapped = true;
-      for (std::size_t a = axes.size(); a-- > 0;) {
-        if (++pos[a] < axes[a].values->size()) {
-          wrapped = false;
-          break;
-        }
-        pos[a] = 0;
-      }
-      if (wrapped) break;
+      std::size_t a = axes.size();
+      while (a > 0 && ++pos[a - 1] == axes[a - 1].values->size()) pos[--a] = 0;
+      if (a == 0) break;
     }
   }
 
-  // Sorting row indices by (label, index) finds every repeat in O(n log n);
-  // the diagnostic names the earliest row whose label repeats later.
+  // The diagnostic names the earliest row whose label repeats later.
   const std::vector<LabeledScenario>& rows = out.scenarios;
-  std::vector<std::size_t> order(rows.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&rows](std::size_t a, std::size_t b) {
-    return std::tie(rows[a].label, a) < std::tie(rows[b].label, b);
-  });
+  std::map<std::string_view, std::size_t> first_row;
   std::size_t first_dup = rows.size();
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    if (rows[order[k - 1]].label == rows[order[k]].label) {
-      first_dup = std::min(first_dup, order[k - 1]);
-    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto [it, fresh] = first_row.emplace(rows[i].label, i);
+    if (!fresh) first_dup = std::min(first_dup, it->second);
   }
   if (first_dup < rows.size()) {
     fail("scenarios", "duplicate label \"" + rows[first_dup].label +
@@ -793,11 +794,6 @@ const json::Value& member(const json::Value& obj, const std::string& key,
   return *v;
 }
 
-std::string description_of(const json::Value& doc) {
-  const json::Value* d = doc.find("description");
-  return d != nullptr ? str_of(*d, "description") : std::string();
-}
-
 }  // namespace
 
 AuctionGameSpec load_auction_game_file(const std::string& path) {
@@ -807,11 +803,13 @@ AuctionGameSpec load_auction_game_file(const std::string& path) {
   try {
     const json::Value doc = json::parse(read_spec(path));
     AuctionGameSpec spec;
-    spec.description = description_of(doc);
-    spec.seed = seed_of(member(doc, "seed"), "seed");
+    if (const json::Value* d = doc.find("description")) {
+      spec.description = str_of(*d, "description");
+    }
+    spec.seed = value_of<std::uint64_t>(KeyKind::kSeed, member(doc, "seed"), "seed");
     spec.stream = str_of(member(doc, "stream"), "stream");
     const auto ticks = [&doc](const std::string& key) {
-      return narrow(positive_int(member(doc, key), key), key);
+      return value_of<int>(KeyKind::kPositiveInt, member(doc, key), key);
     };
     spec.ticks_quick = ticks("ticks_quick");
     spec.ticks_full = ticks("ticks_full");
@@ -827,8 +825,7 @@ AuctionGameSpec load_auction_game_file(const std::string& path) {
       for (const json::Value& v : values) {
         const double d = num_of(v, ctx);
         if (!in_range(d)) {
-          fail(ctx, std::string("values must lie in ") + range + " (got " +
-                        json::number_to_string(d) + ")");
+          fail(ctx, std::string("values must lie in ") + range + got(d));
         }
         out.push_back(d);
       }

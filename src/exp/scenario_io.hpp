@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -58,6 +59,48 @@ struct ScenarioFile {
   void queue_on(Runner& runner) const;
   static void queue_on(Runner& runner, const std::vector<LabeledScenario>& slice);
 };
+
+/// A file may expand to at most this many rows. Expansion costs about
+/// 0.73 KB and 5 us a row, so the cap holds `speakup validate` near 75 MB
+/// and half a second; a larger grid or `seeds` count is refused, naming
+/// the key, before any row is built.
+inline constexpr int kMaxScenarioRows = 100'000;
+
+/// How a scenario key's value is typed, range-checked and converted. Each
+/// key states its kind once, in its row of the parser's key table
+/// (src/exp/scenario_io.cpp); docs/scenario_format.md's key tables are
+/// checked against those rows.
+enum class KeyKind : std::uint8_t {
+  kCode,            // parsed by code beside the table: registries, enums, objects
+  kString,
+  kBool,
+  kNumber,          // number > 0
+  kRate,            // number in (0, 2e9]: a mean gap under 5e-10 s rounds to 0 ns
+  kScale,           // number >= 1
+  kFraction,        // number in (0, 1]
+  kInt,             // int in [0, INT_MAX]
+  kPositiveInt,     // int in [1, INT_MAX]
+  kInt64,           // int in [0, INT64_MAX]
+  kPositiveInt64,   // int in [1, INT64_MAX]
+  kRowCount,        // int in [1, kMaxScenarioRows]
+  kSeconds,         // seconds > 0 -> Duration: below 2^63 ns, not rounding to 0 ns
+  kSecondsOrZero,   // seconds >= 0 -> Duration: below 2^63 ns
+  kMbps,            // Mbit/s -> Bandwidth: integer bit/s in [1, 2^63)
+  kMicros,          // microseconds >= 0 -> Duration: nanoseconds within int64
+  kSeed,            // int in [0, 2^53)
+};
+
+/// One row of the parser's key table. `object` names the JSON object that
+/// holds the key: "file", "entry", "scenario", "lan", "group", "workload",
+/// "thinner", "bottleneck", "proxy" or "collateral".
+struct ScenarioKey {
+  std::string_view object;
+  std::string_view key;
+  KeyKind kind;
+};
+
+/// Every key a scenario file may hold, object by object in table order.
+[[nodiscard]] std::vector<ScenarioKey> scenario_keys();
 
 /// Parses a scenario document from JSON text. Throws ScenarioError; for an
 /// auction_game grid or a tournament spec it names the command that takes

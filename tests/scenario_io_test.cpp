@@ -524,6 +524,35 @@ TEST(ScenarioIoErrors, JsonSyntaxErrorsCarryLineInfo) {
   expect_parse_error("[]", "object");
 }
 
+// A file may expand to at most kMaxScenarioRows rows. The count (axis
+// lengths times seeds) is checked before any row is built, so an oversized
+// grid or seeds count fails at once, naming its key and the count.
+TEST(ScenarioIoErrors, OversizedExpansionNamesGridOrSeeds) {
+  std::string axis = "[1";
+  for (int i = 2; i <= 1000; ++i) axis += ", " + std::to_string(i);
+  axis += "]";
+  expect_parse_error(R"({"scenarios": [{"grid": {"capacity_rps": )" + axis +
+                         R"(, "duration_s": )" + axis + R"(, "seed": )" + axis + "}}]}",
+                     "scenarios[0].grid: the file would expand to 1000000000 rows, past the cap "
+                     "of 100000");
+  expect_parse_error(R"({"scenarios": [{"seeds": 2000000000}]})",
+                     "scenarios[0].seeds: must be <= 100000 (got 2000000000)");
+  expect_parse_error(
+      R"({"scenarios": [{"label": "a"}, {"grid": {"capacity_rps": [1, 2]}, "seeds": 50000}]})",
+      "scenarios[1].seeds: the file would expand to 100001 rows, past the cap of 100000");
+}
+
+// A rate whose mean gap rounds to 0 ns would never advance the clock.
+TEST(ScenarioIoErrors, LambdaPast2e9NamesTheKey) {
+  const auto lambda = [](const std::string& value) {
+    return R"({"scenarios": [{"groups": [{"label": "g", "count": 1, "workload": {"lambda": )" +
+           value + "}}]}]}";
+  };
+  expect_parse_error(lambda("1e12"),
+                     "scenarios[0].groups[0].workload.lambda: must be <= 2e9 (got 1000000000000)");
+  EXPECT_EQ(parse_scenario_file(lambda("2e9")).scenarios[0].config.groups[0].workload.lambda, 2e9);
+}
+
 // ---------------------------------------------------------------------------
 // The checked-in scenario files are part of the contract: they must parse
 // and expand to the labels the bench harnesses look up.
