@@ -254,14 +254,17 @@ TEST_F(DispatchE2E, SurvivesStalledHeartbeat) {
 TEST_F(DispatchE2E, EmitsPerWorkerMetricsEventsInJsonView) {
   // The dispatcher derives per-worker throughput from heartbeat deltas and
   // emits at most one {"type":"metrics"} event per worker per second, so a
-  // slice must run well past 1 s of wall time for one to fire: a single
-  // 720 s simulated scenario takes several wall seconds on any hardware.
-  // The heartbeat stays at a full second so a scheduler stall under a
-  // loaded parallel ctest run can't trip the worker-kill threshold.
+  // slice must run well past 1 s of wall time for one to fire. The first
+  // heartbeat (a third of --heartbeat-ms in) only primes the rate, so the
+  // first event needs the slice to outlive about 1.33 s. A 720 s scenario
+  // takes only ~1.7 s on a 4-vCPU VM, too close to that edge; the 3600 s
+  // one below takes ~8 s there and leaves room on hardware several times
+  // faster. The heartbeat stays at a full second so a scheduler stall
+  // under a loaded parallel ctest run can't trip the worker-kill threshold.
   const std::string file = dir_ + "/long.json";
   std::ofstream(file) << "{\n"
                       << "  \"defaults\": {\"defense\": \"auction\", \"capacity_rps\": 20,\n"
-                      << "    \"duration_s\": 720, \"seed\": 5, \"lan\": {\"good\": 10, \"bad\": 10}},\n"
+                      << "    \"duration_s\": 3600, \"seed\": 5, \"lan\": {\"good\": 10, \"bad\": 10}},\n"
                       << "  \"scenarios\": [{\"label\": \"long\"}]\n"
                       << "}\n";
   const std::string out = dir_ + "/metrics.csv";
