@@ -51,6 +51,16 @@ std::string slice_csv_path(const std::string& work_dir, int slice) {
   return work_dir + "/slice_" + std::to_string(slice) + ".csv";
 }
 
+std::string slice_records_path(const std::string& work_dir, int slice) {
+  return ResultWriter::records_path(slice_csv_path(work_dir, slice));
+}
+
+/// Bytes in `path`; 0 when it does not exist.
+off_t file_size(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_size : 0;
+}
+
 std::string read_file_or_empty(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
@@ -61,7 +71,7 @@ std::string read_file_or_empty(const std::string& path) {
 
 /// Durable file write: tmp file + fsync + atomic rename, so a kill -9 at
 /// any instant leaves either the old file or the complete new one — never
-/// a truncated slice CSV for a resumed dispatcher to trip over.
+/// a truncated slice file for a resumed dispatcher to trip over.
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp." + std::to_string(getpid());
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -195,9 +205,12 @@ void worker_run_slice(const ScenarioFile& file, int slice_id, int slice_count,
     cv.notify_all();
     heartbeat.join();
 
-    std::ostringstream os;
-    writer.write_csv(os);
-    write_file_atomic(slice_csv_path(work_dir, slice_id), os.str());
+    std::ostringstream csv;
+    std::ostringstream records;
+    writer.write_csv(csv);
+    writer.write_records(records);
+    write_file_atomic(slice_records_path(work_dir, slice_id), records.str());
+    write_file_atomic(slice_csv_path(work_dir, slice_id), csv.str());
     out.emit("done " + std::to_string(slice_id) + " " + std::to_string(slice.size()) +
              " " + std::to_string(events.load()));
   } catch (const std::exception& e) {
@@ -294,7 +307,6 @@ class Dispatcher {
   void worker_gone(WorkerProc& w, const std::string& reason);
   void kill_worker(WorkerProc& w, const std::string& reason);
   void requeue_slice(WorkerProc& w, const std::string& reason);
-  void absorb_slice_csv(int slice, const std::string& csv);
   void shutdown_workers();
   void finalize();
 
@@ -315,7 +327,6 @@ class Dispatcher {
   std::optional<WorkQueue> queue_;
   SliceJournal journal_;
   std::vector<WorkerProc> workers_;
-  std::string merged_csv_;  // incrementally merged completed slices
   int spawn_budget_ = 0;
   int fault_after_done_ = -1;
   int done_count_ = 0;
@@ -481,16 +492,20 @@ void Dispatcher::validate_resumable_slices() {
   for (int i = 0; i < slice_count_; ++i) {
     const std::string csv = read_file_or_empty(slice_csv_path(work_dir_, i));
     if (csv.empty()) continue;
+    const std::string records = read_file_or_empty(slice_records_path(work_dir_, i));
     ResultWriter::ResumeInfo info;
     try {
-      info = ResultWriter::resume_info(csv);
+      info = ResultWriter::resume_info(csv, records);
     } catch (const std::exception&) {
-      continue;  // not a valid slice CSV: re-run the slice
+      continue;  // not a valid slice CSV or records file: re-run the slice
     }
-    // Only a byte-complete artifact counts: every expected (index, label)
-    // present, every row finished without error. Anything else re-runs.
-    if (info.completed != expected_[static_cast<std::size_t>(i)]) continue;
-    absorb_slice_csv(i, info.completed_csv);
+    // Only byte-complete artifacts count: every expected (index, label)
+    // present and finished without error in both files, and nothing else
+    // in them. Anything else re-runs.
+    if (info.completed != expected_[static_cast<std::size_t>(i)] ||
+        info.completed_csv != csv || info.completed_records != records) {
+      continue;
+    }
     queue_->complete_resumed(i, 0);
     ++report_.slices_resumed;
   }
@@ -591,20 +606,19 @@ void Dispatcher::handle_line(WorkerProc& w, const std::string& line) {
     std::uint64_t events = 0;
     in >> slice >> rows >> events;
     if (slice != w.slice || slice < 0) return;  // stale line after a requeue race
-    const std::string csv = read_file_or_empty(slice_csv_path(work_dir_, slice));
     w.slice = -1;
-    if (csv.empty()) {
-      // The worker claims completion but the artifact is missing: treat
+    if (file_size(slice_csv_path(work_dir_, slice)) == 0 ||
+        file_size(slice_records_path(work_dir_, slice)) == 0) {
+      // The worker claims completion but an artifact is missing: treat
       // like a failure so the slice is retried.
       ++report_.requeues;
-      journal_.fail(slice, queue_->slice(slice).attempts, "slice CSV missing after done");
-      if (!queue_->requeue(slice, "slice CSV missing after done")) {
+      journal_.fail(slice, queue_->slice(slice).attempts, "slice files missing after done");
+      if (!queue_->requeue(slice, "slice files missing after done")) {
         report_.failures.push_back("slice " + std::to_string(slice) +
-                                   ": CSV missing after done");
+                                   ": files missing after done");
       }
       return;
     }
-    absorb_slice_csv(slice, csv);
     queue_->complete(slice, events);
     journal_.done(slice, rows, events);
     json::Value ev;
@@ -746,12 +760,6 @@ void Dispatcher::kill_worker(WorkerProc& w, const std::string& reason) {
   worker_gone(w, reason);
 }
 
-void Dispatcher::absorb_slice_csv(int slice, const std::string& csv) {
-  (void)slice;
-  merged_csv_ = merged_csv_.empty() ? csv
-                                    : ResultWriter::merge_csv({merged_csv_, csv});
-}
-
 void Dispatcher::shutdown_workers() {
   for (WorkerProc& w : workers_) {
     if (!w.alive || w.exiting) continue;
@@ -773,16 +781,28 @@ void Dispatcher::finalize() {
   progress(true);
   if (view() == View::kTty && tty_width_ > 0) std::fputc('\n', stderr);
   if (queue_->complete_ok()) {
-    const std::vector<std::size_t> indices = ResultWriter::csv_indices(merged_csv_);
+    // Every slice's two files, merged once; the slice file names ride along
+    // so a duplicate-index rejection names the slices that collide.
+    std::vector<std::string> csvs, records, csv_names, records_names;
+    for (int i = 0; i < slice_count_; ++i) {
+      csv_names.push_back(slice_csv_path(work_dir_, i));
+      records_names.push_back(slice_records_path(work_dir_, i));
+      csvs.push_back(read_file_or_empty(csv_names.back()));
+      records.push_back(read_file_or_empty(records_names.back()));
+    }
+    const std::string merged = ResultWriter::merge_csv(csvs, csv_names);
+    const std::string merged_records = ResultWriter::merge_csv(records, records_names);
+    const std::vector<std::size_t> indices = ResultWriter::csv_indices(merged);
     if (indices.size() != file_.scenarios.size()) {
       report_.failures.push_back("internal: merged output holds " +
                                  std::to_string(indices.size()) + " of " +
                                  std::to_string(file_.scenarios.size()) + " rows");
     } else {
-      write_file_atomic(opts_.out_csv, merged_csv_);
+      write_file_atomic(ResultWriter::records_path(opts_.out_csv), merged_records);
+      write_file_atomic(opts_.out_csv, merged);
       report_.ok = true;
       report_.rows_failed = file_.scenarios.size() -
-                            ResultWriter::resume_info(merged_csv_).completed.size();
+                            ResultWriter::resume_info(merged, merged_records).completed.size();
       // The sweep is merged and durable: retire the work directory.
       if (DIR* dir = ::opendir(work_dir_.c_str())) {
         while (dirent* entry = ::readdir(dir)) {

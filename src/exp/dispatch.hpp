@@ -6,9 +6,10 @@
 // work-stealing loop over a line protocol on the workers' stdin/stdout
 // pipes. Workers heartbeat while running; a worker that exits or goes
 // silent past the heartbeat timeout is killed and its in-flight slice is
-// requeued (up to `--retries` extra attempts). Completed slice CSVs are
-// merged incrementally through ResultWriter::merge_csv, so the final
-// `--out` file is byte-identical to a single-process `speakup run` — under
+// requeued (up to `--retries` extra attempts). Each slice leaves a CSV and
+// a records file; once every slice is done they are merged through
+// ResultWriter::merge_csv, so the final `--out` file and its records file
+// are byte-identical to a single-process `speakup run` — under
 // worker crashes, heartbeat stalls, and a dispatcher kill + `--resume`
 // restart alike (tests/dispatch_test.cpp injects all three). Protocol and
 // failure semantics are documented in docs/cli.md.
@@ -21,7 +22,7 @@ namespace speakup::exp {
 
 struct DispatchOptions {
   std::string scenario_path;
-  std::string out_csv;  // merged CSV destination (required)
+  std::string out_csv;  // merged CSV destination (required); records go beside it
   std::string exe;      // speakup binary to spawn `worker` processes from
   int workers = 4;
   int slices = 0;       // 0 -> min(4 * workers, scenario count)

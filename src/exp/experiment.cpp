@@ -282,32 +282,6 @@ std::uint64_t ExperimentResult::fingerprint() const {
   return h;
 }
 
-std::vector<StrategyResult> ExperimentResult::strategy_totals() const {
-  std::vector<StrategyResult> out;
-  for (const GroupResult& g : groups) {
-    StrategyResult* s = nullptr;
-    for (StrategyResult& existing : out) {
-      if (existing.strategy == g.strategy) {
-        s = &existing;
-        break;
-      }
-    }
-    if (s == nullptr) {
-      out.push_back(StrategyResult{g.strategy, 0, {}, 0.0});
-      s = &out.back();
-    }
-    s->clients += g.count;
-    s->totals.merge(g.totals);
-  }
-  for (StrategyResult& s : out) {
-    if (served_total > 0) {
-      s.allocation =
-          static_cast<double>(s.totals.served) / static_cast<double>(served_total);
-    }
-  }
-  return out;
-}
-
 std::int64_t ExperimentResult::attacker_bytes() const {
   std::int64_t bytes = 0;
   for (const GroupResult& g : groups) {

@@ -31,15 +31,6 @@ struct GroupResult {
   double allocation = 0.0;                    // share of all served requests
 };
 
-/// Per-strategy rollup: GroupResults merged across every group running the
-/// same workload strategy (adversary-library breakdowns).
-struct StrategyResult {
-  std::string strategy;
-  int clients = 0;
-  client::ClientStats totals;
-  double allocation = 0.0;  // share of all served requests
-};
-
 struct ExperimentResult {
   // Aggregates (by served request counts, as in Figures 2, 3, 6, 7, 8).
   std::int64_t served_total = 0;
@@ -57,9 +48,6 @@ struct ExperimentResult {
 
   core::ThinnerStats thinner;
   std::vector<GroupResult> groups;
-
-  /// Groups merged by workload strategy, in first-appearance order.
-  [[nodiscard]] std::vector<StrategyResult> strategy_totals() const;
 
   /// The tournament's attacker-cost score: bytes the bad-class populations
   /// transmitted at the front end — payment-channel bytes plus a request

@@ -1,11 +1,13 @@
 #include "exp/result_writer.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -16,7 +18,7 @@ namespace json = util::json;
 namespace {
 
 /// RFC-4180 quoting for commas/quotes — but newlines are replaced with a
-/// space first: merge_csv (and most CSV tooling) works line-by-line, so a
+/// space first: merge_csv (and most CSV tooling) works line by line, so a
 /// row must never span lines even when a label or error message contains
 /// '\n'.
 std::string csv_escape(const std::string& field) {
@@ -52,6 +54,17 @@ const std::string& ResultWriter::csv_header() {
       "fraction_good_served,server_busy_fraction,events_executed,attacker_bytes,"
       "fingerprint,error";
   return header;
+}
+
+const std::string& ResultWriter::records_header() {
+  static const std::string header = "index,metric,value";
+  return header;
+}
+
+std::string ResultWriter::records_path(const std::string& csv_path) {
+  const std::string_view stem(csv_path.data(),
+                              csv_path.size() - (csv_path.ends_with(".csv") ? 4 : 0));
+  return std::string(stem) + ".records.csv";
 }
 
 std::vector<std::string> ResultWriter::split_csv_row(const std::string& line) {
@@ -105,310 +118,239 @@ std::string ResultWriter::csv_row(std::size_t index, const RunOutcome& o) {
   return os.str();
 }
 
+std::string ResultWriter::records_block(std::size_t index, const RunOutcome& o) {
+  if (!o.ok()) return {};
+  const std::vector<GroupResult>& groups = o.result.groups;
+  const std::string key = std::to_string(index) + ",groups";
+  std::string out = key + ',' + std::to_string(groups.size()) + '\n';
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::string prefix = key + '.' + std::to_string(g) + '.';
+    const auto line = [&](const char* metric, const std::string& value) {
+      out += prefix;
+      out += metric;
+      out += ',';
+      out += value;
+      out += '\n';
+    };
+    const client::ClientStats& t = groups[g].totals;
+    line("served", std::to_string(t.served));
+    line("denied", std::to_string(t.denied));
+    line("payments_declined", std::to_string(t.payments_declined));
+    line("payments_abandoned", std::to_string(t.payments_abandoned));
+    line("allocation", fmt(groups[g].allocation));
+  }
+  return out;
+}
+
 void ResultWriter::add(std::size_t index, const RunOutcome& outcome) {
-  for (const Row& r : rows_) {
-    if (r.index == index) {
-      throw std::invalid_argument("ResultWriter: duplicate scenario index " +
-                                  std::to_string(index));
-    }
+  if (!row_indices_.insert(index).second) {
+    throw std::invalid_argument("ResultWriter: duplicate scenario index " +
+                                std::to_string(index));
   }
   rows_.push_back(Row{index, outcome});
 }
 
-void ResultWriter::write_csv(std::ostream& os) const {
+std::vector<const ResultWriter::Row*> ResultWriter::sorted_rows() const {
   std::vector<const Row*> sorted;
   sorted.reserve(rows_.size());
   for (const Row& r : rows_) sorted.push_back(&r);
   std::sort(sorted.begin(), sorted.end(),
             [](const Row* a, const Row* b) { return a->index < b->index; });
-  os << csv_header() << '\n';
-  for (const Row* r : sorted) os << csv_row(r->index, r->outcome) << '\n';
+  return sorted;
 }
 
-void ResultWriter::write_json(std::ostream& os) const {
-  std::vector<const Row*> sorted;
-  sorted.reserve(rows_.size());
-  for (const Row& r : rows_) sorted.push_back(&r);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Row* a, const Row* b) { return a->index < b->index; });
+void ResultWriter::write_csv(std::ostream& os) const {
+  os << csv_header() << '\n';
+  for (const Row* r : sorted_rows()) os << csv_row(r->index, r->outcome) << '\n';
+}
 
-  json::Value results{json::Value::Array{}};
-  for (const Row* row : sorted) {
-    const RunOutcome& o = row->outcome;
-    json::Value entry;
-    entry.set("index", static_cast<double>(row->index));
-    entry.set("label", o.label);
-    entry.set("defense", o.config.defense);
-    entry.set("strategy_names", o.config.strategy_names());
-    entry.set("seed", static_cast<double>(o.config.seed));
-    entry.set("capacity_rps", o.config.capacity_rps);
-    entry.set("duration_s", o.config.duration.sec());
-    if (!o.ok()) {
-      entry.set("error", o.error);
-      results.push_back(std::move(entry));
-      continue;
-    }
-    const ExperimentResult& r = o.result;
-    json::Value metrics;
-    metrics.set("served_total", static_cast<double>(r.served_total));
-    metrics.set("served_good", static_cast<double>(r.served_good));
-    metrics.set("served_bad", static_cast<double>(r.served_bad));
-    metrics.set("allocation_good", r.allocation_good);
-    metrics.set("allocation_bad", r.allocation_bad);
-    metrics.set("server_time_good", r.server_time_good);
-    metrics.set("server_time_bad", r.server_time_bad);
-    metrics.set("fraction_good_served", r.fraction_good_served);
-    metrics.set("server_busy_fraction", r.server_busy_fraction);
-    metrics.set("events_executed", static_cast<double>(r.events_executed));
-    metrics.set("attacker_bytes", static_cast<double>(r.attacker_bytes()));
-    entry.set("metrics", std::move(metrics));
-    json::Value groups{json::Value::Array{}};
-    for (const GroupResult& g : r.groups) {
-      json::Value gv;
-      gv.set("label", g.label);
-      gv.set("count", g.count);
-      gv.set("strategy", g.strategy);
-      gv.set("served", static_cast<double>(g.totals.served));
-      gv.set("denied", static_cast<double>(g.totals.denied));
-      gv.set("allocation", g.allocation);
-      groups.push_back(std::move(gv));
-    }
-    entry.set("groups", std::move(groups));
-    // Adversary-library view: the same totals merged per workload strategy.
-    json::Value strategies{json::Value::Array{}};
-    for (const StrategyResult& s : r.strategy_totals()) {
-      json::Value sv;
-      sv.set("strategy", s.strategy);
-      sv.set("clients", s.clients);
-      sv.set("served", static_cast<double>(s.totals.served));
-      sv.set("denied", static_cast<double>(s.totals.denied));
-      sv.set("payments_declined", static_cast<double>(s.totals.payments_declined));
-      sv.set("payments_abandoned", static_cast<double>(s.totals.payments_abandoned));
-      sv.set("allocation", s.allocation);
-      strategies.push_back(std::move(sv));
-    }
-    entry.set("strategies", std::move(strategies));
-    entry.set("fingerprint", fingerprint_hex(r.fingerprint()));
-    // Host wall time: the one nondeterministic field, excluded from the
-    // fingerprint and from the CSV form.
-    entry.set("wall_seconds", r.wall_seconds);
-    results.push_back(std::move(entry));
-  }
-  json::Value doc;
-  doc.set("result_count", static_cast<double>(rows_.size()));
-  doc.set("results", std::move(results));
-  os << doc.dump(2) << '\n';
+void ResultWriter::write_records(std::ostream& os) const {
+  os << records_header() << '\n';
+  for (const Row* r : sorted_rows()) os << records_block(r->index, r->outcome);
 }
 
 namespace {
 
-struct CsvLine {
+/// Both result files are a header line followed by index-keyed blocks: a
+/// results CSV block is one line, a records block is the run of adjacent
+/// lines that share an index.
+struct Block {
   std::size_t index;
-  std::string text;
+  std::size_t source;     // which input it came from
+  std::string_view text;  // its lines, newline-terminated (but for an
+                          // input's unterminated last line)
 };
 
-/// Splits one write_csv output into indexed rows, validating the header.
-/// `what` names the caller in error messages ("merge_csv: input 0", ...).
-std::vector<CsvLine> scan_csv(const std::string& csv, const std::string& what) {
-  std::vector<CsvLine> lines;
-  std::istringstream in(csv);
-  std::string line;
-  if (!std::getline(in, line) || line != ResultWriter::csv_header()) {
-    throw std::invalid_argument(what + " does not start with the speakup CSV header");
+std::string_view first_line(std::string_view text) { return text.substr(0, text.find('\n')); }
+
+/// Appends the blocks of one file to `out`, validating its header against
+/// `header`. `what` names the input in error messages ("merge_csv: 'a.csv'").
+void scan_blocks(std::string_view text, const std::string& header, const std::string& what,
+                 std::size_t source, std::vector<Block>& out) {
+  const bool one_line = header == ResultWriter::csv_header();
+  if (first_line(text) != header) {
+    throw std::invalid_argument(what + " does not start with the speakup " +
+                                (one_line ? "CSV" : "records") + " header");
   }
-  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
-    if (line.empty()) continue;
-    std::size_t pos = 0;
+  std::size_t pos = header.size() + 1;
+  for (std::size_t line_no = 2; pos < text.size(); ++line_no) {
+    const std::size_t start = pos;
+    pos = std::min(text.find('\n', start), text.size() - 1) + 1;
+    const std::string_view line = text.substr(start, pos - start);
+    const std::string_view body = first_line(line);
+    if (body.empty()) continue;
+    std::size_t i = 0;
     std::size_t index = 0;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-      const auto digit = static_cast<std::size_t>(line[pos] - '0');
+    for (; i < body.size() && body[i] >= '0' && body[i] <= '9'; ++i) {
+      const auto digit = static_cast<std::size_t>(body[i] - '0');
       if (index > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
         throw std::invalid_argument(what + " line " + std::to_string(line_no) +
-                                    ": row index is too large: " + line);
+                                    ": row index is too large: " + std::string(body));
       }
       index = index * 10 + digit;
-      ++pos;
     }
-    if (pos == 0 || pos >= line.size() || line[pos] != ',') {
-      throw std::invalid_argument(what + " has a row without a leading index: " + line);
+    if (i == 0 || i >= body.size() || body[i] != ',') {
+      throw std::invalid_argument(what + " has a row without a leading index: " +
+                                  std::string(body));
     }
-    lines.push_back(CsvLine{index, line});
+    Block* last = out.empty() ? nullptr : &out.back();
+    if (!one_line && last != nullptr && last->source == source && last->index == index &&
+        last->text.data() + last->text.size() == line.data()) {
+      last->text = std::string_view(last->text.data(), last->text.size() + line.size());
+    } else {
+      out.push_back(Block{index, source, line});
+    }
   }
-  return lines;
+}
+
+/// Sorts blocks by index (stably: ties keep input order) and rejects a
+/// repeated index, saying which input(s) hold the copies and whether the
+/// duplication is inside one file or across two.
+void sort_blocks(std::vector<Block>& blocks, const char* op,
+                 const std::vector<std::string>& names) {
+  std::stable_sort(blocks.begin(), blocks.end(),
+                   [](const Block& a, const Block& b) { return a.index < b.index; });
+  for (std::size_t i = 1; i < blocks.size(); ++i) {
+    const Block& a = blocks[i - 1];
+    const Block& b = blocks[i];
+    if (a.index != b.index) continue;
+    const std::string head = std::string(op) + ": scenario index " + std::to_string(a.index);
+    if (a.source == b.source) {
+      throw std::invalid_argument(head + " appears more than once inside '" + names[a.source] +
+                                  "' (that file was never a valid single-run output)");
+    }
+    throw std::invalid_argument(head + " appears in both '" + names[a.source] + "' and '" +
+                                names[b.source] +
+                                "' — shard inputs must cover disjoint scenario indices");
+  }
+}
+
+std::string join_blocks(const std::string& header, const std::vector<Block>& blocks) {
+  std::size_t size = header.size() + 1;
+  for (const Block& b : blocks) size += b.text.size() + 1;
+  std::string out;
+  out.reserve(size);
+  out += header;
+  out += '\n';
+  for (const Block& b : blocks) {
+    out += b.text;
+    if (out.back() != '\n') out += '\n';
+  }
+  return out;
+}
+
+/// A writer killed mid-line leaves its file without a trailing newline;
+/// whatever sits after the last '\n' is a partial line and must be re-run,
+/// not merged — even when the cut makes it look well-formed.
+std::string_view whole_lines(std::string_view text) {
+  return text.substr(0, text.find_last_of('\n') + 1);  // npos + 1 == 0
+}
+
+/// True when a records block holds every line its leading
+/// `index,groups,N` line promises: records_block writes five per group.
+bool records_block_complete(std::string_view block) {
+  constexpr std::size_t kGroupMetrics = 5;
+  const std::string_view first = first_line(block);
+  const std::string_view count = first.substr(first.find(',') + 1);
+  std::size_t groups = 0;
+  if (!count.starts_with("groups,") ||
+      std::from_chars(count.data() + 7, count.data() + count.size(), groups).ptr !=
+          count.data() + count.size()) {
+    return false;
+  }
+  const auto lines = static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n'));
+  return groups < lines && lines == 1 + kGroupMetrics * groups;
 }
 
 }  // namespace
 
 std::vector<std::size_t> ResultWriter::csv_indices(const std::string& csv) {
+  std::vector<Block> blocks;
+  scan_blocks(csv, csv_header(), "csv_indices: input", 0, blocks);
   std::vector<std::size_t> out;
-  for (const CsvLine& l : scan_csv(csv, "csv_indices: input")) out.push_back(l.index);
+  out.reserve(blocks.size());
+  for (const Block& b : blocks) out.push_back(b.index);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-ResultWriter::ResumeInfo ResultWriter::resume_info(const std::string& csv) {
-  // A writer killed mid-row leaves the file without a trailing newline;
-  // whatever sits after the last '\n' is a partial row and must be re-run,
-  // not merged — even when the truncation point makes it look well-formed.
-  std::string intact = csv;
-  if (!intact.empty() && intact.back() != '\n') {
-    const std::size_t last_nl = intact.find_last_of('\n');
-    intact.resize(last_nl == std::string::npos ? 0 : last_nl + 1);
+ResultWriter::ResumeInfo ResultWriter::resume_info(const std::string& csv,
+                                                   const std::string& records) {
+  static const std::vector<std::string> names{"existing output", "existing records"};
+  std::vector<Block> rows;
+  std::vector<Block> blocks;
+  if (const std::string_view whole = whole_lines(csv); !whole.empty()) {
+    scan_blocks(whole, csv_header(), "resume: existing output", 0, rows);
   }
+  if (const std::string_view whole = whole_lines(records); !whole.empty()) {
+    scan_blocks(whole, records_header(), "resume: existing records", 1, blocks);
+  }
+  sort_blocks(rows, "resume", names);
+  sort_blocks(blocks, "resume", names);
+
+  // A failed row leaves the metric columns empty and fills the final
+  // `error` column (and has no records block); only error-free rows with
+  // the full column count and a complete records block qualify.
   const std::size_t n_columns = split_csv_row(csv_header()).size();
   ResumeInfo info;
-  info.completed_csv = csv_header() + "\n";
-  std::vector<std::size_t> seen;
-  for (const CsvLine& l : scan_csv(intact, "resume: existing output")) {
-    if (std::find(seen.begin(), seen.end(), l.index) != seen.end()) {
-      throw std::invalid_argument(
-          "resume: existing output lists scenario index " +
-          std::to_string(l.index) + " more than once; refusing to resume from it");
+  std::vector<Block> done_rows;
+  std::vector<Block> done_blocks;
+  auto block = blocks.begin();
+  for (const Block& row : rows) {
+    while (block != blocks.end() && block->index < row.index) ++block;
+    if (block == blocks.end() || block->index != row.index ||
+        !records_block_complete(block->text)) {
+      continue;
     }
-    seen.push_back(l.index);
-    const std::vector<std::string> fields = split_csv_row(l.text);
-    // A failed row leaves the metric columns empty and fills the final
-    // `error` column; only successfully completed rows with the full
-    // column count qualify — a short row is a corrupt partial write.
-    const bool completed = fields.size() == n_columns && fields.back().empty();
-    if (!completed) continue;
-    info.completed_csv += l.text;
-    info.completed_csv += '\n';
-    info.completed.emplace_back(l.index, fields[1]);
+    const std::vector<std::string> fields = split_csv_row(std::string(first_line(row.text)));
+    if (fields.size() != n_columns || !fields.back().empty()) continue;
+    done_rows.push_back(row);
+    done_blocks.push_back(*block);
+    info.completed.emplace_back(row.index, fields[1]);
   }
+  info.completed_csv = join_blocks(csv_header(), done_rows);
+  info.completed_records = join_blocks(records_header(), done_blocks);
   return info;
-}
-
-namespace {
-
-/// "input 0", ... when the caller did not supply file names.
-std::vector<std::string> default_names(const char* op, std::size_t n,
-                                       const std::vector<std::string>& names) {
-  if (!names.empty()) {
-    if (names.size() != n) {
-      throw std::invalid_argument(std::string(op) +
-                                  ": names/inputs length mismatch");
-    }
-    return names;
-  }
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back("input " + std::to_string(i));
-  return out;
-}
-
-/// The duplicate-index diagnostic: says which input(s) hold the copies, and
-/// whether the duplication is inside one file or across two.
-[[noreturn]] void throw_duplicate_index(const char* op, std::size_t index,
-                                        const std::string& first_name,
-                                        const std::string& second_name) {
-  if (first_name == second_name) {
-    throw std::invalid_argument(
-        std::string(op) + ": scenario index " + std::to_string(index) +
-        " appears more than once inside '" + first_name +
-        "' (that file was never a valid single-run output)");
-  }
-  throw std::invalid_argument(
-      std::string(op) + ": scenario index " + std::to_string(index) +
-      " appears in both '" + first_name + "' and '" + second_name +
-      "' — shard inputs must cover disjoint scenario indices");
-}
-
-}  // namespace
-
-std::string ResultWriter::merge_csv(const std::vector<std::string>& shards) {
-  return merge_csv(shards, {});
 }
 
 std::string ResultWriter::merge_csv(const std::vector<std::string>& shards,
                                     const std::vector<std::string>& names) {
   if (shards.empty()) throw std::invalid_argument("merge_csv: no inputs");
-  const std::vector<std::string> labels =
-      default_names("merge_csv", shards.size(), names);
-  struct SourcedLine {
-    CsvLine line;
-    std::size_t source;
-  };
-  std::vector<SourcedLine> lines;
+  if (!names.empty() && names.size() != shards.size()) {
+    throw std::invalid_argument("merge_csv: names/inputs length mismatch");
+  }
+  std::vector<std::string> labels = names;  // "input 0", ... when none are given
+  for (std::size_t i = labels.size(); i < shards.size(); ++i) {
+    labels.push_back("input " + std::to_string(i));
+  }
+  const std::string& header =
+      first_line(shards[0]) == records_header() ? records_header() : csv_header();
+  std::vector<Block> blocks;
   for (std::size_t si = 0; si < shards.size(); ++si) {
-    const std::vector<CsvLine> shard_lines =
-        scan_csv(shards[si], "merge_csv: '" + labels[si] + "'");
-    for (const CsvLine& l : shard_lines) lines.push_back(SourcedLine{l, si});
+    scan_blocks(shards[si], header, "merge_csv: '" + labels[si] + "'", si, blocks);
   }
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const SourcedLine& a, const SourcedLine& b) {
-                     return a.line.index < b.line.index;
-                   });
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].line.index == lines[i - 1].line.index) {
-      throw_duplicate_index("merge_csv", lines[i].line.index,
-                            labels[lines[i - 1].source], labels[lines[i].source]);
-    }
-  }
-  std::string out = csv_header() + "\n";
-  for (const SourcedLine& l : lines) {
-    out += l.line.text;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string ResultWriter::merge_json(const std::vector<std::string>& shards) {
-  return merge_json(shards, {});
-}
-
-std::string ResultWriter::merge_json(const std::vector<std::string>& shards,
-                                     const std::vector<std::string>& names) {
-  if (shards.empty()) throw std::invalid_argument("merge_json: no inputs");
-  const std::vector<std::string> labels =
-      default_names("merge_json", shards.size(), names);
-  struct Entry {
-    std::size_t index;
-    std::size_t source;
-    json::Value value;
-  };
-  std::vector<Entry> entries;
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    const std::string what = "merge_json: '" + labels[si] + "'";
-    json::Value doc;
-    try {
-      doc = json::parse(shards[si]);
-    } catch (const json::Error& e) {
-      throw std::invalid_argument(what + ": " + e.what());
-    }
-    const json::Value* results = doc.find("results");
-    if (results == nullptr || !results->is_array()) {
-      throw std::invalid_argument(what + " is not a speakup JSON result document "
-                                         "(missing \"results\" array)");
-    }
-    for (const json::Value& entry : results->as_array()) {
-      const json::Value* index = entry.find("index");
-      std::int64_t idx = -1;
-      try {
-        idx = index != nullptr ? index->as_int() : -1;
-      } catch (const json::Error&) {
-        idx = -1;
-      }
-      if (idx < 0) {
-        throw std::invalid_argument(what + " has a result without an integer \"index\"");
-      }
-      entries.push_back(Entry{static_cast<std::size_t>(idx), si, entry});
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.index < b.index; });
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].index == entries[i - 1].index) {
-      throw_duplicate_index("merge_json", entries[i].index,
-                            labels[entries[i - 1].source], labels[entries[i].source]);
-    }
-  }
-  json::Value results{json::Value::Array{}};
-  for (Entry& e : entries) results.push_back(std::move(e.value));
-  json::Value doc;
-  doc.set("result_count", static_cast<double>(entries.size()));
-  doc.set("results", std::move(results));
-  return doc.dump(2) + "\n";
+  sort_blocks(blocks, "merge_csv", labels);
+  return join_blocks(header, blocks);
 }
 
 }  // namespace speakup::exp

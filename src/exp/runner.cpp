@@ -12,8 +12,8 @@ Runner& Runner::add(ScenarioConfig cfg, std::string label) {
   if (label.empty()) {
     label = cfg.defense + "/" + std::to_string(jobs_.size());
   }
-  for (const Job& j : jobs_) {
-    util::require(j.label != label, "Runner: duplicate label '" + label + "'");
+  if (!job_of_label_.emplace(label, jobs_.size()).second) {
+    util::require_fail(("Runner: duplicate label '" + label + "'").c_str());
   }
   jobs_.push_back(Job{std::move(label), std::move(cfg)});
   return *this;
@@ -102,9 +102,8 @@ const std::vector<RunOutcome>& Runner::outcomes() const {
 
 const RunOutcome& Runner::outcome(std::string_view label) const {
   util::require(ran_, "Runner: call run_all first");
-  for (const RunOutcome& o : outcomes_) {
-    if (o.label == label) return o;
-  }
+  const auto it = job_of_label_.find(std::string(label));
+  if (it != job_of_label_.end()) return outcomes_[it->second];
   throw std::invalid_argument("Runner: no scenario labeled '" + std::string(label) + "'");
 }
 

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -85,6 +86,7 @@ class Runner {
   };
 
   std::vector<Job> jobs_;
+  std::unordered_map<std::string, std::size_t> job_of_label_;  // label -> jobs_ position
   std::vector<RunOutcome> outcomes_;
   obs::Observer::Options obs_opts_{};
   std::vector<std::size_t> telemetry_indices_;

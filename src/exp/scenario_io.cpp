@@ -235,11 +235,10 @@ void set_path(json::Value& root, std::string_view path, const json::Value& v,
       cur->set(seg, v);
     } else {
       if (cur->find(seg) == nullptr) cur->set(seg, json::Value(json::Value::Object{}));
-      json::Value* child = cur->find(seg);
-      if (!child->is_object() && !child->is_array()) {
-        fail(ctx, axis + seg + "\" is not an object or array");
-      }
-      cur = child;
+      cur = cur->find(seg);
+    }
+    if (!last && !cur->is_object() && !cur->is_array()) {
+      fail(ctx, axis + seg + "\" is not an object or array");
     }
   }
 }

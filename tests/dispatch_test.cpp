@@ -4,12 +4,13 @@
 // requeue / attempt budget) and the SliceJournal header round-trip.
 //
 // End to end, against the real `speakup` binary (SPEAKUP_CLI_BIN): a
-// dispatched sweep must produce output byte-identical to a single-process
-// `speakup run` — on the happy path, under an injected worker SIGKILL
-// mid-slice, under a stalled heartbeat, and across a dispatcher kill +
-// `--resume` restart. Fault injection uses the SPEAKUP_WORKER_FAULT /
-// SPEAKUP_DISPATCH_FAULT hooks documented in docs/cli.md; each fault
-// carries a token file so it fires exactly once per test.
+// dispatched sweep must produce a results CSV and records file
+// byte-identical to a single-process `speakup run` — on the happy path,
+// under an injected worker SIGKILL mid-slice, under a stalled heartbeat,
+// and across a dispatcher kill + `--resume` restart. Fault injection uses
+// the SPEAKUP_WORKER_FAULT / SPEAKUP_DISPATCH_FAULT hooks documented in
+// docs/cli.md; each fault carries a token file so it fires exactly once
+// per test.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -176,6 +177,17 @@ bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
+/// A results CSV and the records file beside it.
+struct Files {
+  std::string csv;
+  std::string records;
+  bool operator==(const Files&) const = default;
+};
+
+Files files_at(const std::string& csv_path) {
+  return {read_file(csv_path), read_file(exp::ResultWriter::records_path(csv_path))};
+}
+
 struct CmdResult {
   int exit_code = -1;  // -1: killed by a signal / system() failure
   std::string out;
@@ -205,49 +217,51 @@ class DispatchE2E : public TempDir {
   }
 
   /// The single-process baseline every dispatch variant must match.
-  std::string baseline() {
+  Files baseline() {
     const std::string path = dir_ + "/single.csv";
     const CmdResult r = cli("run " + scenario() + " --out " + path + " --quiet --jobs 2");
     EXPECT_EQ(r.exit_code, 0) << r.err;
-    return read_file(path);
+    const Files files = files_at(path);
+    EXPECT_NE(files.records.find("\n5,groups,2\n"), std::string::npos) << files.records;
+    return files;
   }
 };
 
 TEST_F(DispatchE2E, MatchesSingleProcessRunByteForByte) {
-  const std::string single = baseline();
+  const Files single = baseline();
   const std::string out = dir_ + "/disp.csv";
   const CmdResult r =
       cli("dispatch " + scenario() + " --workers 4 --out " + out + " --status json");
   ASSERT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_EQ(read_file(out), single);
+  EXPECT_EQ(files_at(out), single);
   // The work directory is removed after a fully successful sweep.
   EXPECT_FALSE(file_exists(out + ".work/journal"));
   EXPECT_NE(r.out.find("\"type\":\"done\",\"ok\":true"), std::string::npos) << r.out;
 }
 
 TEST_F(DispatchE2E, SurvivesWorkerSigkillMidSlice) {
-  const std::string single = baseline();
+  const Files single = baseline();
   const std::string out = dir_ + "/kill.csv";
   const CmdResult r = cli(
       "dispatch " + scenario() + " --workers 2 --out " + out +
           " --status json --heartbeat-ms 500",
       "SPEAKUP_WORKER_FAULT='kill:1:" + dir_ + "/kill_token'");
   ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
-  EXPECT_EQ(read_file(out), single);
+  EXPECT_EQ(files_at(out), single);
   // The fault must actually have fired and been handled.
   EXPECT_NE(r.out.find("\"type\":\"worker_dead\""), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("\"type\":\"requeue\",\"slice\":1"), std::string::npos) << r.out;
 }
 
 TEST_F(DispatchE2E, SurvivesStalledHeartbeat) {
-  const std::string single = baseline();
+  const Files single = baseline();
   const std::string out = dir_ + "/stall.csv";
   const CmdResult r = cli(
       "dispatch " + scenario() + " --workers 2 --out " + out +
           " --status json --heartbeat-ms 400",
       "SPEAKUP_WORKER_FAULT='stall:2:" + dir_ + "/stall_token'");
   ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
-  EXPECT_EQ(read_file(out), single);
+  EXPECT_EQ(files_at(out), single);
   EXPECT_NE(r.out.find("heartbeat timeout"), std::string::npos) << r.out;
 }
 
@@ -282,7 +296,7 @@ TEST_F(DispatchE2E, EmitsPerWorkerMetricsEventsInJsonView) {
 }
 
 TEST_F(DispatchE2E, ResumesAfterDispatcherKill) {
-  const std::string single = baseline();
+  const Files single = baseline();
   const std::string out = dir_ + "/resumed.csv";
   // First dispatcher "crashes" (deterministic _Exit(32)) after two slices.
   const CmdResult first = cli(
@@ -295,42 +309,81 @@ TEST_F(DispatchE2E, ResumesAfterDispatcherKill) {
   const CmdResult second = cli("dispatch " + scenario() + " --workers 2 --out " +
                                out + " --status json --resume");
   ASSERT_EQ(second.exit_code, 0) << second.err << second.out;
-  EXPECT_EQ(read_file(out), single);
+  EXPECT_EQ(files_at(out), single);
   // At least the two pre-kill slices came back from disk, unrun.
   EXPECT_NE(second.out.find("\"resume\":true"), std::string::npos) << second.out;
   EXPECT_EQ(second.out.find("\"slices_resumed\":0,"), std::string::npos) << second.out;
   EXPECT_FALSE(file_exists(out + ".work/journal"));
 }
 
-TEST_F(DispatchE2E, ResumeReRunsASliceWithATruncatedCsv) {
-  const std::string single = baseline();
+TEST_F(DispatchE2E, ResumeReRunsSlicesWithATruncatedCsvOrRecordsFile) {
+  const Files single = baseline();
   const std::string out = dir_ + "/trunc.csv";
   const CmdResult first = cli(
       "dispatch " + scenario() + " --workers 2 --out " + out + " --status json",
       "SPEAKUP_DISPATCH_FAULT='exit-after-done:2'");
   ASSERT_EQ(first.exit_code, 32) << first.err;
 
-  // Corrupt one completed slice artifact the way a dying worker would:
-  // chop the file mid-row, right after a comma, no trailing newline.
-  std::string corrupted_slice;
-  for (int s = 0; s < 16; ++s) {
+  // Corrupt completed slice artifacts the way a dying worker would: chop
+  // the first slice's CSV mid-row, right after a comma, with no trailing
+  // newline, and drop the last line of the next slice's records file.
+  std::vector<std::string> corrupted;
+  for (int s = 0; s < 16 && corrupted.size() < 2; ++s) {
     const std::string path = out + ".work/slice_" + std::to_string(s) + ".csv";
     if (!file_exists(path)) continue;
-    const std::string full = read_file(path);
-    const std::size_t cut = full.find_last_of(',');
-    ASSERT_NE(cut, std::string::npos);
-    std::ofstream(path, std::ios::binary) << full.substr(0, cut + 1);
-    corrupted_slice = path;
-    break;
+    const std::string target =
+        corrupted.empty() ? path : exp::ResultWriter::records_path(path);
+    const std::string full = read_file(target);
+    const std::size_t cut = corrupted.empty() ? full.find_last_of(',') + 1
+                                              : full.rfind('\n', full.size() - 2) + 1;
+    ASSERT_GT(cut, 0u);
+    std::ofstream(target, std::ios::binary) << full.substr(0, cut);
+    corrupted.push_back(target);
   }
-  ASSERT_FALSE(corrupted_slice.empty()) << "no slice CSV survived the kill";
+  ASSERT_EQ(corrupted.size(), 2u) << "fewer than two slices survived the kill";
 
   const CmdResult second = cli("dispatch " + scenario() + " --workers 2 --out " +
                                out + " --status json --resume");
   ASSERT_EQ(second.exit_code, 0) << second.err << second.out;
-  // The truncated slice was re-run, not merged: output is still perfect.
-  EXPECT_EQ(read_file(out), single);
+  // The truncated slices were re-run, not merged: output is still perfect.
+  EXPECT_EQ(files_at(out), single);
 }
+
+// The results CSV and records file come out byte-identical on all four
+// paths — `run`, a 2-shard `merge`, `dispatch`, and `--resume` after the
+// records file was cut mid-line — for the smoke sweep and an
+// adversary-library sweep.
+class FourPaths : public DispatchE2E, public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(FourPaths, RunMergeDispatchAndResumeWriteTheSameFiles) {
+  const std::string file = std::string(SPEAKUP_SCENARIO_DIR) + "/" + GetParam();
+  const auto run = [&](const std::string& args) {
+    const CmdResult r = cli("run " + file + " " + args + " --quiet --jobs 2");
+    EXPECT_EQ(r.exit_code, 0) << args << ": " << r.err;
+  };
+  run("--out " + dir_ + "/full.csv");
+  const Files single = files_at(dir_ + "/full.csv");
+
+  run("--shard 0/2 --out " + dir_ + "/s0.csv");
+  run("--shard 1/2 --out " + dir_ + "/s1.csv");
+  const CmdResult m =
+      cli("merge --out " + dir_ + "/m.csv " + dir_ + "/s1.csv " + dir_ + "/s0.csv");
+  ASSERT_EQ(m.exit_code, 0) << m.err;
+  EXPECT_EQ(files_at(dir_ + "/m.csv"), single);
+
+  const CmdResult d = cli("dispatch " + file + " --workers 3 --out " + dir_ + "/d.csv");
+  ASSERT_EQ(d.exit_code, 0) << d.err;
+  EXPECT_EQ(files_at(dir_ + "/d.csv"), single);
+
+  std::ofstream(dir_ + "/r.csv", std::ios::binary) << single.csv;
+  std::ofstream(dir_ + "/r.records.csv", std::ios::binary)
+      << single.records.substr(0, single.records.size() - 2);
+  run("--out " + dir_ + "/r.csv --resume");
+  EXPECT_EQ(files_at(dir_ + "/r.csv"), single);
+}
+
+INSTANTIATE_TEST_SUITE_P(ScenarioFiles, FourPaths,
+                         ::testing::Values("smoke.json", "adversary_onoff.json"));
 
 TEST_F(DispatchE2E, ExhaustedRetriesFailTheSweep) {
   const std::string out = dir_ + "/failed.csv";
@@ -370,9 +423,9 @@ TEST_F(DispatchE2E, RunListPrintsTheExpansionWithoutRunning) {
 }
 
 TEST_F(DispatchE2E, MergeRejectsDuplicateIndicesWithFileNames) {
-  const std::string single = baseline();
-  std::ofstream(dir_ + "/a.csv", std::ios::binary) << single;
-  std::ofstream(dir_ + "/b.csv", std::ios::binary) << single;
+  const Files single = baseline();
+  std::ofstream(dir_ + "/a.csv", std::ios::binary) << single.csv;
+  std::ofstream(dir_ + "/b.csv", std::ios::binary) << single.csv;
   const CmdResult r = cli("merge --out " + dir_ + "/m.csv " + dir_ + "/a.csv " +
                           dir_ + "/b.csv");
   EXPECT_EQ(r.exit_code, 2);
@@ -382,18 +435,45 @@ TEST_F(DispatchE2E, MergeRejectsDuplicateIndicesWithFileNames) {
 }
 
 TEST_F(DispatchE2E, RunResumeIgnoresATruncatedTrailingRow) {
-  const std::string single = baseline();
+  const Files single = baseline();
   const std::string out = dir_ + "/resume_run.csv";
   // Simulate a `run` killed mid-write: the first rows are intact, the last
   // one is chopped right after a comma with no trailing newline.
-  const std::size_t cut = single.find_last_of(',');
+  const std::size_t cut = single.csv.find_last_of(',');
   ASSERT_NE(cut, std::string::npos);
-  std::ofstream(out, std::ios::binary) << single.substr(0, cut + 1);
+  std::ofstream(out, std::ios::binary) << single.csv.substr(0, cut + 1);
+  std::ofstream(exp::ResultWriter::records_path(out), std::ios::binary) << single.records;
 
   const CmdResult r =
       cli("run " + scenario() + " --out " + out + " --resume --quiet --jobs 2");
   ASSERT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_EQ(read_file(out), single);
+  EXPECT_EQ(files_at(out), single);
+
+  // The same for a records file cut inside its last block, at a line
+  // boundary and mid-line: exactly that row re-runs.
+  const std::size_t last_block = single.records.rfind("\n5,groups,") + 1;
+  for (const std::size_t records_cut :
+       {last_block, single.records.find('\n', last_block) + 1, single.records.size() - 3}) {
+    std::ofstream(out, std::ios::binary) << single.csv;
+    std::ofstream(exp::ResultWriter::records_path(out), std::ios::binary)
+        << single.records.substr(0, records_cut);
+    const CmdResult again = cli("run " + scenario() + " --out " + out + " --resume --jobs 2");
+    ASSERT_EQ(again.exit_code, 0) << again.err;
+    EXPECT_NE(again.out.find("resume skips 5 done, 1 to run"), std::string::npos) << again.out;
+    EXPECT_EQ(files_at(out), single) << "records cut at byte " << records_cut;
+  }
+}
+
+TEST_F(DispatchE2E, MergeNeedsARecordsFileBesideEveryInputOrNone) {
+  const std::string s0 = dir_ + "/s0.csv";
+  const std::string s1 = dir_ + "/s1.csv";
+  ASSERT_EQ(cli("run " + scenario() + " --shard 0/2 --out " + s0 + " --quiet").exit_code, 0);
+  ASSERT_EQ(cli("run " + scenario() + " --shard 1/2 --out " + s1 + " --quiet").exit_code, 0);
+  std::remove(exp::ResultWriter::records_path(s1).c_str());
+  const CmdResult r = cli("merge --out " + dir_ + "/m.csv " + s0 + " " + s1);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find("no records file beside '" + s1 + "'"), std::string::npos) << r.err;
+  EXPECT_FALSE(file_exists(dir_ + "/m.csv"));
 }
 
 }  // namespace

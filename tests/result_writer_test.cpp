@@ -1,9 +1,9 @@
-// Tests for result persistence: deterministic CSV rows (golden output),
-// well-formed JSON, the sharded-merge contract — merging per-shard CSVs
-// (and JSON documents) reproduces the unsharded file byte for byte, with
-// equal fingerprints — and the resume contract: re-running only the
-// missing indices of an interrupted sweep and merging reproduces the
-// uninterrupted output byte for byte.
+// Tests for result persistence: deterministic CSV rows and records blocks
+// (golden output), the sharded-merge contract — merging per-shard CSVs and
+// records files reproduces the unsharded files byte for byte, with equal
+// fingerprints — and the resume contract: re-running only the indices an
+// interrupted sweep left incomplete in either file and merging reproduces
+// the uninterrupted output byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "exp/result_writer.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
-#include "util/json.hpp"
 
 namespace speakup {
 namespace {
@@ -23,7 +22,45 @@ namespace {
 using exp::ResultWriter;
 using exp::RunOutcome;
 
-namespace json = util::json;
+/// A writer's two files, as a sweep writes them.
+struct Files {
+  std::string csv;
+  std::string records;
+  bool operator==(const Files&) const = default;
+};
+
+Files files_of(const ResultWriter& w) {
+  std::ostringstream csv;
+  std::ostringstream records;
+  w.write_csv(csv);
+  w.write_records(records);
+  return {csv.str(), records.str()};
+}
+
+/// Runs a slice of a scenario file as `speakup run` would and returns its
+/// files.
+Files run_slice(const std::vector<exp::LabeledScenario>& slice) {
+  exp::Runner runner;
+  exp::ScenarioFile::queue_on(runner, slice);
+  runner.run_all(2);
+  ResultWriter w;
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    EXPECT_TRUE(runner.outcomes()[i].ok()) << runner.outcomes()[i].error;
+    w.add(slice[i].index, runner.outcomes()[i]);
+  }
+  return files_of(w);
+}
+
+/// Both files merged, as `speakup merge` does.
+Files merge(const std::vector<Files>& shards) {
+  std::vector<std::string> csvs;
+  std::vector<std::string> records;
+  for (const Files& f : shards) {
+    csvs.push_back(f.csv);
+    records.push_back(f.records);
+  }
+  return {ResultWriter::merge_csv(csvs), ResultWriter::merge_csv(records)};
+}
 
 /// A fully deterministic synthetic outcome (no simulation involved).
 RunOutcome synthetic_outcome(const std::string& label, std::uint64_t seed) {
@@ -136,28 +173,40 @@ TEST(ResultWriter, WritesRowsSortedByIndex) {
   EXPECT_THROW(w.add(1, synthetic_outcome("dup", 9)), std::invalid_argument);
 }
 
-TEST(ResultWriter, JsonOutputIsWellFormedAndComplete) {
-  ResultWriter w;
-  w.add(0, synthetic_outcome("auction/g5", 3));
+// The records block: a group count, then five metrics per group in
+// scenario-file order; a failed outcome has none.
+TEST(ResultWriter, RecordsBlockIsGolden) {
+  RunOutcome o = synthetic_outcome("auction/g5", 3);
+  o.result.groups[1].totals.denied = 4;
+  o.result.groups[1].totals.payments_declined = 2;
+  o.result.groups[1].totals.payments_abandoned = 1;
+  EXPECT_EQ(ResultWriter::records_block(7, o),
+            "7,groups,2\n"
+            "7,groups.0.served,90\n"
+            "7,groups.0.denied,0\n"
+            "7,groups.0.payments_declined,0\n"
+            "7,groups.0.payments_abandoned,0\n"
+            "7,groups.0.allocation,0.75\n"
+            "7,groups.1.served,30\n"
+            "7,groups.1.denied,4\n"
+            "7,groups.1.payments_declined,2\n"
+            "7,groups.1.payments_abandoned,1\n"
+            "7,groups.1.allocation,0.25\n");
   RunOutcome bad;
-  bad.label = "exploded";
-  bad.config.seed = 2;
   bad.error = "boom";
+  EXPECT_EQ(ResultWriter::records_block(1, bad), "");
+
+  ResultWriter w;
   w.add(1, bad);
+  w.add(7, o);
   std::ostringstream os;
-  w.write_json(os);
-  const json::Value doc = json::parse(os.str());  // must re-parse cleanly
-  EXPECT_EQ(doc.find("result_count")->as_int(), 2);
-  const auto& results = doc.find("results")->as_array();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].find("label")->as_string(), "auction/g5");
-  EXPECT_EQ(results[0].find("metrics")->find("served_total")->as_int(), 120);
-  EXPECT_DOUBLE_EQ(results[0].find("metrics")->find("allocation_good")->as_number(),
-                   0.75);
-  EXPECT_DOUBLE_EQ(results[0].find("wall_seconds")->as_number(), 1.5);
-  ASSERT_EQ(results[0].find("groups")->as_array().size(), 2u);
-  EXPECT_EQ(results[1].find("error")->as_string(), "boom");
-  EXPECT_EQ(results[1].find("metrics"), nullptr);
+  w.write_records(os);
+  EXPECT_EQ(os.str(), "index,metric,value\n" + ResultWriter::records_block(7, o));
+}
+
+TEST(ResultWriter, RecordsPathSitsBesideTheCsv) {
+  EXPECT_EQ(ResultWriter::records_path("out/results.csv"), "out/results.records.csv");
+  EXPECT_EQ(ResultWriter::records_path("results"), "results.records.csv");
 }
 
 TEST(ResultWriter, MergeRejectsBadInputs) {
@@ -190,8 +239,9 @@ TEST(ResultWriter, MergedSyntheticShardsEqualUnsharded) {
 }
 
 // The end-to-end contract behind `speakup run --shard`: really running the
-// shards of a scenario file in separate Runners and merging the CSVs gives
-// the byte-identical unsharded file — same fingerprints, same everything.
+// shards of a scenario file in separate Runners and merging the CSVs and
+// the records files gives the byte-identical unsharded files, in either
+// order — same fingerprints, same everything.
 TEST(ResultWriter, ShardedRunMergesToUnshardedBytes) {
   const exp::ScenarioFile file = exp::parse_scenario_file(R"({
     "defaults": {"duration_s": 1, "capacity_rps": 30, "lan": {"good": 1, "bad": 1}},
@@ -203,58 +253,32 @@ TEST(ResultWriter, ShardedRunMergesToUnshardedBytes) {
   })");
   ASSERT_EQ(file.scenarios.size(), 4u);
 
-  const auto run_slice = [](const std::vector<exp::LabeledScenario>& slice) {
-    exp::Runner runner;
-    exp::ScenarioFile::queue_on(runner, slice);
-    runner.run_all(2);
-    ResultWriter w;
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-      EXPECT_TRUE(runner.outcomes()[i].ok()) << runner.outcomes()[i].error;
-      w.add(slice[i].index, runner.outcomes()[i]);
-    }
-    std::ostringstream os;
-    w.write_csv(os);
-    return os.str();
-  };
-
-  const std::string unsharded = run_slice(file.scenarios);
-  const std::string shard0 = run_slice(file.shard(0, 2));
-  const std::string shard1 = run_slice(file.shard(1, 2));
-  EXPECT_EQ(ResultWriter::merge_csv({shard0, shard1}), unsharded);
+  const Files unsharded = run_slice(file.scenarios);
+  const Files shard0 = run_slice(file.shard(0, 2));
+  const Files shard1 = run_slice(file.shard(1, 2));
+  EXPECT_EQ(merge({shard0, shard1}), unsharded);
+  EXPECT_EQ(merge({shard1, shard0}), unsharded);
+  // Two groups per row: a count line and five metrics each.
+  EXPECT_EQ(std::count(unsharded.records.begin(), unsharded.records.end(), '\n'), 1 + 4 * 11);
 }
 
-// ---------------------------------------------------------------------------
-// JSON merge (speakup merge --json).
-// ---------------------------------------------------------------------------
-
-TEST(ResultWriter, MergedJsonShardsEqualUnsharded) {
-  ResultWriter all, even, odd;
-  for (std::size_t i = 0; i < 5; ++i) {
-    const RunOutcome o = synthetic_outcome("s" + std::to_string(i), i);
-    all.add(i, o);
-    (i % 2 == 0 ? even : odd).add(i, o);
+// A records index present in two inputs is rejected, naming both files.
+TEST(ResultWriter, MergeRejectsARecordsIndexInTwoInputs) {
+  ResultWriter w;
+  w.add(0, synthetic_outcome("a", 0));
+  const std::string records = files_of(w).records;
+  try {
+    (void)ResultWriter::merge_csv({records, records}, {"s0.records.csv", "s1.records.csv"});
+    FAIL() << "duplicate records index across inputs not rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("scenario index 0 appears in both 's0.records.csv' and "
+                       "'s1.records.csv'"),
+              std::string::npos)
+        << msg;
   }
-  std::ostringstream sa, se, so;
-  all.write_json(sa);
-  even.write_json(se);
-  odd.write_json(so);
-  // Byte-identical either way round: entries round-trip through the parser
-  // (deterministic key order and number formatting).
-  EXPECT_EQ(ResultWriter::merge_json({se.str(), so.str()}), sa.str());
-  EXPECT_EQ(ResultWriter::merge_json({so.str(), se.str()}), sa.str());
-}
-
-TEST(ResultWriter, MergeJsonRejectsBadInputs) {
-  ResultWriter w0;
-  w0.add(0, synthetic_outcome("a", 1));
-  std::ostringstream s0;
-  w0.write_json(s0);
-  EXPECT_THROW((void)ResultWriter::merge_json({}), std::invalid_argument);
-  EXPECT_THROW((void)ResultWriter::merge_json({"not json at all"}),
-               std::invalid_argument);
-  EXPECT_THROW((void)ResultWriter::merge_json({"{\"foo\": 1}"}), std::invalid_argument);
-  // Overlapping indices across shards are a hard error.
-  EXPECT_THROW((void)ResultWriter::merge_json({s0.str(), s0.str()}),
+  // A results CSV and a records file are not one kind of input.
+  EXPECT_THROW((void)ResultWriter::merge_csv({records, files_of(w).csv}),
                std::invalid_argument);
 }
 
@@ -271,20 +295,23 @@ TEST(ResultWriter, ResumeInfoDropsFailedRowsAndKeepsLabels) {
   failed.error = "transient, hopefully";
   w.add(1, failed);
   w.add(2, synthetic_outcome("fine", 2));
-  std::ostringstream os;
-  w.write_csv(os);
+  const Files files = files_of(w);
 
-  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(os.str());
+  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(files.csv, files.records);
   // The failed scenario is not "done": it must be re-run on resume.
   ASSERT_EQ(info.completed.size(), 2u);
   EXPECT_EQ(info.completed[0].first, 0u);
   EXPECT_EQ(info.completed[0].second, "ok,with \"quotes\"");  // quoting round-trips
   EXPECT_EQ(info.completed[1].first, 2u);
-  // The completed baseline holds exactly the header + the two ok rows, so
-  // merging it with a re-run of index 1 reproduces the full file.
-  EXPECT_EQ(ResultWriter::csv_indices(info.completed_csv),
-            (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(info.completed_csv.find("exploded"), std::string::npos);
+  // The completed baselines hold exactly the two ok rows, so merging them
+  // with a re-run of index 1 reproduces the full files.
+  ResultWriter ok_rows;
+  ok_rows.add(0, synthetic_outcome("ok,with \"quotes\"", 0));
+  ok_rows.add(2, synthetic_outcome("fine", 2));
+  EXPECT_EQ((Files{info.completed_csv, info.completed_records}), files_of(ok_rows));
+
+  // Without its records file no row counts as completed.
+  EXPECT_TRUE(ResultWriter::resume_info(files.csv, "").completed.empty());
 }
 
 // A worker killed mid-write leaves the CSV without a trailing newline; the
@@ -295,46 +322,48 @@ TEST(ResultWriter, ResumeInfoDropsTruncatedTrailingRow) {
   ResultWriter w;
   w.add(0, synthetic_outcome("a", 0));
   w.add(1, synthetic_outcome("b", 1));
-  std::ostringstream os;
-  w.write_csv(os);
-  const std::string full = os.str();
+  const Files files = files_of(w);
 
   // Cut mid-way through the last row, right after a comma.
-  const std::size_t cut = full.find_last_of(',');
+  const std::size_t cut = files.csv.find_last_of(',');
   ASSERT_NE(cut, std::string::npos);
-  const std::string truncated = full.substr(0, cut + 1);
+  const std::string truncated = files.csv.substr(0, cut + 1);
 
-  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(truncated);
+  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(truncated, files.records);
   ASSERT_EQ(info.completed.size(), 1u);
   EXPECT_EQ(info.completed[0].first, 0u);
-  // Byte-level: the partial row of index 1 must not leak into the baseline.
-  EXPECT_EQ(ResultWriter::csv_indices(info.completed_csv),
-            std::vector<std::size_t>{0});
+  // Byte-level: the partial row of index 1 must not leak into either
+  // baseline.
+  EXPECT_EQ(ResultWriter::csv_indices(info.completed_csv), std::vector<std::size_t>{0});
+  EXPECT_EQ(info.completed_records.find("\n1,"), std::string::npos);
 }
 
 // A newline-terminated row with too few columns is corrupt, not completed.
 TEST(ResultWriter, ResumeInfoSkipsShortRows) {
   ResultWriter w;
   w.add(0, synthetic_outcome("a", 0));
-  std::ostringstream os;
-  w.write_csv(os);
-  const std::string csv = os.str() + "1,short,auction,7,50,3,\n";
-  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(csv);
+  const Files files = files_of(w);
+  const std::string csv = files.csv + "1,short,auction,7,50,3,\n";
+  const ResultWriter::ResumeInfo info =
+      ResultWriter::resume_info(csv, files.records + "1,groups,0\n");
   ASSERT_EQ(info.completed.size(), 1u);
   EXPECT_EQ(info.completed[0].first, 0u);
 }
 
-// A duplicate index means the file was never a write_csv output — refuse to
-// resume from it rather than guess which copy to keep.
+// A duplicate index means the file was never a write_csv / write_records
+// output — refuse to resume from it rather than guess which copy to keep.
 TEST(ResultWriter, ResumeInfoThrowsOnDuplicateIndex) {
+  const RunOutcome a = synthetic_outcome("a", 0);
   ResultWriter w;
-  w.add(0, synthetic_outcome("a", 0));
-  std::ostringstream os;
-  w.write_csv(os);
-  const std::string full = os.str();
-  const std::size_t row_start = full.find('\n') + 1;
-  const std::string doubled = full + full.substr(row_start);
-  EXPECT_THROW((void)ResultWriter::resume_info(doubled), std::invalid_argument);
+  w.add(0, a);
+  w.add(1, synthetic_outcome("b", 1));
+  const Files files = files_of(w);
+  EXPECT_THROW((void)ResultWriter::resume_info(files.csv + ResultWriter::csv_row(0, a) + "\n",
+                                               files.records),
+               std::invalid_argument);
+  EXPECT_THROW((void)ResultWriter::resume_info(files.csv,
+                                               files.records + ResultWriter::records_block(0, a)),
+               std::invalid_argument);
 }
 
 // The names overload says which input(s) carry a colliding index, and
@@ -402,54 +431,72 @@ TEST(ResultWriter, CsvIndicesRoundTrip) {
   EXPECT_THROW((void)ResultWriter::csv_indices("garbage\n"), std::invalid_argument);
 }
 
-// The contract behind `speakup run --resume`: an interrupted sweep's CSV
-// plus a run of only the missing indices merges to the byte-identical
-// output of an uninterrupted fresh run.
-TEST(ResultWriter, ResumedRunIsByteIdenticalToFreshRun) {
-  const exp::ScenarioFile file = exp::parse_scenario_file(R"({
+/// What `speakup run --resume` does with an interrupted sweep's files: run
+/// only the rows not completed in both, and merge. `rerun` receives the
+/// indices that ran.
+Files resume(const exp::ScenarioFile& file, const Files& existing,
+             std::vector<std::size_t>& rerun) {
+  const ResultWriter::ResumeInfo info = ResultWriter::resume_info(existing.csv, existing.records);
+  std::vector<bool> done(file.scenarios.size(), false);
+  for (const auto& [index, label] : info.completed) done[index] = true;
+  std::vector<exp::LabeledScenario> missing;
+  rerun.clear();
+  for (const exp::LabeledScenario& s : file.scenarios) {
+    if (done[s.index]) continue;
+    missing.push_back(s);
+    rerun.push_back(s.index);
+  }
+  return merge({Files{info.completed_csv, info.completed_records}, run_slice(missing)});
+}
+
+const char* const kResumeFile = R"({
     "defaults": {"duration_s": 1, "capacity_rps": 30, "lan": {"good": 1, "bad": 1}},
     "scenarios": [{
       "label": "{defense}/s{seed}",
       "grid": {"defense": ["none", "retry"]},
       "seeds": 2
     }]
-  })");
+  })";
+
+// The contract behind `speakup run --resume`: an interrupted sweep's files
+// plus a run of only the missing indices merge to the byte-identical output
+// of an uninterrupted fresh run.
+TEST(ResultWriter, ResumedRunIsByteIdenticalToFreshRun) {
+  const exp::ScenarioFile file = exp::parse_scenario_file(kResumeFile);
   ASSERT_EQ(file.scenarios.size(), 4u);
-
-  const auto run_slice = [](const std::vector<exp::LabeledScenario>& slice) {
-    exp::Runner runner;
-    exp::ScenarioFile::queue_on(runner, slice);
-    runner.run_all(2);
-    ResultWriter w;
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-      EXPECT_TRUE(runner.outcomes()[i].ok()) << runner.outcomes()[i].error;
-      w.add(slice[i].index, runner.outcomes()[i]);
-    }
-    std::ostringstream os;
-    w.write_csv(os);
-    return os.str();
-  };
-
-  // The uninterrupted run.
-  const std::string fresh = run_slice(file.scenarios);
+  const Files fresh = run_slice(file.scenarios);
 
   // An interrupted run got through indices 0 and 3 only.
-  std::vector<exp::LabeledScenario> done{file.scenarios[0], file.scenarios[3]};
-  const std::string partial = run_slice(done);
+  const Files partial = run_slice({file.scenarios[0], file.scenarios[3]});
+  std::vector<std::size_t> rerun;
+  EXPECT_EQ(resume(file, partial, rerun), fresh);
+  EXPECT_EQ(rerun, (std::vector<std::size_t>{1, 2}));
+}
 
-  // Resume: identify the missing indices from the partial CSV, run only
-  // those, merge — exactly what `speakup run --resume` does.
-  const std::vector<std::size_t> have = ResultWriter::csv_indices(partial);
-  EXPECT_EQ(have, (std::vector<std::size_t>{0, 3}));
-  std::vector<exp::LabeledScenario> missing;
-  for (const exp::LabeledScenario& s : file.scenarios) {
-    if (std::find(have.begin(), have.end(), s.index) == have.end()) {
-      missing.push_back(s);
-    }
+// A records file cut anywhere inside its last block — mid-line or at a line
+// boundary — leaves that row incomplete: resume re-runs exactly that row and
+// reproduces the fresh files.
+TEST(ResultWriter, ResumeReRunsARowWhoseRecordsBlockIsTruncated) {
+  const exp::ScenarioFile file = exp::parse_scenario_file(kResumeFile);
+  const Files fresh = run_slice(file.scenarios);
+  const std::size_t last_block = fresh.records.rfind("\n3,groups,") + 1;
+  ASSERT_NE(last_block, 0u);
+  // The re-run of the last row is deterministic; run it once.
+  const Files last_row = run_slice({file.scenarios[3]});
+  for (std::size_t cut = last_block; cut < fresh.records.size(); ++cut) {
+    const Files existing{fresh.csv, fresh.records.substr(0, cut)};
+    const ResultWriter::ResumeInfo info =
+        ResultWriter::resume_info(existing.csv, existing.records);
+    ASSERT_EQ(info.completed.size(), 3u) << "cut at byte " << cut;
+    EXPECT_EQ(info.completed.back().first, 2u) << "cut at byte " << cut;
+    EXPECT_EQ(merge({Files{info.completed_csv, info.completed_records}, last_row}), fresh)
+        << "cut at byte " << cut;
   }
-  ASSERT_EQ(missing.size(), 2u);
-  const std::string resumed = ResultWriter::merge_csv({partial, run_slice(missing)});
-  EXPECT_EQ(resumed, fresh);
+  // The full run through the same path, for one cut at a line boundary.
+  const std::size_t boundary = fresh.records.find('\n', last_block) + 1;
+  std::vector<std::size_t> rerun;
+  EXPECT_EQ(resume(file, Files{fresh.csv, fresh.records.substr(0, boundary)}, rerun), fresh);
+  EXPECT_EQ(rerun, std::vector<std::size_t>{3});
 }
 
 }  // namespace

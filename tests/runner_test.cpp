@@ -3,10 +3,12 @@
 // bit-identical to serial execution for fixed seeds.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/result_writer.hpp"
 #include "exp/runner.hpp"
 
 namespace speakup::exp {
@@ -124,6 +126,38 @@ TEST(Runner, SummaryTableHasOneRowPerOutcome) {
   ASSERT_EQ(rows.size(), 4u) << os.str();
   EXPECT_EQ(rows[2].rfind("a ", 0), 0u) << rows[2];
   EXPECT_EQ(rows[3].rfind("b ", 0), 0u) << rows[3];
+}
+
+// Queueing a sweep costs O(1) per row: 20000 distinct rows go onto a Runner
+// and a ResultWriter, unrun, in well under 2 s (a quadratic duplicate check
+// takes several times that), and both duplicate checks still fire.
+TEST(Runner, QueueingTwentyThousandRowsIsLinear) {
+  const auto start = std::chrono::steady_clock::now();
+  const ScenarioConfig cfg = tiny("none");
+  Runner r;
+  ResultWriter w;
+  RunOutcome o;
+  o.config = cfg;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    o.label = "row" + std::to_string(i);
+    r.add(cfg, o.label);
+    w.add(i, o);
+  }
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 2.0);
+  EXPECT_EQ(w.size(), 20000u);
+  try {
+    r.add(cfg, "row7");
+    FAIL() << "duplicate label not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "speakup: Runner: duplicate label 'row7'");
+  }
+  try {
+    w.add(7, o);
+    FAIL() << "duplicate index not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ResultWriter: duplicate scenario index 7");
+  }
 }
 
 }  // namespace

@@ -511,6 +511,18 @@ TEST(ScenarioIoErrors, ArrayIndexPast64BitsNamesTheKey) {
       "placeholder {groups.18446744073709551617.count}");
 }
 
+// A grid path runs through objects and arrays only: a scalar on the way,
+// an array element as much as an object member, is named with the axis.
+TEST(ScenarioIoErrors, GridAxisThroughAScalarNamesTheSegment) {
+  expect_parse_error(
+      R"({"defaults": {"groups": [5]}, "scenarios": [{"grid": {"groups.0.count": [1, 2]}}]})",
+      R"(scenarios[0].grid: grid axis "groups.0.count": "0" is not an object or array)");
+  expect_parse_error(
+      R"({"defaults": {"groups": [{"label": "g", "count": 1}]},)"
+      R"( "scenarios": [{"grid": {"groups.0.count.z": [1, 2]}}]})",
+      R"(scenarios[0].grid: grid axis "groups.0.count.z": "count" is not an object or array)");
+}
+
 // With labels A, B, B, A the earliest row whose label repeats later is the
 // first A, so the diagnostic names "A", not the adjacent pair "B".
 TEST(ScenarioIoErrors, DuplicateLabelNamesEarliestRepeatedRow) {

@@ -435,37 +435,5 @@ TEST(StrategyDeterminism, OnOffAndDefectorAreFingerprintIdenticalAcrossThreadCou
   }
 }
 
-// ---------------------------------------------------------------------------
-// Per-strategy result breakdowns.
-// ---------------------------------------------------------------------------
-
-TEST(StrategyResults, StrategyTotalsMergeGroupsByStrategy) {
-  exp::ScenarioConfig cfg = exp::lan_scenario(2, 2, 50.0, "auction", 13);
-  cfg.duration = Duration::seconds(2.0);
-  // Two groups on poisson (good+bad), one on onoff.
-  exp::ClientGroupSpec extra;
-  extra.label = "pulse";
-  extra.count = 1;
-  extra.workload = client::bad_client_params();
-  extra.workload.strategy = "onoff";
-  extra.workload.strategy_knobs = {{"period_s", 1.0}, {"duty", 0.5}};
-  cfg.groups.push_back(extra);
-
-  const exp::ExperimentResult r = exp::run_scenario(cfg);
-  const std::vector<exp::StrategyResult> totals = r.strategy_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0].strategy, "poisson");
-  EXPECT_EQ(totals[0].clients, 4);
-  EXPECT_EQ(totals[1].strategy, "onoff");
-  EXPECT_EQ(totals[1].clients, 1);
-  // The rollup partitions the client-side group totals exactly. (The
-  // thinner-side served_total can exceed this by responses still in flight
-  // at run end, so compare against the groups, not the thinner.)
-  std::int64_t group_served = 0;
-  for (const exp::GroupResult& g : r.groups) group_served += g.totals.served;
-  EXPECT_EQ(totals[0].totals.served + totals[1].totals.served, group_served);
-  EXPECT_GT(group_served, 0);
-}
-
 }  // namespace
 }  // namespace speakup

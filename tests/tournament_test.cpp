@@ -386,6 +386,15 @@ class TournamentE2E : public ::testing::Test {
     return read_file(dir_ + "/direct/payoff.csv");
   }
 
+  /// Expects `csv` and the records file beside it to equal the sweep files
+  /// the single-process tournament wrote.
+  void expect_baseline_results(const std::string& csv) {
+    EXPECT_EQ(read_file(csv), read_file(dir_ + "/direct/results.csv")) << csv;
+    EXPECT_EQ(read_file(exp::ResultWriter::records_path(csv)),
+              read_file(dir_ + "/direct/results.records.csv"))
+        << csv;
+  }
+
   std::string dir_;
 };
 
@@ -394,7 +403,8 @@ TEST_F(TournamentE2E, WritesAllArtifacts) {
       cli("tournament " + spec_path() + " --out " + dir_ + "/t --jobs 2");
   ASSERT_EQ(r.exit_code, 0) << r.err;
   for (const char* f :
-       {"scenarios.json", "results.csv", "payoff.csv", "payoff.json", "pareto.txt"}) {
+       {"scenarios.json", "results.csv", "results.records.csv", "payoff.csv", "payoff.json",
+        "pareto.txt"}) {
     EXPECT_TRUE(file_exists(dir_ + "/t/" + f)) << f;
   }
   EXPECT_NE(r.out.find("pareto frontier: auction"), std::string::npos) << r.out;
@@ -430,6 +440,17 @@ TEST_F(TournamentE2E, ShardMergeScorePathIsByteIdentical) {
                               "/sh --score " + dir_ + "/merged.csv --quiet");
   ASSERT_EQ(score.exit_code, 0) << score.err;
   EXPECT_EQ(read_file(dir_ + "/sh/payoff.csv"), direct);
+  expect_baseline_results(dir_ + "/merged.csv");
+
+  // --resume into the merged pair with its records file cut mid-line
+  // re-runs the last cell and restores the same bytes.
+  const std::string records = read_file(dir_ + "/merged.records.csv");
+  std::ofstream(dir_ + "/merged.records.csv", std::ios::binary)
+      << records.substr(0, records.size() - 2);
+  const CmdResult resumed =
+      cli("run " + scen + " --out " + dir_ + "/merged.csv --resume --quiet");
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.err;
+  expect_baseline_results(dir_ + "/merged.csv");
 }
 
 TEST_F(TournamentE2E, DispatchWithInjectedWorkerKillIsByteIdentical) {
@@ -448,6 +469,7 @@ TEST_F(TournamentE2E, DispatchWithInjectedWorkerKillIsByteIdentical) {
                               "/dp --score " + dir_ + "/dispatched.csv --quiet");
   ASSERT_EQ(score.exit_code, 0) << score.err;
   EXPECT_EQ(read_file(dir_ + "/dp/payoff.csv"), direct);
+  expect_baseline_results(dir_ + "/dispatched.csv");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 //   speakup tournament scenarios/tournament_small.json --out tourney/
 //   speakup dispatch scenarios/fig2.json --workers 4 --out results.csv
 //   speakup merge --out merged.csv shard0.csv shard1.csv
-//   speakup merge --json --out merged.json shard0.json shard1.json
 //   speakup report scenarios/fig2.json --jobs 4
 //   speakup validate scenarios/fig2.json
 //   speakup defenses
@@ -15,11 +14,13 @@
 //
 // `run` executes a scenario file on a Runner thread pool; `--shard i/M`
 // takes the round-robin slice owned by process i of M, and `merge` stitches
-// the per-shard CSVs (or, with --json, JSON documents) back into the
-// unsharded output (results are deterministic per scenario + seed, so
-// splitting work across processes never changes numbers). `--resume` skips
-// scenario indices already present in the `--out` CSV and merges the rest
-// in, byte-identical to an uninterrupted run. `dispatch` is the
+// the per-shard CSVs and their records files back into the unsharded
+// output (results are deterministic per scenario + seed, so splitting work
+// across processes never changes numbers). Every results CSV X.csv has its
+// records file X.records.csv beside it (exp/result_writer.hpp). `--resume`
+// skips scenario indices already complete in the `--out` CSV and its
+// records file and merges the rest in, byte-identical to an uninterrupted
+// run. `dispatch` is the
 // fault-tolerant multi-process driver built on the same shard slices: it
 // spawns `speakup worker` subprocesses (an internal mode, not for direct
 // use) and supervises them — see exp/dispatch.hpp and docs/cli.md. `report`
@@ -29,7 +30,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +37,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "client/strategy.hpp"
@@ -60,11 +62,12 @@ int usage(std::FILE* to) {
                "\n"
                "usage:\n"
                "  speakup run <scenarios.json> [options]   execute a scenario file\n"
-               "    --out FILE       write results as CSV (deterministic, mergeable)\n"
-               "    --json FILE      write results as JSON (adds groups + wall time)\n"
+               "    --out FILE       write results as CSV (deterministic, mergeable); per-group\n"
+               "                     records go to FILE's '.records.csv' sibling\n"
                "    --jobs N         thread-pool size (default: hardware concurrency)\n"
                "    --shard i/M      run only scenarios with index %% M == i\n"
-               "    --resume         skip indices already in the --out CSV, merge the rest\n"
+               "    --resume         skip indices already complete in the --out CSV and its\n"
+               "                     records, merge the rest\n"
                "    --list           print the expanded index/label/seed table, run nothing\n"
                "    --quiet          suppress the summary table on stdout\n"
                "    --metrics FILE   write per-run metrics summaries as JSON; sampled\n"
@@ -86,8 +89,7 @@ int usage(std::FILE* to) {
                "    --expand-only    write DIR/scenarios.json and stop (for shard/dispatch)\n"
                "    --score FILE     score an already-swept results CSV instead of running\n"
                "    --quiet          suppress the pareto report on stdout\n"
-               "  speakup merge --out FILE <shard.csv>...  merge sharded CSV outputs\n"
-               "    --json           inputs/output are JSON result documents\n"
+               "  speakup merge --out FILE <shard.csv>...  merge sharded CSVs and their records\n"
                "  speakup report <scenarios.json> [--jobs N]\n"
                "                                           run a file and print the paper\n"
                "                                           figure its \"report\" key names\n"
@@ -132,8 +134,10 @@ int parse_int_arg(const char* name, const std::string& text) {
   return v;
 }
 
-std::string read_file(const std::string& path) {
+/// A missing file reads as "" when `missing_ok`, and is an error otherwise.
+std::string read_file(const std::string& path, bool missing_ok = false) {
   std::ifstream in(path, std::ios::binary);
+  if (!in && missing_ok) return {};
   if (!in) throw std::runtime_error("cannot open '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
@@ -146,8 +150,17 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// The writer's results CSV and records file, as written to disk.
+std::pair<std::string, std::string> result_files(const exp::ResultWriter& writer) {
+  std::ostringstream csv;
+  std::ostringstream records;
+  writer.write_csv(csv);
+  writer.write_records(records);
+  return {csv.str(), records.str()};
+}
+
 int cmd_run(const std::vector<std::string>& args) {
-  std::string scenario_path, out_csv, out_json;
+  std::string scenario_path, out_csv;
   std::string metrics_path, trace_path;
   double sample_interval_s = 1.0;
   int jobs = 0;
@@ -165,8 +178,6 @@ int cmd_run(const std::vector<std::string>& args) {
     };
     if (a == "--out") {
       out_csv = value();
-    } else if (a == "--json") {
-      out_json = value();
     } else if (a == "--jobs") {
       jobs = parse_int_arg("--jobs", value());
       if (jobs < 1) throw std::runtime_error("--jobs must be >= 1");
@@ -209,11 +220,8 @@ int cmd_run(const std::vector<std::string>& args) {
   if (resume && out_csv.empty()) {
     throw std::runtime_error("--resume needs --out FILE (the CSV to resume into)");
   }
-  if (resume && !out_json.empty()) {
-    throw std::runtime_error(
-        "--resume cannot fill in a --json file (it would hold only the resumed "
-        "scenarios); resume into the CSV, or re-run without --resume for JSON");
-  }
+  const std::string out_records =
+      out_csv.empty() ? "" : exp::ResultWriter::records_path(out_csv);
 
   const exp::ScenarioFile file = exp::load_scenario_file(scenario_path);
   std::vector<exp::LabeledScenario> slice = file.shard(shard_index, shard_count);
@@ -233,42 +241,30 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   // --resume: drop the indices an earlier (interrupted) run already
-  // completed; failed rows are dropped from the baseline so their scenarios
-  // re-run. The merged output below is byte-identical to an uninterrupted
-  // run because per-scenario rows are deterministic.
-  std::string resumed_csv;
+  // completed in both files; failed and partly written rows are dropped
+  // from the baseline so their scenarios re-run. The merged output below is
+  // byte-identical to an uninterrupted run because per-scenario rows are
+  // deterministic.
+  exp::ResultWriter::ResumeInfo resumed;
   std::size_t skipped = 0;
   if (resume) {
-    std::ifstream existing(out_csv, std::ios::binary);
-    std::string previous;
-    if (existing) {
-      std::ostringstream buf;
-      buf << existing.rdbuf();
-      previous = buf.str();
-    }
-    if (!previous.empty()) {  // absent or zero-byte --out: nothing to resume
-      const exp::ResultWriter::ResumeInfo info =
-          exp::ResultWriter::resume_info(previous);
-      // The existing CSV must come from this scenario file: every completed
-      // (index, label) pair has to match the file's expansion.
-      for (const auto& [index, label] : info.completed) {
-        if (index >= file.scenarios.size() || file.scenarios[index].label != label) {
-          throw std::runtime_error(
-              "--resume: '" + out_csv + "' row " + std::to_string(index) + " ('" +
-              label + "') does not match " + scenario_path +
-              " — it was written from a different scenario file");
-        }
+    resumed = exp::ResultWriter::resume_info(read_file(out_csv, true),
+                                             read_file(out_records, true));
+    // The existing CSV must come from this scenario file: every completed
+    // (index, label) pair has to match the file's expansion.
+    std::vector<char> done(file.scenarios.size(), 0);
+    for (const auto& [index, label] : resumed.completed) {
+      if (index >= file.scenarios.size() || file.scenarios[index].label != label) {
+        throw std::runtime_error(
+            "--resume: '" + out_csv + "' row " + std::to_string(index) + " ('" +
+            label + "') does not match " + scenario_path +
+            " — it was written from a different scenario file");
       }
-      if (!info.completed.empty()) {
-        resumed_csv = info.completed_csv;
-        const std::size_t before = slice.size();
-        std::erase_if(slice, [&](const exp::LabeledScenario& s) {
-          return std::any_of(info.completed.begin(), info.completed.end(),
-                             [&](const auto& done) { return done.first == s.index; });
-        });
-        skipped = before - slice.size();
-      }
+      done[index] = 1;
     }
+    const std::size_t before = slice.size();
+    std::erase_if(slice, [&](const exp::LabeledScenario& s) { return done[s.index] != 0; });
+    skipped = before - slice.size();
   }
 
   if (!quiet) {
@@ -311,20 +307,14 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   if (!out_csv.empty()) {
-    std::ostringstream os;
-    writer.write_csv(os);
-    std::string csv = os.str();
-    if (!resumed_csv.empty()) {
-      csv = exp::ResultWriter::merge_csv({resumed_csv, csv});
+    auto [csv, records] = result_files(writer);
+    if (resume) {
+      csv = exp::ResultWriter::merge_csv({resumed.completed_csv, csv});
+      records = exp::ResultWriter::merge_csv({resumed.completed_records, records});
     }
     write_file(out_csv, csv);
-    if (!quiet) std::printf("wrote %s\n", out_csv.c_str());
-  }
-  if (!out_json.empty()) {
-    std::ostringstream os;
-    writer.write_json(os);
-    write_file(out_json, os.str());
-    if (!quiet) std::printf("wrote %s\n", out_json.c_str());
+    write_file(out_records, records);
+    if (!quiet) std::printf("wrote %s and %s\n", out_csv.c_str(), out_records.c_str());
   }
   // Telemetry assembly happens here, in job order, so the files are
   // byte-identical for any --jobs value.
@@ -450,11 +440,11 @@ int cmd_tournament(const std::vector<std::string>& args) {
                      o.error.c_str());
       }
     }
-    std::ostringstream os;
-    writer.write_csv(os);
-    results_csv = os.str();
+    std::string records;
+    std::tie(results_csv, records) = result_files(writer);
     write_file(out_dir + "/results.csv", results_csv);
-    if (!quiet) std::printf("wrote %s/results.csv\n", out_dir.c_str());
+    write_file(out_dir + "/results.records.csv", records);
+    if (!quiet) std::printf("wrote %s/results.csv and results.records.csv\n", out_dir.c_str());
   }
 
   // score_tournament throws (exit 2) when any cell failed or is missing.
@@ -470,39 +460,57 @@ int cmd_tournament(const std::vector<std::string>& args) {
   return 0;
 }
 
+// `speakup merge --out FILE a.csv b.csv`: stitches shard CSVs, and the
+// records files beside them, into the unsharded pair. Inputs must all have
+// a records file or all lack one; to stdout (no --out) only the CSV goes.
 int cmd_merge(const std::vector<std::string>& args) {
   std::string out_path;
   std::vector<std::string> inputs;
-  bool json = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--out") {
       if (i + 1 >= args.size()) throw std::runtime_error("--out needs a value");
       out_path = args[++i];
-    } else if (args[i] == "--json") {
-      json = true;
     } else if (!args[i].empty() && args[i][0] == '-') {
       throw std::runtime_error("unknown option '" + args[i] + "' for merge");
     } else {
       inputs.push_back(args[i]);
     }
   }
-  if (inputs.empty()) {
-    throw std::runtime_error(std::string("merge needs at least one shard ") +
-                             (json ? "JSON document" : "CSV"));
+  if (inputs.empty()) throw std::runtime_error("merge needs at least one shard CSV");
+  std::vector<std::string> csvs;
+  std::vector<std::string> records;
+  std::vector<std::string> records_names;
+  std::string lacking;  // inputs without a records file, for the diagnostic
+  for (const std::string& p : inputs) {
+    csvs.push_back(read_file(p));
+    const std::string rp = exp::ResultWriter::records_path(p);
+    if (::access(rp.c_str(), F_OK) == 0) {
+      records.push_back(read_file(rp));
+      records_names.push_back(rp);
+    } else {
+      lacking += (lacking.empty() ? "'" : ", '") + p + "'";
+    }
   }
-  std::vector<std::string> contents;
-  contents.reserve(inputs.size());
-  for (const std::string& p : inputs) contents.push_back(read_file(p));
+  if (!records.empty() && !lacking.empty()) {
+    throw std::runtime_error("no records file beside " + lacking +
+                             ", but the other inputs have one; merge inputs that all "
+                             "have one or all lack one");
+  }
   // File names ride along so a duplicate-index rejection can say which
   // input(s) carry the colliding row.
-  const std::string merged = json ? exp::ResultWriter::merge_json(contents, inputs)
-                                  : exp::ResultWriter::merge_csv(contents, inputs);
+  const std::string merged = exp::ResultWriter::merge_csv(csvs, inputs);
+  const std::string merged_records =
+      records.empty() ? "" : exp::ResultWriter::merge_csv(records, records_names);
   if (out_path.empty() || out_path == "-") {
     std::fputs(merged.c_str(), stdout);
-  } else {
-    write_file(out_path, merged);
-    std::printf("merged %zu file(s) into %s\n", inputs.size(), out_path.c_str());
+    return 0;
   }
+  write_file(out_path, merged);
+  if (!records.empty()) {
+    write_file(exp::ResultWriter::records_path(out_path), merged_records);
+  }
+  std::printf("merged %zu file(s) into %s%s\n", inputs.size(), out_path.c_str(),
+              records.empty() ? "" : " and its records file");
   return 0;
 }
 
